@@ -24,15 +24,11 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ClassificationError, DomainError, RootSearchError
-from .specfun import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    _theta_pair,
-    ln_gamma,
-)
+from .specfun import DEFAULT_CONTROL, SeriesControl, ln_gamma, polar_solution
 
 __all__ = [
     "Family",
@@ -104,9 +100,9 @@ def azimuthal_indices(domain: AngularDomain, count: int, face_kind: str = "PEC_P
     """First ``count`` admissible azimuthal indices for the domain.
 
     Full azimuth: single-valuedness gives m = 0, 1, 2, ...  A wedge with PEC
-    on both faces gives m = n*pi/Phi for n >= 1 (n = 0 has no standing wave
-    between PEC faces).  The experimental PEC/PMC wedge quantizes at odd
-    quarter-waves, m = (2n - 1)*pi/(2*Phi).
+    on both faces gives m = n*pi/Phi for n >= 1; n = 0 has no TM standing
+    wave, and spectrum enumeration adds it for TE alone.  The experimental
+    PEC/PMC wedge quantizes at odd quarter-waves, m = (2n - 1)*pi/(2*Phi).
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -193,7 +189,6 @@ def angular_ode_residual(
 
 _SCAN_STEP = 0.02
 _NU_FLOOR = 1e-4
-_SCAN_ODE_RTOL = 1e-7  # bracketing only; refinement re-evaluates precisely
 
 
 def cone_roots(
@@ -206,10 +201,15 @@ def cone_roots(
 ) -> list[float]:
     """All cone eigenvalues below nu_max, smallest first.
 
-    A single bracketing scan in nu (step 0.02, comfortably below the root
-    spacing) runs the angular ODE at relaxed tolerance; each sign change is
-    confirmed at full precision and refined by Brent's method to
-    |delta nu| <= 1e-10.
+    The cone condition is the south-regular polar solution (TM) or its
+    derivative (TE) at the cone, i.e. polar_solution at pi - theta_c, which
+    the connection formulas give in closed form: DLMF 15.8.4 for non-integer
+    m, its logarithmic case 15.8.10 for integer m, and interpolation in m
+    between the two within 4e-3 of an integer.  One vectorized call
+    evaluates it on a nu grid from 1e-4 in steps of 0.02 (well below the
+    root spacing; the last step ends at nu_max), and Brent's method refines
+    each sign change to |delta nu| <= 1e-10.  A scan value that overflows
+    raises RootSearchError rather than losing roots.
     """
     if not (0.0 < theta_c < 0.5 * math.pi):
         raise DomainError("cone half-angle must lie strictly inside (0, pi/2)")
@@ -220,26 +220,22 @@ def cone_roots(
     target = math.pi - theta_c
     index = 0 if pol == "TM" else 1
 
-    def g(nu: float, ode_rtol: float = 1e-12) -> float:
-        return _theta_pair(nu, m, target, ctrl, ode_rtol=ode_rtol)[index]
+    def g(nu: float) -> float:
+        return polar_solution(nu, m, target, ctrl)[index]
 
+    grid = [_NU_FLOOR]
+    while grid[-1] < nu_max:
+        grid.append(min(grid[-1] + _SCAN_STEP, nu_max))
+    values = polar_solution(grid, m, target, ctrl)[index]
+    if not np.all(np.isfinite(values)):
+        raise RootSearchError(
+            f"{pol} cone condition overflows for m={m}, theta_c={theta_c:g} rad", window=(_NU_FLOOR, nu_max)
+        )
     roots: list[float] = []
-    nu, f_lo = _NU_FLOOR, g(_NU_FLOOR, _SCAN_ODE_RTOL)
-    while nu < nu_max:
-        nu_next = min(nu + _SCAN_STEP, nu_max)
-        f_next = g(nu_next, _SCAN_ODE_RTOL)
-        if f_lo * f_next < 0.0:
-            a, fa = nu, g(nu)
-            b, fb = nu_next, g(nu_next)
-            # the relaxed scan may misplace a crossing by at most one step
-            if fa * fb > 0.0:
-                a, fa = max(_NU_FLOOR, nu - _SCAN_STEP), g(max(_NU_FLOOR, nu - _SCAN_STEP))
-                b, fb = nu_next + _SCAN_STEP, g(nu_next + _SCAN_STEP)
-            if fa * fb < 0.0:
-                roots.append(float(brentq(g, a, b, xtol=1e-10, rtol=1e-14)))
-                if max_branches is not None and len(roots) >= max_branches:
-                    return roots
-        nu, f_lo = nu_next, f_next
+    for i in np.nonzero(values[:-1] * values[1:] < 0.0)[0]:
+        roots.append(float(brentq(g, grid[i], grid[i + 1], xtol=1e-10, rtol=1e-14)))
+        if max_branches is not None and len(roots) >= max_branches:
+            break
     return roots
 
 

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from .angular import Family
 from .errors import DomainError, IntegrationError
-from .fields import ModeSpec, _polar_pair
+from .fields import ModeSpec
 from .specfun import ln_gamma, riccati_deriv, spherical_j
 
 __all__ = [
@@ -78,7 +78,7 @@ def _angular_norm(mode: ModeSpec, quad_rel: float) -> float:
             return zonal_norm(int(round(pair.nu)))
 
     def integrand(theta: float) -> float:
-        return _polar_pair(mode, theta)[0] ** 2 * math.sin(theta)
+        return mode.polar(theta)[0] ** 2 * math.sin(theta)
 
     lo = mode.domain.cone_half_angle_rad
     val, err = quad(integrand, lo, math.pi, epsabs=1e-14, epsrel=quad_rel, limit=400)
@@ -127,7 +127,7 @@ def mode_energy(mode: ModeSpec, quad_rel: float = 1e-9) -> EnergyReport:
 
         def inner(theta: float) -> float:
             # polar factors are independent of r; hoist them out of the r-quad
-            th, dth = _polar_pair(mode, theta)
+            th, dth = mode.polar(theta)
             s = math.sin(theta)
 
             def density_r2(r: float) -> float:

@@ -18,23 +18,23 @@ component tables; the set above satisfies Maxwell's equations identically,
 which the impedance-duality and wall-condition tests rely on.
 
 Azimuthal factor: exp(i m phi) on the full azimuth; between PEC wedge faces
-a standing combination whose tangential E vanishes on both faces (sin(m phi)
-for TM, cos(m phi) for TE -- selected by testing the face condition).
+the standing wave whose tangential E vanishes on both faces: sin(m phi) for
+TM (E_r and E_theta carry Phi) and cos(m phi) for TE (E_theta carries Phi').
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .angular import AngularDomain, AngularEigenpair, Family
+from .angular import AngularDomain, AngularEigenpair
 from .errors import DomainError, ImpedanceUndefinedError, IntegrationError
 from .radial import RadialRoot, RootKind, radial_root
-from .specfun import legendre_theta, legendre_theta_deriv, riccati_deriv, spherical_j
+from .specfun import polar_solution, riccati_deriv, spherical_j
 
 __all__ = [
     "EPSILON_0",
@@ -105,6 +105,14 @@ class ModeSpec:
     def omega(self) -> float:
         return self.wavenumber * self.medium.speed
 
+    def polar(self, theta):
+        """(Theta, dTheta/dtheta) regular at the retained pole; vectorized over theta."""
+        nu, m = self.eigenpair.nu, self.eigenpair.m
+        if self.south_regular:
+            value, deriv = polar_solution(nu, m, np.pi - np.asarray(theta))
+            return value, -deriv
+        return polar_solution(nu, m, theta)
+
 
 @dataclass(frozen=True)
 class FieldSample:
@@ -126,17 +134,6 @@ def _azimuthal_factors(mode: ModeSpec, phi: float) -> tuple[complex, complex]:
     return complex(math.cos(m * phi)), complex(-m * math.sin(m * phi))
 
 
-def _polar_pair(mode: ModeSpec, theta: float) -> tuple[float, float]:
-    """(Theta, dTheta/dtheta) regular at the retained pole."""
-    nu, m = mode.eigenpair.nu, mode.eigenpair.m
-    if mode.south_regular:
-        return (
-            legendre_theta(nu, m, math.pi - theta),
-            -legendre_theta_deriv(nu, m, math.pi - theta),
-        )
-    return legendre_theta(nu, m, theta), legendre_theta_deriv(nu, m, theta)
-
-
 def _profiles(mode: ModeSpec, r: float, theta: float, polarization: RootKind | None = None):
     """(r, theta)-dependent coefficients of the six components.
 
@@ -154,7 +151,7 @@ def _profiles(mode: ModeSpec, r: float, theta: float, polarization: RootKind | N
     x = k * r
     jv = spherical_j(nu, x)
     rp = riccati_deriv(nu, x)
-    th, dth = _polar_pair(mode, theta)
+    th, dth = mode.polar(theta)
     s = math.sin(theta)
     omega = mode.omega
     lam = nu * (nu + 1.0)
@@ -200,27 +197,6 @@ def evaluate(mode: ModeSpec, point: tuple[float, float, float]) -> FieldSample:
     return FieldSample(point=point, E=e, H=h)
 
 
-def _select_standing_kind(mode: ModeSpec) -> str:
-    """Pick sin/cos so the tangential E vanishes on both wedge faces."""
-    opening = mode.domain.azimuth_opening_rad
-    probe_r = 0.6 * mode.radius_m
-    probe_t = max(1.0, mode.domain.cone_half_angle_rad + 0.5)
-    best, best_leak = None, None
-    for kind in ("sin", "cos"):
-        trial = replace(mode, azimuthal_kind=kind)
-        leak = 0.0
-        scale = 0.0
-        for phi_face in (0.0, opening):
-            sample = evaluate(trial, (probe_r, probe_t, phi_face))
-            leak = max(leak, abs(sample.E[0]), abs(sample.E[1]))
-        mid = evaluate(trial, (probe_r, probe_t, 0.5 * opening))
-        scale = max(abs(c) for c in np.concatenate([mid.E, mid.H]))
-        rel = leak / scale if scale > 0.0 else math.inf
-        if best is None or rel < best_leak:
-            best, best_leak = kind, rel
-    return best
-
-
 def make_mode(
     polarization: RootKind,
     eigenpair: AngularEigenpair,
@@ -232,7 +208,11 @@ def make_mode(
 ) -> ModeSpec:
     """Assemble a ModeSpec: radial root, azimuthal convention, pole choice."""
     root = radial_root(eigenpair.nu, n, polarization)
-    mode = ModeSpec(
+    if domain.full_azimuth:
+        kind = "traveling"
+    else:
+        kind = "sin" if polarization is RootKind.TM_RICCATI_DERIV_ZERO else "cos"
+    return ModeSpec(
         polarization=polarization,
         eigenpair=eigenpair,
         radial=root,
@@ -240,16 +220,9 @@ def make_mode(
         amplitude=amplitude,
         medium=medium,
         domain=domain,
-        azimuthal_kind="traveling",
+        azimuthal_kind=kind,
         south_regular=domain.has_cone,
     )
-    if not domain.full_azimuth:
-        if eigenpair.family is Family.NULL:
-            kind = "sin"
-        else:
-            kind = _select_standing_kind(replace(mode, azimuthal_kind="sin"))
-        mode = replace(mode, azimuthal_kind=kind)
-    return mode
 
 
 def wave_impedances(

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401 -- benchmarks/spans.py wraps it by name
 
-from .errors import ConvergenceError, DomainError, IntegrationError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "SeriesControl",
@@ -29,6 +29,7 @@ __all__ = [
     "hyp2f1",
     "spherical_j",
     "riccati_deriv",
+    "polar_solution",
     "legendre_theta",
     "legendre_theta_deriv",
 ]
@@ -198,69 +199,193 @@ def riccati_deriv(nu: float, x: float) -> float:
 
 # --- polar angular solution -------------------------------------------------
 #
-# Theta(theta) = sin(theta)^m * 2F1(m - nu, m + nu + 1; m + 1; sin^2(theta/2))
+# Theta(theta) = sin(theta)^m * F(z),  F = 2F1(m - nu, m + nu + 1; m + 1; z),
+# z = sin^2(theta/2), w = 1 - z = cos^2(theta/2), sin(theta)^2 = 4 z w.
 #
-# The series terminates iff nu - m is a non-negative integer; otherwise it
-# diverges at theta = pi and converges slowly nearby, so past z = 0.75 the
-# value is obtained by integrating the angular ODE from a series start at
-# theta = pi/3.
+# Where z <= 1/2 the Gauss series of F is summed directly.  Past z = 1/2, F
+# is connected to the opposite pole, where it becomes series in w <= 1/2:
+#   * non-integer m (DLMF 15.8.4):
+#       F = A 2F1(m - nu, m + nu + 1; m + 1; w) + B w^-m 2F1(nu + 1, -nu; 1 - m; w)
+#     with A = sin(pi nu)/sin(pi m), B = Gamma(m+1) Gamma(m)/(Gamma(m-nu) Gamma(m+nu+1));
+#   * integer m: the logarithmic case (DLMF 15.8.10), with sin(pi nu) psi(m + k - nu)
+#     taken by reflection, sin(pi nu) psi(nu + 1 - m - k) + pi cos(pi nu), where
+#     m + k - nu < 1/2, so that no psi pole is ever evaluated;
+#   * 0 < |m - round(m)| < 4e-3: the two 15.8.4 terms cancel to a relative
+#     error ~ eps/|m - round(m)|, so F is interpolated in m through 5 points
+#     round(m) + {0, +-2e-3, +-4e-3} (Lagrange);
+#   * nu - m = k, a non-negative integer: F is a polynomial and B = 0, so the
+#     reflection F(z) = (-1)^k 2F1(-k, 2m + k + 1; m + 1; w) is used as is.
+# Every branch returns G = w^(m/2) F, so Theta = (4z)^(m/2) G: the w^-m of
+# the singular branch never overflows on its own, and in the interpolation
+# band the two terms of G vary as w^(+-m/2) rather than as 1 and w^-m.
+# dF/dz = (ab/c) 2F1(a + 1, b + 1; c + 1; z) is F at order m + 1, so the
+# derivative comes from the same evaluator.
 
-_ODE_Z_CUTOFF = 0.75
-_ODE_THETA_START = math.pi / 3.0
+_CONNECT_Z = 0.5  # past this z the series is taken about the opposite pole
+_BAND_NODES = (-4e-3, -2e-3, 0.0, 2e-3, 4e-3)  # offsets from round(m)
+_BAND = _BAND_NODES[-1]
+_EPS = float(np.finfo(float).eps)
+
+# The helpers below take either floats or 1-D arrays of one length: a scalar
+# evaluation (one field point, one Brent step) then runs on plain floats.
 
 
-def _terminates(nu: float, m: float) -> bool:
-    d = nu - m
-    return d >= -_INT_TOL and abs(d - round(d)) <= _INT_TOL * max(1.0, abs(d))
+def _all_below(x, y) -> bool:
+    return bool(x <= y) if isinstance(x, float) else bool((x <= y).all())
 
 
-def _theta_series_pair(nu: float, m: float, theta: float, ctrl: SeriesControl) -> tuple[float, float]:
-    z = math.sin(0.5 * theta) ** 2
-    a, b, c = m - nu, m + nu + 1.0, m + 1.0
-    f = hyp2f1(a, b, c, z, ctrl)
-    fp = (a * b / c) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z, ctrl) if a != 0.0 else 0.0
-    s, cth = math.sin(theta), math.cos(theta)
-    sin_m = s**m
-    value = sin_m * f
-    # product rule; dz/dtheta = sin(theta)/2
-    deriv = m * s ** (m - 1.0) * cth * f + sin_m * fp * 0.5 * s
-    return value, deriv
-
-
-def _theta_ode_pair(
-    nu: float, m: float, theta: float, ctrl: SeriesControl, rtol: float = 1e-12
-) -> tuple[float, float]:
-    lam = nu * (nu + 1.0)
-    m2 = m * m
-    y0 = _theta_series_pair(nu, m, _ODE_THETA_START, ctrl)
-
-    def rhs(t, y):
-        s = math.sin(t)
-        return (y[1], -math.cos(t) / s * y[1] - (lam - m2 / (s * s)) * y[0])
-
-    sol = solve_ivp(
-        rhs,
-        (_ODE_THETA_START, theta),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-30,
+def _not_converged(what: str, total, term, ctrl: SeriesControl) -> ConvergenceError:
+    worst = int(np.argmax(np.abs(np.ravel(term))))
+    return ConvergenceError(
+        f"{what} did not converge in {ctrl.max_terms} terms",
+        partial_sum=float(np.ravel(total)[worst]),
+        last_term=float(abs(np.ravel(term)[worst])),
     )
-    if not sol.success:
-        raise IntegrationError(f"angular ODE integration failed: {sol.message}")
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
 
 
-def _theta_pair(
-    nu: float, m: float, theta: float, ctrl: SeriesControl, ode_rtol: float = 1e-12
-) -> tuple[float, float]:
+def _terminates(nu, m: float):
+    d = nu - m
+    return (d >= -_INT_TOL) & (abs(d - np.round(d)) <= _INT_TOL * np.maximum(1.0, abs(d)))
+
+
+def _gauss_series(a, b, c, x, ctrl: SeriesControl):
+    """Sum of (a)_k (b)_k / ((c)_k k!) x^k for 0 <= x <= 1/2."""
+    term = total = size = 1.0  # arrays from the first step on, if any argument is one
+    for k in range(ctrl.max_terms):
+        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0)) * x)
+        total = total + term
+        size = size + abs(term)
+        # relative to the sum, or to its rounding noise where it cancels to ~0
+        if _all_below(abs(term), ctrl.tolerance * (abs(total) + _EPS * size)):
+            return total
+    raise _not_converged("Gauss series", total, term, ctrl)
+
+
+def _singular_weight(nu, m: float, w):
+    """B w^(-m/2), with the gamma ratio of B taken in logarithms."""
+    log_ratio = sp.gammaln(m + 1.0) + sp.gammaln(m) - sp.gammaln(m + nu + 1.0)
+    return sp.gammasgn(m) * sp.rgamma(m - nu) * np.exp(log_ratio - 0.5 * m * np.log(w))
+
+
+def _connect_fractional(nu, m: float, w, ctrl: SeriesControl):
+    """w^(m/2) F by DLMF 15.8.4, non-integer m."""
+    a = np.sin(np.pi * nu) / math.sin(math.pi * m)
+    regular = a * w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, w, ctrl)
+    return regular + _singular_weight(nu, m, w) * _gauss_series(nu + 1.0, -nu, 1.0 - m, w, ctrl)
+
+
+def _connect_integer(nu, m: int, w, ctrl: SeriesControl):
+    """w^(m/2) F by DLMF 15.8.10, integer m: a log series plus a finite head."""
+    a, b = m - nu, m + nu + 1.0
+    sin_nu, pi_cos_nu = np.sin(np.pi * nu), np.pi * np.cos(np.pi * nu)
+    log_w = np.log(w)
+    # psi(k+1), psi(m+k+1) and psi(b+k) by upward recurrence
+    psi_k1, psi_km1, psi_b = float(sp.psi(1.0)), float(sp.psi(m + 1.0)), sp.psi(b)
+    coef, total, size = 1.0, 0.0, 0.0  # coef = m! (a)_k (b)_k / (k! (m+k)!) w^k
+    for k in range(ctrl.max_terms):
+        x = a + k
+        reflect = x < 0.5  # then psi(1 - x) and the pi cos(pi nu) term
+        sin_psi_a = sin_nu * sp.psi(x + reflect * (1.0 - 2.0 * x)) + reflect * pi_cos_nu
+        total = total + coef * (sin_nu * (log_w - psi_k1 - psi_km1 + psi_b) + sin_psi_a)
+        size = size + abs(coef)
+        coef = coef * ((a + k) * (b + k) / ((k + 1.0) * (m + k + 1.0)) * w)
+        # the psi bracket varies slowly, so the coefficients set the convergence
+        if _all_below(abs(coef), ctrl.tolerance * size):
+            break
+        psi_k1 += 1.0 / (k + 1.0)
+        psi_km1 += 1.0 / (m + k + 1.0)
+        psi_b = psi_b + 1.0 / (b + k)
+    else:
+        raise _not_converged("logarithmic connection series", total, coef, ctrl)
+    g = ((-1.0) ** m / math.pi) * w ** (0.5 * m) * total
+    if m > 0:
+        head = term = 1.0
+        for k in range(m - 1):
+            term = term * ((k - nu) * (nu + 1.0 + k) / ((k + 1.0) * (1.0 - m + k)) * w)
+            head = head + term
+        g = g + _singular_weight(nu, m, w) * head
+    return g
+
+
+def _connect(nu, m: float, w, ctrl: SeriesControl):
+    """w^(m/2) F past z = 1/2, for nu - m not a non-negative integer."""
+    base = round(m)
+    offset = m - base
+    if abs(offset) <= _INT_TOL:
+        return _connect_integer(nu, base, w, ctrl)
+    if abs(offset) >= _BAND:
+        return _connect_fractional(nu, m, w, ctrl)
+    total = 0.0
+    for j, hj in enumerate(_BAND_NODES):
+        weight = math.prod((offset - hi) / (hj - hi) for i, hi in enumerate(_BAND_NODES) if i != j)
+        if hj == 0.0:
+            node = _connect_integer(nu, base, w, ctrl)
+        else:
+            node = _connect_fractional(nu, base + hj, w, ctrl)
+        total = total + weight * node
+    return total
+
+
+def _reflected(nu, m: float, w, ctrl: SeriesControl):
+    """w^(m/2) F past z = 1/2 when nu - m = k is a non-negative integer: (-1)^k F(w)."""
+    sign = 1.0 - 2.0 * (np.round(nu - m) % 2.0)
+    return sign * w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, w, ctrl)
+
+
+def _scaled_hyp(nu, m: float, z, w, ctrl: SeriesControl):
+    """G = w^(m/2) 2F1(m - nu, m + nu + 1; m + 1; z), with w = 1 - z passed exactly."""
+    if isinstance(nu, float):
+        if z <= _CONNECT_Z:
+            return w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, z, ctrl)
+        if _terminates(nu, m):
+            return _reflected(nu, m, w, ctrl)
+        return _connect(nu, m, w, ctrl)
+    out = np.empty(nu.shape)
+    near = z <= _CONNECT_Z
+    poly = ~near & _terminates(nu, m)
+    far = ~(near | poly)
+    if near.any():
+        a, b = m - nu[near], m + nu[near] + 1.0
+        out[near] = w[near] ** (0.5 * m) * _gauss_series(a, b, m + 1.0, z[near], ctrl)
+    if poly.any():
+        out[poly] = _reflected(nu[poly], m, w[poly], ctrl)
+    if far.any():
+        out[far] = _connect(nu[far], m, w[far], ctrl)
+    return out
+
+
+def polar_solution(nu, m: float, theta, ctrl: SeriesControl = DEFAULT_CONTROL):
+    """(Theta, dTheta/dtheta) of the north-pole-regular polar solution.
+
+    ``nu`` and ``theta`` broadcast against each other and ``m`` is one order
+    >= 0.  Scalar arguments give floats, array arguments arrays of the
+    broadcast shape.  Frobenius normalization: Theta / sin(theta)^m -> 1 as
+    theta -> 0+.
+    """
     if m < 0.0:
         raise DomainError(f"order m must be >= 0, got m={m}")
-    if not (0.0 < theta < math.pi):
+    if np.isscalar(nu) and np.isscalar(theta):
+        nu, theta, shape = float(nu), float(theta), None
+        inside = 0.0 < theta < math.pi
+        sin, cos = math.sin, math.cos
+    else:
+        nu, theta = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(theta, dtype=float))
+        shape, nu, theta = nu.shape, nu.ravel(), theta.ravel()
+        inside = np.all((theta > 0.0) & (theta < math.pi))
+        sin, cos = np.sin, np.cos
+    if not inside:
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
-    if _terminates(nu, m) or math.sin(0.5 * theta) ** 2 <= _ODE_Z_CUTOFF:
-        return _theta_series_pair(nu, m, theta, ctrl)
-    return _theta_ode_pair(nu, m, theta, ctrl, rtol=ode_rtol)
+    z, w = sin(0.5 * theta) ** 2, cos(0.5 * theta) ** 2
+    value = (4.0 * z) ** (0.5 * m) * _scaled_hyp(nu, m, z, w, ctrl)
+    # product rule with dz/dtheta = sin(theta)/2 and dF/dz = (ab/c) F at order
+    # m + 1, whose sin^(m+1) F is (4z)^((m+1)/2) G; ab = 0 (nu = m) drops out
+    ab_c = (m - nu) * (m + nu + 1.0) / (m + 1.0)
+    deriv = m * cos(theta) / sin(theta) * value
+    if shape is not None or ab_c != 0.0:
+        deriv = deriv + 0.5 * ab_c * (4.0 * z) ** (0.5 * m + 0.5) * _scaled_hyp(nu, m + 1.0, z, w, ctrl)
+    if shape is None:
+        return float(value), float(deriv)
+    return value.reshape(shape), deriv.reshape(shape)
 
 
 def legendre_theta(nu: float, m: float, theta: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -271,9 +396,9 @@ def legendre_theta(nu: float, m: float, theta: float, ctrl: SeriesControl = DEFA
     it is sin(theta)^m times a degree-k polynomial in sin^2(theta/2); for all
     other (nu, m) it diverges at theta = pi.
     """
-    return _theta_pair(nu, m, theta, ctrl)[0]
+    return polar_solution(nu, m, theta, ctrl)[0]
 
 
 def legendre_theta_deriv(nu: float, m: float, theta: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     """d/dtheta of legendre_theta, by term-wise analytic differentiation."""
-    return _theta_pair(nu, m, theta, ctrl)[1]
+    return polar_solution(nu, m, theta, ctrl)[1]

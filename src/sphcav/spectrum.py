@@ -106,11 +106,26 @@ def _azimuthal_values(config: CavityConfig, m_cap: float) -> list[float]:
         # one extra index, filtered below; PEC/PMC values are never larger
         count = max(1, int(m_cap * domain.azimuth_opening_rad / math.pi) + 1)
     vals = azimuthal_indices(domain, count, config.wedge_face_kind)
+    if not domain.full_azimuth and config.wedge_face_kind == "PEC_PEC":
+        vals = [0.0] + vals  # TE only, see _polarizations
     return [m for m in vals if m <= m_cap]
+
+
+def _polarizations(config: CavityConfig, m: float) -> tuple[RootKind, ...]:
+    """Polarizations admissible at azimuthal index m.
+
+    Between PEC wedge faces TM needs the standing wave sin(m phi), which is
+    identically zero at m = 0; TE takes cos(m phi), and at m = 0 its E is
+    purely azimuthal, normal to both faces.
+    """
+    if m == 0.0 and config.wedge_opening_deg != 360.0:
+        return (RootKind.TE_JZERO,)
+    return (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO)
 
 
 def _angular_candidates(config: CavityConfig, m: float, nu_cap: float):
     """Yield (nu, k, polarizations) admissible for azimuthal index m."""
+    kinds = _polarizations(config, m)
     if config.cone_half_angle_deg == 0.0:
         k = 0
         while True:
@@ -118,11 +133,11 @@ def _angular_candidates(config: CavityConfig, m: float, nu_cap: float):
             if nu > nu_cap:
                 return
             if not (nu == 0.0 and m == 0.0):  # (0,0) generates no field
-                yield nu, k, (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO)
+                yield nu, k, kinds
             k += 1
     else:
         theta_c = math.radians(config.cone_half_angle_deg)
-        for kind in (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO):
+        for kind in kinds:
             for nu in cone_roots(m, theta_c, kind.value, nu_cap):
                 yield nu, None, (kind,)
 

@@ -4,9 +4,9 @@ Nothing here imports sphcav.  Each eigenvalue is the first sign change of the
 defining function on an upward scan, refined by Anderson-Bjorck (a bracketing
 regula falsi) in 30-digit arithmetic:
 
-* cone (TM): the polar solution regular at theta = pi, written as
+* cone: the polar solution regular at theta = pi, written as
   sin^m * 2F1(m - nu, m + nu + 1; m + 1; sin^2((pi - theta_c)/2)), vanishes
-  at the cone surface;
+  at the cone surface (TM), or its theta-derivative does (TE);
 * TE wall: j_nu(x) = sqrt(pi/(2x)) J_{nu+1/2}(x) vanishes;
 * TM wall: d/dx[x j_nu(x)], proportional to J_mu(x) + 2x J_mu'(x) with
   mu = nu + 1/2, vanishes.
@@ -31,17 +31,44 @@ def _first_root(g, lo, hi, step):
     raise AssertionError("oracle found no root")
 
 
+def mp_cone_function(m, theta_c_rad, pol, nu):
+    """The south-regular polar solution (TM) or its theta-derivative (TE) at the cone.
+
+    With t = pi - theta_c and z = sin^2(t/2) the solution is
+    sin^m(t) 2F1(a, b; c; z), a = m - nu, b = m + nu + 1, c = m + 1, whose
+    derivative follows from the product rule and d/dz 2F1 = (ab/c) 2F1(a+1, b+1; c+1; z).
+    Call inside ``mp.workdps``.
+    """
+    m, nu = mp.mpf(m), mp.mpf(nu)
+    t = mp.pi - mp.mpf(theta_c_rad)
+    z = mp.sin(t / 2) ** 2
+    a, b, c = m - nu, m + nu + 1, m + 1
+    f = mp.hyp2f1(a, b, c, z)
+    if pol == "TM":
+        return mp.sin(t) ** m * f
+    fp = a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, z)
+    return m * mp.sin(t) ** (m - 1) * mp.cos(t) * f + mp.sin(t) ** (m + 1) / 2 * fp
+
+
+def mp_cone_root(m, theta_c_rad, pol, lo=1e-4, hi=3.0, step=0.01):
+    """First nu in (lo, hi) at which the cone function of ``pol`` changes sign."""
+    with mp.workdps(DPS):
+        return _first_root(
+            lambda nu: mp_cone_function(m, theta_c_rad, pol, nu), mp.mpf(lo), mp.mpf(hi), mp.mpf(step)
+        )
+
+
 def mp_cone_root_tm(m, theta_c_rad, lo=1e-4, hi=3.0, step=0.01):
     """First nu in (lo, hi) at which the south-regular polar solution vanishes at the cone."""
-    with mp.workdps(DPS):
-        m = mp.mpf(m)
-        target = mp.pi - mp.mpf(theta_c_rad)
-        z = mp.sin(target / 2) ** 2
+    return mp_cone_root(m, theta_c_rad, "TM", lo, hi, step)
 
-        def g(nu):
-            return mp.sin(target) ** m * mp.hyp2f1(m - nu, m + nu + 1, m + 1, z)
 
-        return _first_root(g, mp.mpf(lo), mp.mpf(hi), mp.mpf(step))
+def mp_cone_sign_changes(m, theta_c_rad, pol, hi, step=0.02, lo=1e-4):
+    """Number of sign changes of the cone function on a nu grid from lo to hi."""
+    with mp.workdps(20):
+        n = int((hi - lo) / step)
+        vals = [mp_cone_function(m, theta_c_rad, pol, lo + i * step) for i in range(n + 1)]
+    return sum(1 for u, v in zip(vals, vals[1:]) if u * v < 0)
 
 
 def _wall_root(g):

@@ -13,13 +13,14 @@ from sphcav.angular import (
     azimuthal_indices,
     classify,
     cone_nu,
+    cone_roots,
     nu_regular_both_poles,
     sectoral_theta,
     south_singular_coefficient,
 )
 from sphcav.errors import ClassificationError, DomainError, RootSearchError
 
-from oracles import mp_cone_root_tm
+from oracles import mp_cone_root, mp_cone_root_tm, mp_cone_sign_changes
 
 mp.mp.dps = 30
 
@@ -291,6 +292,63 @@ def test_cone_nu_errors():
         cone_nu(0.0, 0.3, "TEM", 1)
     with pytest.raises(RootSearchError):
         cone_nu(0.0, math.radians(0.38), "TM", 1, nu_max=0.05)
+
+
+def _oracle_roots(m, theta_c, pol, hi):
+    """Every cone root below hi, one upward mpmath scan after another."""
+    roots, lo = [], 1e-4
+    while True:
+        try:
+            root = mp_cone_root(m, theta_c, pol, lo=lo, hi=hi, step=0.02)
+        except AssertionError:  # no further sign change
+            return roots
+        if root > hi:
+            return roots
+        roots.append(root)
+        lo = root + 1e-6
+
+
+@pytest.mark.parametrize("m, pol", [(1.0001, "TM"), (1.0001, "TE"), (0.5001, "TE")])
+def test_cone_roots_scan_point_on_terminating_order(m, pol):
+    # the nu grid 1e-4 + 0.02 k passes through nu = m, where the polar series
+    # terminates but the series of its derivative does not (z = 0.97 here)
+    tc = math.radians(20.0)
+    got = cone_roots(m, tc, pol, m + 3.0)
+    want = _oracle_roots(m, tc, pol, m + 3.0)
+    assert len(got) == len(want) >= 2
+    assert got == pytest.approx(want, abs=1e-9)
+    if pol == "TM":
+        assert got[0] == pytest.approx(mp_cone_root_tm(m, tc), abs=1e-9)
+
+
+@pytest.mark.parametrize("m", [1.0 + 1e-7, 1.0 - 1e-7, 2.0 + 1e-9, 1e-7, 1.0 + 3e-4])
+@pytest.mark.parametrize("pol", ["TM", "TE"])
+def test_cone_roots_near_integer_order_match_oracle(m, pol):
+    # orders this close to an integer go through the interpolation band of
+    # the connection formula
+    tc = math.radians(20.0)
+    got = cone_roots(m, tc, pol, m + 3.0)
+    want = _oracle_roots(m, tc, pol, m + 3.0)
+    assert len(got) == len(want) >= 2
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_cone_roots_integer_order_has_no_spurious_root():
+    # P^{+m} normalizations vanish at integer nu < m; the Frobenius one must not
+    tc = math.radians(20.0)
+    got = cone_roots(2.0, tc, "TE", 6.0)
+    assert len(got) == mp_cone_sign_changes(2.0, tc, "TE", 6.0) >= 3
+
+
+@pytest.mark.parametrize("m", [0.0, 2.0 / 3.0, 1.0])
+@pytest.mark.parametrize("pol", ["TM", "TE"])
+def test_cone_roots_sliver_cone_match_oracle(m, pol):
+    # theta_c = 0.4 deg: w = sin^2(theta_c/2) ~ 1.2e-5 in the connection series
+    tc = math.radians(0.4)
+    got = cone_roots(m, tc, pol, m + 3.0)
+    want = _oracle_roots(m, tc, pol, m + 3.0)
+    assert len(got) == len(want) >= 2
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 # --- second solution (reduction of order) -------------------------------------------

@@ -283,6 +283,18 @@ def test_standing_kind_selected_per_polarization():
             assert abs(s.E[1]) <= 1e-12 * peak
 
 
+def test_te_zonal_wedge_mode_meets_faces():
+    # TE m = 0 between PEC faces: cos(0 phi) = 1 and E is purely azimuthal
+    pair = AngularEigenpair(nu=1.0, m=0.0, family=Family.ZONAL, k=1)
+    mode = make_mode(RootKind.TE_JZERO, pair, 1, A_RADIUS, domain=WEDGE_270)
+    assert mode.azimuthal_kind == "cos"
+    opening = WEDGE_270.azimuth_opening_rad
+    for phi in (0.0, 0.3 * opening, opening):
+        s = evaluate(mode, (0.008, 1.1, phi))
+        assert s.E[0] == 0.0 and s.E[1] == 0.0
+        assert abs(s.E[2]) > 0.0
+
+
 def test_point_domain_checks():
     mode = tm_mode(m=1.0)
     with pytest.raises(DomainError):

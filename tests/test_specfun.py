@@ -15,6 +15,7 @@ from sphcav.specfun import (
     legendre_theta,
     legendre_theta_deriv,
     ln_gamma,
+    polar_solution,
     riccati_deriv,
     spherical_j,
 )
@@ -275,7 +276,7 @@ def test_legendre_theta_deriv_p2_oracle():
 
 
 def test_legendre_theta_ode_path_matches_mpmath():
-    # non-terminating parameters past the series cutoff exercise the ODE route
+    # non-terminating parameters past z = 1/2 exercise the connection formulas
     cases = [(0.41, 0.0), (0.73, 0.4), (1.9, 1.3), (0.0874, 0.0)]
     for nu, m in cases:
         for theta in (2.2, 2.8, 3.05):
@@ -300,6 +301,46 @@ def test_legendre_theta_value_deriv_consistency():
         vals = [legendre_theta(nu, m, theta + j * h) for j in (-2, -1, 1, 2)]
         fd = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
         assert legendre_theta_deriv(nu, m, theta) == pytest.approx(fd, rel=1e-9, abs=1e-10)
+
+
+def _mp_polar_pair(nu, m, theta):
+    # sin^m(theta) 2F1(m - nu, m + nu + 1; m + 1; sin^2(theta/2)) and its
+    # derivative by the product rule and d/dz 2F1 = (ab/c) 2F1(a+1, b+1; c+1; z)
+    nu, m, theta = mp.mpf(nu), mp.mpf(m), mp.mpf(theta)
+    a, b, c = m - nu, m + nu + 1, m + 1
+    z = mp.sin(theta / 2) ** 2
+    f = mp.hyp2f1(a, b, c, z)
+    fp = a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, z)
+    value = mp.sin(theta) ** m * f
+    deriv = m * mp.sin(theta) ** (m - 1) * mp.cos(theta) * f + mp.sin(theta) ** (m + 1) / 2 * fp
+    return float(value), float(deriv)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, 2.0, 3.0, 2.0 / 3.0, 4.0 / 3.0, 1.3, 0.507])
+def test_polar_solution_past_half_matches_mpmath(m):
+    # z = sin^2(theta/2) > 1/2: the connection formulas, integer m through the
+    # logarithmic case; theta up to pi - 0.4 deg
+    thetas = [2.2, 2.8, math.pi - math.radians(20.0), math.pi - math.radians(0.4)]
+    for nu in (1e-4, 0.0874, 0.9, 1.5, 2.7, 4.3):
+        for theta in thetas:
+            value, deriv = polar_solution(nu, m, theta)
+            want_value, want_deriv = _mp_polar_pair(nu, m, theta)
+            scale = abs(want_value) + abs(want_deriv) * math.sin(theta)
+            assert value == pytest.approx(want_value, rel=1e-11, abs=1e-12 * scale)
+            assert deriv == pytest.approx(want_deriv, rel=1e-11, abs=1e-12 * scale / math.sin(theta))
+
+
+def test_polar_solution_vectorized_matches_scalar():
+    nus = np.array([0.3, 1.0, 2.0 + 1.0 / 3.0, 3.7])
+    thetas = np.array([[0.4], [1.6], [2.9]])
+    for m in (0.0, 1.0, 2.0 / 3.0, 1.001):
+        values, derivs = polar_solution(nus, m, thetas)
+        assert values.shape == derivs.shape == (3, 4)
+        for i, theta in enumerate(thetas[:, 0]):
+            for j, nu in enumerate(nus):
+                value, deriv = polar_solution(float(nu), m, float(theta))
+                assert values[i, j] == pytest.approx(value, rel=1e-12, abs=1e-15)
+                assert derivs[i, j] == pytest.approx(deriv, rel=1e-12, abs=1e-15)
 
 
 def test_legendre_theta_domain():

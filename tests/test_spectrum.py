@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import jv
 
 from sphcav.errors import DomainError, FixtureLookupError
 from sphcav.spectrum import (
@@ -114,6 +117,56 @@ def test_enumerate_cone_geometry():
 
     te_neumann = cone_nu(0.0, math.radians(33.69), "TE", 1)
     assert recs[1].nu == pytest.approx(te_neumann, abs=1e-9)
+
+
+def _te_zonal_roots(x_cap):
+    """(nu, n, x) of every root of j_nu = 0 (J_{nu+1/2}) below x_cap, nu = 1, 2, ..."""
+    out = []
+    for nu in range(1, int(x_cap) + 1):
+        grid = np.arange(0.5, x_cap + 0.02, 0.02)
+        vals = jv(nu + 0.5, grid)
+        idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+        roots = [brentq(lambda x: jv(nu + 0.5, x), grid[i], grid[i + 1], xtol=1e-14) for i in idx]
+        out += [(float(nu), n, x) for n, x in enumerate(roots, start=1) if x <= x_cap]
+    return sorted(out, key=lambda t: t[2])
+
+
+def test_pec_wedge_lists_te_zonal_modes():
+    # between PEC faces cos(0 phi) carries TE m = 0 (E purely azimuthal, normal
+    # to both faces); sin(0 phi) = 0 leaves no TM m = 0
+    recs = enumerate_modes(WEDGE90, f_max_hz=40e9)
+    assert len(recs) == 205
+    zonal = [r for r in recs if r.m == 0.0]
+    assert all(r.polarization == "TE" and r.family == "zonal" for r in zonal)
+    x_cap = 2.0 * math.pi * 0.015 * 40e9 * (1.0 + 1e-6) / 299_792_458.0
+    want = _te_zonal_roots(x_cap)
+    assert len(zonal) == len(want) == 13
+    for rec, (nu, n, x) in zip(zonal, want):
+        assert (rec.nu, rec.n, rec.k) == (nu, n, int(nu))
+        assert rec.root_x == pytest.approx(x, rel=1e-12)
+
+
+def test_pec_wedge_with_cone_lists_te_zonal_modes():
+    from sphcav.angular import cone_roots
+
+    recs = enumerate_modes(CavityConfig(0.015, 270.0, 20.0), f_max_hz=15e9)
+    zonal = [r for r in recs if r.m == 0.0]
+    assert [r.polarization for r in zonal] == ["TE"]
+    assert zonal[0].nu == cone_roots(0.0, math.radians(20.0), "TE", 2.0)[0]
+    assert zonal[0].frequency_hz / 1e9 == pytest.approx(14.518, abs=1e-3)
+
+
+def test_wedge_near_integer_order_with_cone():
+    # m1 = 1.0001: the cone scan passes through nu = m1 exactly
+    from oracles import mp_cone_root_tm
+
+    cfg = CavityConfig(0.015, math.degrees(math.pi / 1.0001), 20.0)
+    recs = enumerate_modes(cfg, f_max_hz=15e9)
+    tm = [r for r in recs if r.polarization == "TM"]
+    assert len(tm) == 3
+    for r in tm:
+        want = mp_cone_root_tm(r.m, math.radians(20.0), lo=r.nu - 0.01, hi=r.nu + 0.01, step=0.005)
+        assert r.nu == pytest.approx(want, abs=1e-9)
 
 
 def test_angular_candidates_with_wedge_and_cone():
