@@ -23,7 +23,6 @@ from .energy import (
     mode_energy,
     radial_integrable,
     sectoral_angular_norm,
-    unit_energy_mode,
     zonal_norm,
 )
 from .errors import (
@@ -41,7 +40,6 @@ from .fields import (
     FieldSample,
     Medium,
     ModeSpec,
-    azimuthal_power,
     evaluate,
     make_mode,
     poynting,

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ClassificationError, DomainError, RootSearchError
-from .specfun import DEFAULT_CONTROL, SeriesControl, ln_gamma, polar_solution
+from .specfun import DEFAULT_CONTROL, INT_TOL, SeriesControl, ln_gamma, polar_solution
 
 __all__ = [
     "Family",
@@ -43,8 +43,6 @@ __all__ = [
     "sectoral_theta",
     "angular_ode_residual",
 ]
-
-_INT_TOL = 1e-12
 
 
 class Family(enum.Enum):
@@ -139,11 +137,11 @@ def south_singular_coefficient(nu: float, m: float) -> float:
     if nu + m + 1.0 <= 0.0:
         raise DomainError(f"gamma ratio undefined for nu+m+1 = {nu + m + 1.0} <= 0")
     if m == 0.0:
-        if abs(nu - round(nu)) <= _INT_TOL * max(1.0, abs(nu)) and round(nu) >= 0:
+        if abs(nu - round(nu)) <= INT_TOL * max(1.0, abs(nu)) and round(nu) >= 0:
             return 0.0
         return math.sin(nu * math.pi) / math.pi
     w = nu - m
-    if abs(w - round(w)) <= _INT_TOL * max(1.0, abs(w)) and round(w) >= 0:
+    if abs(w - round(w)) <= INT_TOL * max(1.0, abs(w)) and round(w) >= 0:
         return 0.0
     if w + 1.0 > 0.0:
         ratio = math.exp(ln_gamma(nu + m + 1.0) - ln_gamma(w + 1.0))
@@ -159,16 +157,17 @@ def classify(nu: float, m: float, cone_present: bool = False) -> Family:
         raise ClassificationError(f"(nu={nu}, m={m}) outside the physical quadrant")
     if nu == 0.0 and m == 0.0:
         return Family.NULL
+    if not cone_present:
+        # regularity at both poles; for m = 0 a non-integer nu is log-singular at theta = pi
+        d = nu - m
+        if d < -INT_TOL or abs(d - round(d)) > 1e-9 * max(1.0, abs(d)):
+            raise ClassificationError(
+                f"(nu={nu}, m={m}) is unreachable without a cone: nu - m must be a non-negative integer"
+            )
     if m == 0.0:
         return Family.ZONAL
     if nu == m:
         return Family.SECTORAL
-    if not cone_present:
-        d = nu - m
-        if d < -_INT_TOL or abs(d - round(d)) > 1e-9 * max(1.0, abs(d)):
-            raise ClassificationError(
-                f"(nu={nu}, m={m}) is unreachable without a cone: nu - m must be a non-negative integer"
-            )
     return Family.TESSERAL
 
 

@@ -1,10 +1,36 @@
-"""Energy integrability, angular norms, and mode-energy quadratures.
+"""Energy integrability, angular norms, and closed-form mode energies.
 
 The stored energy of a time-harmonic mode is
     U = 1/4 int (eps |E|^2 + mu |H|^2) dV,
-with the 1/4 from time-averaging.  For separated modes the azimuthal
-integral is elementary (|e^{im phi}|^2 = 1; sin^2/cos^2 average to 1/2 over
-the opening), so U reduces to an adaptive 2-D quadrature over (r, theta).
+with the 1/4 from time-averaging.  For an eigenmode it factorizes:
+
+    U = 1/2 |A|^2 w nu(nu+1) k^2 a^3 I_r I_theta I_phi,   w = eps (TM), mu (TE)
+
+with I_r = int_0^1 j_nu(x u)^2 u^2 du (x = k a), I_theta = int Theta^2
+sin(theta) dtheta over the retained polar interval and I_phi = int |Phi|^2
+dphi over the opening.  Three identities reduce the field integrals to these
+factors:
+
+  * radial Green identity: nu(nu+1) int j^2 dr + int Ric'^2 dr =
+    k^2 int r^2 j^2 dr + a beta, with beta = j_nu(x) Ric'(x);
+  * angular Green identity: int (Theta'^2 + m^2 Theta^2 / sin^2) sin dtheta =
+    nu(nu+1) I_theta - b, with b = sin(theta_c) Theta Theta' at the cone
+    (b = 0 without one).  Theta must be regular at theta = pi, and at
+    theta = 0 when there is no cone;
+  * int |Phi'|^2 dphi = m^2 I_phi on every azimuthal branch.
+
+beta = 0 at the wall root and b = 0 at a Dirichlet (TM) or Neumann (TE) cone
+root; then U_E = U_M.  Off either root (a nu or x that is not an eigenvalue)
+both boundary terms are kept, so the result is still the exact energy of the
+separated field:
+
+    U = 1/4 |A|^2 w a I_phi [(nu(nu+1) I_theta - b)(2 x^2 I_r + beta)
+                             + b nu(nu+1) J],   J = int_0^1 j_nu(x u)^2 du,
+
+where J is one 1-D quadrature, taken for cone modes only.  I_r is Lommel's
+integral (DLMF 10.22.5) with j_{nu-1} eliminated by the recurrence:
+I_r = [j_nu^2 + j_{nu+1}^2 - (2nu+1)/x j_nu j_{nu+1}] / 2, so no order below
+-1/2 is evaluated.
 """
 
 from __future__ import annotations
@@ -17,7 +43,7 @@ from scipy.integrate import quad
 from .angular import Family
 from .errors import DomainError, IntegrationError
 from .fields import ModeSpec
-from .specfun import ln_gamma, riccati_deriv, spherical_j
+from .specfun import ln_gamma, spherical_j
 
 __all__ = [
     "EnergyReport",
@@ -25,9 +51,7 @@ __all__ = [
     "sectoral_angular_norm",
     "zonal_norm",
     "mode_energy",
-    "unit_energy_mode",
 ]
-
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -56,16 +80,22 @@ def zonal_norm(ell: int) -> float:
     return 2.0 / (2.0 * ell + 1.0)
 
 
-def _phi_weights(mode: ModeSpec) -> tuple[float, float]:
-    """Azimuthal integrals of |Phi|^2 and |Phi'|^2 over the opening."""
+def _phi_weight(mode: ModeSpec) -> float:
+    """Azimuthal integral of |Phi|^2 over the opening."""
     opening = mode.domain.azimuth_opening_rad
-    m = mode.eigenpair.m
     if mode.azimuthal_kind == "traveling":
-        return opening, m * m * opening
-    if m == 0.0:
+        return opening
+    if mode.eigenpair.m == 0.0:
         # cos branch reduces to a constant; sin branch is identically zero
-        return (opening, 0.0) if mode.azimuthal_kind == "cos" else (0.0, 0.0)
-    return 0.5 * opening, 0.5 * m * m * opening
+        return opening if mode.azimuthal_kind == "cos" else 0.0
+    return 0.5 * opening
+
+
+def _quad(f, lo: float, hi: float, quad_rel: float) -> float:
+    val, err = quad(f, lo, hi, epsabs=1e-14, epsrel=quad_rel, limit=400)
+    if abs(val) > 0.0 and err > 10.0 * quad_rel * abs(val):
+        raise IntegrationError(f"energy quadrature error {err:g} too large")
+    return val
 
 
 def _angular_norm(mode: ModeSpec, quad_rel: float) -> float:
@@ -76,103 +106,42 @@ def _angular_norm(mode: ModeSpec, quad_rel: float) -> float:
             return sectoral_angular_norm(pair.m)
         if pair.family in (Family.ZONAL, Family.NULL) and pair.nu == round(pair.nu):
             return zonal_norm(int(round(pair.nu)))
-
-    def integrand(theta: float) -> float:
-        return mode.polar(theta)[0] ** 2 * math.sin(theta)
-
-    lo = mode.domain.cone_half_angle_rad
-    val, err = quad(integrand, lo, math.pi, epsabs=1e-14, epsrel=quad_rel, limit=400)
-    if abs(val) > 0.0 and err > 10.0 * quad_rel * abs(val):
-        raise IntegrationError(f"angular norm quadrature error {err:g} too large")
-    return val
-
-
-def _radial_profile_norm(mode: ModeSpec, quad_rel: float) -> float:
-    """Dimensionless int_0^1 j_nu(x0 u)^2 u^2 du with x0 the mode's root."""
-    nu, x0 = mode.eigenpair.nu, mode.radial.x
-
-    def integrand(u: float) -> float:
-        return spherical_j(nu, x0 * u) ** 2 * u * u
-
-    val, err = quad(integrand, 0.0, 1.0, epsabs=1e-16, epsrel=quad_rel, limit=200)
-    return val
+    return _quad(
+        lambda theta: mode.polar(theta)[0] ** 2 * math.sin(theta),
+        mode.domain.cone_half_angle_rad, math.pi, quad_rel,
+    )
 
 
 def mode_energy(mode: ModeSpec, quad_rel: float = 1e-9) -> EnergyReport:
     """Stored energy and its factorized ingredients for one mode.
 
-    total_energy integrates the actual field magnitudes (amplitude included);
-    I_r and I_theta are the dimensionless profile norms and I_phi the
-    azimuthal weight of |Phi|^2.
+    For an eigenmode total_energy = 1/2 |A|^2 w nu(nu+1) k^2 a^3 I_r I_theta
+    I_phi; off the wall or cone root the boundary terms of the module
+    docstring are added.  I_r and I_theta are the dimensionless profile norms
+    and I_phi the azimuthal weight of |Phi|^2.  ``quad_rel`` is the relative
+    tolerance of the 1-D quadratures where no closed form applies.
     """
-    eps, mu = mode.medium.epsilon, mode.medium.mu
-    w_plain, w_deriv = _phi_weights(mode)
-    i_theta = _angular_norm(mode, quad_rel)
-    i_r = _radial_profile_norm(mode, quad_rel)
-    i_phi = w_plain
-
-    nu = mode.eigenpair.nu
+    nu, x = mode.eigenpair.nu, mode.radial.x
     lam = nu * (nu + 1.0)
-    k = mode.wavenumber
-    omega = mode.omega
-    amp2 = abs(mode.amplitude) ** 2
-    tm = mode.polarization.value == "TM"
-    # the single-curl block carries (i omega eps) for TM and (i omega mu) for TE
-    c_curl2 = (omega * eps) ** 2 if tm else (omega * mu) ** 2
-    w_dc, w_sc = (eps, mu) if tm else (mu, eps)
+    i_theta = _angular_norm(mode, quad_rel)
+    j0, j1 = spherical_j(nu, x), spherical_j(nu + 1.0, x)
+    i_r = 0.5 * (j0 * j0 + j1 * j1 - (2.0 * nu + 1.0) / x * j0 * j1)
+    i_phi = _phi_weight(mode)
+    beta = j0 * ((nu + 1.0) * j0 - x * j1)  # j_nu(x) Ric'(x)
+    b = j_sq = 0.0
+    if mode.domain.has_cone:
+        theta_c = mode.domain.cone_half_angle_rad
+        th, dth = mode.polar(theta_c)
+        b = math.sin(theta_c) * th * dth
+        # u = s^2 smooths the u^(2 nu) start of j_nu(x u)^2
+        j_sq = _quad(lambda s: 2.0 * s * spherical_j(nu, x * s * s) ** 2, 0.0, 1.0, quad_rel)
 
-    if mode.eigenpair.family is Family.NULL:
-        total = 0.0
-    else:
-
-        def inner(theta: float) -> float:
-            # polar factors are independent of r; hoist them out of the r-quad
-            th, dth = mode.polar(theta)
-            s = math.sin(theta)
-
-            def density_r2(r: float) -> float:
-                x = k * r
-                jv = spherical_j(nu, x)
-                rp = riccati_deriv(nu, x)
-                dc = (
-                    (lam * jv * th) ** 2 * w_plain
-                    + (rp * dth) ** 2 * w_plain
-                    + (rp * th / s) ** 2 * w_deriv
-                )
-                sc = c_curl2 * ((jv * th / s) ** 2 * w_deriv + (jv * dth) ** 2 * w_plain)
-                return w_dc * dc + w_sc * sc * r * r
-
-            val, _ = quad(
-                lambda r: density_r2(r),
-                0.0,
-                mode.radius_m,
-                epsabs=1e-30,
-                epsrel=quad_rel,
-                limit=300,
-            )
-            return val * math.sin(theta)
-
-        lo = mode.domain.cone_half_angle_rad
-        total, err = quad(inner, lo, math.pi, epsabs=1e-30, epsrel=quad_rel, limit=300)
-        total *= 0.25 * amp2
-        if total > 0.0 and err * 0.25 * amp2 > 100.0 * quad_rel * total:
-            raise IntegrationError(f"energy quadrature error {err:g} too large")
-
+    w = mode.medium.epsilon if mode.polarization.value == "TM" else mode.medium.mu
+    bracket = (lam * i_theta - b) * (2.0 * x * x * i_r + beta) + b * lam * j_sq
+    total = 0.25 * abs(mode.amplitude) ** 2 * w * mode.radius_m * i_phi * bracket
     return EnergyReport(
-        radial_integrable=radial_integrable(mode.eigenpair.nu),
+        radial_integrable=radial_integrable(nu),
         angular_norm=i_theta,
         total_energy=total,
         factorization={"I_r": i_r, "I_theta": i_theta, "I_phi": i_phi},
     )
-
-
-def unit_energy_mode(mode: ModeSpec, target_joules: float = 1.0) -> ModeSpec:
-    """Rescale the amplitude so the stored energy equals ``target_joules``."""
-    from dataclasses import replace
-
-    if target_joules <= 0.0:
-        raise DomainError("target energy must be positive")
-    u = mode_energy(mode).total_energy
-    if u == 0.0:
-        raise DomainError("cannot normalize a null mode")
-    return replace(mode, amplitude=mode.amplitude * math.sqrt(target_joules / u))

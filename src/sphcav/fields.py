@@ -1,4 +1,4 @@
-"""TE/TM field components from Debye potentials, impedances, Poynting flow.
+"""TE/TM field components from Debye potentials, impedances, Poynting vector.
 
 A mode's potential is A * j_nu(k r) * Theta(theta) * Phi(phi) with k = x/a.
 Fields follow from the curl-curl construction (time convention e^{-i omega t}):
@@ -29,10 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad  # noqa: F401 -- benchmarks/spans.py wraps it by name
 
 from .angular import AngularDomain, AngularEigenpair
-from .errors import DomainError, ImpedanceUndefinedError, IntegrationError
+from .errors import DomainError, ImpedanceUndefinedError
 from .radial import RadialRoot, RootKind, radial_root
 from .specfun import polar_solution, riccati_deriv, spherical_j
 
@@ -47,7 +47,6 @@ __all__ = [
     "evaluate",
     "wave_impedances",
     "poynting",
-    "azimuthal_power",
 ]
 
 EPSILON_0 = 8.8541878128e-12  # F/m
@@ -186,15 +185,22 @@ def _check_point(mode: ModeSpec, r: float, theta: float, phi: float) -> None:
         raise DomainError(f"phi={phi} outside the wedge opening")
 
 
-def evaluate(mode: ModeSpec, point: tuple[float, float, float]) -> FieldSample:
-    """All six field components at (r, theta, phi)."""
+def _sample(
+    mode: ModeSpec, point: tuple[float, float, float], polarization: RootKind | None = None
+) -> FieldSample:
+    """Six components at (r, theta, phi); ``polarization`` as in ``_profiles``."""
     r, theta, phi = point
     _check_point(mode, r, theta, phi)
     f0, f1 = _azimuthal_factors(mode, phi)
-    e_coeff, e_flags, h_coeff, h_flags = _profiles(mode, r, theta)
+    e_coeff, e_flags, h_coeff, h_flags = _profiles(mode, r, theta, polarization)
     e = e_coeff * np.array([f1 if fl else f0 for fl in e_flags])
     h = h_coeff * np.array([f1 if fl else f0 for fl in h_flags])
     return FieldSample(point=point, E=e, H=h)
+
+
+def evaluate(mode: ModeSpec, point: tuple[float, float, float]) -> FieldSample:
+    """All six field components at (r, theta, phi)."""
+    return _sample(mode, point)
 
 
 def make_mode(
@@ -245,12 +251,7 @@ def wave_impedances(
         phi = 0.0 if mode.domain.full_azimuth else 0.5 * mode.domain.azimuth_opening_rad
     if polarization is None:
         polarization = mode.polarization
-    _check_point(mode, r, theta, phi)
-    f0, f1 = _azimuthal_factors(mode, phi)
-    e_coeff, e_flags, h_coeff, h_flags = _profiles(mode, r, theta, polarization)
-    e = e_coeff * np.array([f1 if fl else f0 for fl in e_flags])
-    h = h_coeff * np.array([f1 if fl else f0 for fl in h_flags])
-    sample = FieldSample(point=(r, theta, phi), E=e, H=h)
+    sample = _sample(mode, (r, theta, phi), polarization)
     zonal = mode.eigenpair.m == 0.0
     if polarization is RootKind.TE_JZERO:
         num, den = (sample.E[2], sample.H[1]) if zonal else (sample.E[1], sample.H[0])
@@ -266,26 +267,3 @@ def wave_impedances(
 def poynting(sample: FieldSample) -> np.ndarray:
     """Time-averaged Poynting vector S = 1/2 Re(E x H*), spherical basis."""
     return 0.5 * np.real(np.cross(sample.E, np.conj(sample.H)))
-
-
-def azimuthal_power(mode: ModeSpec, rel_tol: float = 1e-6) -> float:
-    """Azimuthal power P = int S_phi r^2 sin(theta) dr dtheta through a meridional cut."""
-    a = mode.radius_m
-    theta_lo = mode.domain.cone_half_angle_rad
-    phi0 = 0.0 if mode.domain.full_azimuth else 0.25 * mode.domain.azimuth_opening_rad
-
-    def s_phi(r: float, theta: float) -> float:
-        return float(poynting(evaluate(mode, (r, theta, phi0)))[2])
-
-    def inner(theta: float) -> float:
-        val, err = quad(
-            lambda r: s_phi(r, theta) * r * r, 0.0, a, epsabs=1e-25, epsrel=1e-8, limit=200
-        )
-        return val * math.sin(theta)
-
-    val, err = quad(inner, theta_lo, math.pi, epsabs=1e-25, epsrel=1e-8, limit=200)
-    if abs(val) > 0.0 and err > rel_tol * abs(val):
-        raise IntegrationError(
-            f"azimuthal power quadrature error {err:g} exceeds {rel_tol:g} relative"
-        )
-    return val

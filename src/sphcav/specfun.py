@@ -32,9 +32,10 @@ __all__ = [
     "polar_solution",
     "legendre_theta",
     "legendre_theta_deriv",
+    "INT_TOL",
 ]
 
-_INT_TOL = 1e-12  # how close a float must be to an integer to count as one
+INT_TOL = 1e-12  # how close a float must be to an integer to count as one
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ def digamma(x: float) -> float:
 
 
 def _is_nonpositive_integer(x: float) -> bool:
-    return x <= _INT_TOL and abs(x - round(x)) <= _INT_TOL * max(1.0, abs(x))
+    return x <= INT_TOL and abs(x - round(x)) <= INT_TOL * max(1.0, abs(x))
 
 
 def hyp2f1(a: float, b: float, c: float, z: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -245,7 +246,7 @@ def _not_converged(what: str, total, term, ctrl: SeriesControl) -> ConvergenceEr
 
 def _terminates(nu, m: float):
     d = nu - m
-    return (d >= -_INT_TOL) & (abs(d - np.round(d)) <= _INT_TOL * np.maximum(1.0, abs(d)))
+    return (d >= -INT_TOL) & (abs(d - np.round(d)) <= INT_TOL * np.maximum(1.0, abs(d)))
 
 
 def _gauss_series(a, b, c, x, ctrl: SeriesControl):
@@ -311,7 +312,7 @@ def _connect(nu, m: float, w, ctrl: SeriesControl):
     """w^(m/2) F past z = 1/2, for nu - m not a non-negative integer."""
     base = round(m)
     offset = m - base
-    if abs(offset) <= _INT_TOL:
+    if abs(offset) <= INT_TOL:
         return _connect_integer(nu, base, w, ctrl)
     if abs(offset) >= _BAND:
         return _connect_fractional(nu, m, w, ctrl)

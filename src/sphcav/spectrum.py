@@ -26,6 +26,7 @@ from .angular import (
 )
 from .errors import DomainError, FixtureLookupError
 from .radial import (
+    SPEED_OF_LIGHT,
     RootKind,
     frequency_from_root,
     j_zero,
@@ -159,7 +160,7 @@ def enumerate_modes(
             f_cap *= 1.5
 
     a = config.radius_m
-    x_cap = 2.0 * math.pi * a * f_max_hz * (1.0 + _FREQ_SLACK) / 299_792_458.0
+    x_cap = 2.0 * math.pi * a * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
     records: list[ModeRecord] = []
     cone = config.cone_half_angle_deg > 0.0
     for m in _azimuthal_values(config, x_cap):

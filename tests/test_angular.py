@@ -149,6 +149,8 @@ def test_classify_unreachable_without_cone():
         classify(1.7, 1.0)
     with pytest.raises(ClassificationError):
         classify(-0.2, 0.0)
+    with pytest.raises(ClassificationError):
+        classify(0.3, 0.0)  # log-singular at theta = pi without a cone
 
 
 def test_sectoral_theta():

@@ -85,6 +85,29 @@ def test_energy_output(capsys):
     assert "I_theta" in out
 
 
+def test_energy_accepts_a_cone_nu_copied_from_the_modes_table(capsys):
+    """The table prints nu to four decimals; energy of that rounded nu stays
+    within its first-order shift of the exact root's energy."""
+    import math
+
+    from sphcav.angular import AngularDomain, AngularEigenpair, Family, cone_nu
+    from sphcav.energy import mode_energy
+    from sphcav.fields import make_mode
+    from sphcav.radial import RootKind
+
+    code, out, _ = run(capsys, "modes", "--cone-deg", "20", "--fmax-ghz", "7")
+    assert code == 0
+    pol, nu, m, _, n = out.strip().splitlines()[1].split()[:5]
+    code, out, _ = run(capsys, "energy", "--mode", f"{pol},{nu},{m},{n}", "--cone-deg", "20")
+    assert code == 0
+    printed = float(out.split("total_energy_J    = ")[1].split()[0])
+    cone = AngularDomain(cone_half_angle_rad=math.radians(20.0))
+    exact = AngularEigenpair(nu=cone_nu(0.0, cone.cone_half_angle_rad, "TM", 1), m=0.0, family=Family.ZONAL)
+    want = mode_energy(make_mode(RootKind.TM_RICCATI_DERIV_ZERO, exact, 1, 0.015, domain=cone))
+    assert (pol, float(m), int(n)) == ("TM", 0.0, 1)
+    assert printed == pytest.approx(want.total_energy, rel=1e-4)
+
+
 def test_validate_exit_codes(capsys):
     code, out, _ = run(capsys, "validate", "--fixture", "table1_dispersion")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,18 +194,6 @@ def test_total_energy_vs_field_sample_riemann_oracle():
     assert mode_energy(mode).total_energy == pytest.approx(total, rel=1e-3)
 
 
-def test_unit_energy_normalization():
-    from sphcav.energy import unit_energy_mode
-
-    mode = sectoral_mode(1.0)
-    scaled = unit_energy_mode(mode)
-    assert mode_energy(scaled).total_energy == pytest.approx(1.0, rel=1e-8)
-    null_pair = AngularEigenpair(nu=0.0, m=0.0, family=Family.NULL)
-    null_mode = make_mode(RootKind.TM_RICCATI_DERIV_ZERO, null_pair, 1, A_RADIUS)
-    with pytest.raises(DomainError):
-        unit_energy_mode(null_mode)
-
-
 def test_total_energy_scales_with_amplitude_squared():
     pair = AngularEigenpair(nu=1.0, m=1.0, family=Family.SECTORAL, k=0)
     one = make_mode(RootKind.TM_RICCATI_DERIV_ZERO, pair, 1, A_RADIUS, amplitude=1.0)
@@ -212,3 +201,120 @@ def test_total_energy_scales_with_amplitude_squared():
     assert mode_energy(three).total_energy == pytest.approx(
         9.0 * mode_energy(one).total_energy, rel=1e-9
     )
+
+
+# --- closed form vs an independent field grid -----------------------------------------
+
+
+def _gauss(n, lo, hi):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * w
+
+
+def grid_energies(mode, n_r=24, n_t=32, n_p=10):
+    """(U_E, U_M) summed from evaluate() samples on a Gauss-Legendre grid.
+
+    r = a u^2 and a quintic smoothstep in theta cluster nodes at the origin
+    and at both ends of the polar interval, where non-integer nu and m make
+    the integrand non-smooth.  Traveling waves do not depend on phi, so one
+    phi node carries the full circle; wedges get their own phi rule.
+    """
+    a = mode.radius_m
+    u, wu = _gauss(n_r, 0.0, 1.0)
+    r, wr = a * u * u, wu * 2.0 * a * u
+    lo = mode.domain.cone_half_angle_rad
+    s, ws = _gauss(n_t, 0.0, 1.0)
+    th = lo + (math.pi - lo) * s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
+    wt = ws * (math.pi - lo) * 30.0 * s * s * (1.0 - s) ** 2
+    if mode.domain.full_azimuth:
+        ph, wp = np.array([0.7]), np.array([2.0 * math.pi])
+    else:
+        ph, wp = _gauss(n_p, 0.0, mode.domain.azimuth_opening_rad)
+    u_e = u_m = 0.0
+    for ri, wri in zip(r, wr):
+        for tj, wtj in zip(th, wt):
+            for pk, wpk in zip(ph, wp):
+                sample = evaluate(mode, (float(ri), float(tj), float(pk)))
+                dv = wri * wtj * wpk * ri * ri * math.sin(tj)
+                u_e += dv * float(np.sum(np.abs(sample.E) ** 2))
+                u_m += dv * float(np.sum(np.abs(sample.H) ** 2))
+    return 0.25 * mode.medium.epsilon * u_e, 0.25 * mode.medium.mu * u_m
+
+
+CONE_20 = AngularDomain(cone_half_angle_rad=math.radians(20.0))
+
+
+def cone_mode(m, kind, nu_shift=0.0):
+    from sphcav.angular import cone_nu
+
+    pol = "TM" if kind is RootKind.TM_RICCATI_DERIV_ZERO else "TE"
+    nu = cone_nu(m, CONE_20.cone_half_angle_rad, pol, 1) + nu_shift
+    family = Family.ZONAL if m == 0.0 else Family.TESSERAL
+    return make_mode(kind, AngularEigenpair(nu=nu, m=m, family=family), 1, A_RADIUS, domain=CONE_20)
+
+
+def wedge_tesseral_mode():
+    m = 2.0 / 3.0
+    pair = AngularEigenpair(nu=m + 1.0, m=m, family=Family.TESSERAL, k=1)
+    wedge = AngularDomain(azimuth_opening_rad=1.5 * math.pi)
+    return make_mode(RootKind.TM_RICCATI_DERIV_ZERO, pair, 1, A_RADIUS, domain=wedge)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cone_mode(0.0, RootKind.TM_RICCATI_DERIV_ZERO),
+        lambda: cone_mode(1.0, RootKind.TE_JZERO),
+        wedge_tesseral_mode,
+    ],
+    ids=["cone20_TM_zonal", "cone20_TE_m1", "wedge270_TM_tesseral"],
+)
+def test_mode_energy_vs_gauss_legendre_field_grid(build):
+    mode = build()
+    u_e, u_m = grid_energies(mode)
+    assert u_e == pytest.approx(u_m, rel=1e-6)
+    assert mode_energy(mode).total_energy == pytest.approx(u_e + u_m, rel=1e-6)
+
+
+def sphere_mode_off_wall_root():
+    mode = sectoral_mode(1.0)
+    return replace(mode, radial=replace(mode.radial, x=mode.radial.x * 1.01))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cone_mode(0.0, RootKind.TM_RICCATI_DERIV_ZERO, nu_shift=1e-3),
+        lambda: cone_mode(1.0, RootKind.TE_JZERO, nu_shift=1e-3),
+        sphere_mode_off_wall_root,
+    ],
+    ids=["cone20_TM_zonal_nu_off", "cone20_TE_m1_nu_off", "sphere_TM_sectoral_x_off"],
+)
+def test_mode_energy_keeps_boundary_terms_off_the_root(build):
+    """A nu off its cone root or an x off its wall root breaks U_E = U_M;
+    the closed form's boundary terms still give the grid's total."""
+    mode = build()
+    u_e, u_m = grid_energies(mode)
+    assert abs(u_e - u_m) > 1e-4 * (u_e + u_m)
+    assert mode_energy(mode).total_energy == pytest.approx(u_e + u_m, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "build, rel",
+    [
+        (lambda: sectoral_mode(1.0), 1e-14),
+        (wedge_tesseral_mode, 1e-14),
+        # the cone boundary term sin(theta_c) Theta Theta' is ~1e-11 at the computed root
+        (lambda: cone_mode(1.0, RootKind.TE_JZERO), 1e-9),
+    ],
+    ids=["sphere_TM_sectoral", "wedge270_TM_tesseral", "cone20_TE_m1"],
+)
+def test_total_energy_is_the_product_of_its_factors(build, rel):
+    mode = build()
+    rep = mode_energy(mode)
+    nu = mode.eigenpair.nu
+    w = mode.medium.epsilon if mode.polarization is RootKind.TM_RICCATI_DERIV_ZERO else mode.medium.mu
+    k = mode.wavenumber
+    want = 0.5 * abs(mode.amplitude) ** 2 * w * nu * (nu + 1.0) * k * k * A_RADIUS**3
+    want *= math.prod(rep.factorization.values())
+    assert rep.total_energy == pytest.approx(want, rel=rel)

@@ -10,7 +10,6 @@ from sphcav.fields import (
     FULL_SPHERE,
     FieldSample,
     VACUUM,
-    azimuthal_power,
     evaluate,
     make_mode,
     poynting,
@@ -233,37 +232,6 @@ def test_sectoral_energy_latitude_profile():
         for th in (0.4, 1.0, 2.0):
             ratio = (np.abs(evaluate(mode, (0.008, th, 0.0)).E[0]) / mid) ** 2
             assert ratio == pytest.approx(math.sin(th) ** (2.0 * m), rel=1e-12)
-
-
-# --- azimuthal power ------------------------------------------------------------------
-
-
-def test_azimuthal_power_zero_for_zonal():
-    pair = AngularEigenpair(nu=1.0, m=0.0, family=Family.ZONAL, k=1)
-    mode = make_mode(RootKind.TM_RICCATI_DERIV_ZERO, pair, 1, A_RADIUS)
-    assert azimuthal_power(mode) == 0.0
-
-
-def test_azimuthal_power_sectoral_tm_vs_riemann_oracle():
-    mode = tm_mode(m=1.0)
-    p = azimuthal_power(mode)
-    assert p > 0.0
-    n_r, n_t = 200, 200
-    dr = A_RADIUS / n_r
-    dt = math.pi / n_t
-    total = 0.0
-    for i in range(n_r):
-        r = (i + 0.5) * dr
-        for j in range(n_t):
-            th = (j + 0.5) * dt
-            s = poynting(evaluate(mode, (r, th, 0.0)))
-            total += s[2] * r * r * math.sin(th) * dr * dt
-    assert p == pytest.approx(total, rel=1e-4)
-
-
-def test_azimuthal_power_standing_is_zero():
-    mode = tm_mode(m=2.0 / 3.0, domain=WEDGE_270)
-    assert azimuthal_power(mode) == pytest.approx(0.0, abs=1e-18)
 
 
 # --- conventions and domains ------------------------------------------------------------
