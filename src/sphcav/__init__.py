@@ -47,6 +47,7 @@ from .fields import (
 )
 from .radial import (
     RadialRoot,
+    RadialSweep,
     RootKind,
     SPEED_OF_LIGHT,
     asymptotic_m_of_omega,

@@ -21,14 +21,14 @@ the reflected condition above.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ClassificationError, DomainError, RootSearchError
-from .specfun import DEFAULT_CONTROL, INT_TOL, SeriesControl, ln_gamma, polar_solution
+from .specfun import DEFAULT_CONTROL, INT_TOL, SeriesControl, bracketed_roots, ln_gamma, polar_solution
 
 __all__ = [
     "Family",
@@ -207,8 +207,8 @@ def cone_roots(
     between the two within 4e-3 of an integer.  One vectorized call
     evaluates it on a nu grid from 1e-4 in steps of 0.02 (well below the
     root spacing; the last step ends at nu_max), and Brent's method refines
-    each sign change to |delta nu| <= 1e-10.  A scan value that overflows
-    raises RootSearchError rather than losing roots.
+    each sign change to |delta nu| <= 1e-10 (specfun.bracketed_roots).  A
+    scan value that overflows raises RootSearchError rather than losing roots.
     """
     if not (0.0 < theta_c < 0.5 * math.pi):
         raise DomainError("cone half-angle must lie strictly inside (0, pi/2)")
@@ -226,16 +226,10 @@ def cone_roots(
     while grid[-1] < nu_max:
         grid.append(min(grid[-1] + _SCAN_STEP, nu_max))
     values = polar_solution(grid, m, target, ctrl)[index]
-    if not np.all(np.isfinite(values)):
-        raise RootSearchError(
-            f"{pol} cone condition overflows for m={m}, theta_c={theta_c:g} rad", window=(_NU_FLOOR, nu_max)
-        )
-    roots: list[float] = []
-    for i in np.nonzero(values[:-1] * values[1:] < 0.0)[0]:
-        roots.append(float(brentq(g, grid[i], grid[i + 1], xtol=1e-10, rtol=1e-14)))
-        if max_branches is not None and len(roots) >= max_branches:
-            break
-    return roots
+    # this module's brentq, so that a wrapper around angular.brentq sees each refinement
+    what = f"{pol} cone condition for m={m}, theta_c={theta_c:g} rad"
+    roots = bracketed_roots(g, grid, values, what, brentq, xtol=1e-10, rtol=1e-14)
+    return list(itertools.islice(roots, max_branches))
 
 
 def cone_nu(

@@ -212,12 +212,21 @@ def make_mode(
     medium: Medium = VACUUM,
     domain: AngularDomain = FULL_SPHERE,
 ) -> ModeSpec:
-    """Assemble a ModeSpec: radial root, azimuthal convention, pole choice."""
+    """Assemble a ModeSpec: radial root, azimuthal convention, pole choice.
+
+    A wedge admits m = q pi / Phi, q an integer (PEC faces) or an odd half-integer
+    (PEC/PMC faces), and TM needs m > 0 (sin(0 phi) = 0); other m raise DomainError.
+    """
+    tm = polarization is RootKind.TM_RICCATI_DERIV_ZERO
+    q2 = 2.0 * eigenpair.m * domain.azimuth_opening_rad / math.pi
+    if not domain.full_azimuth and (abs(q2 - round(q2)) > 1e-9 * max(1.0, q2) or (tm and q2 == 0.0)):
+        raise DomainError(
+            f"m={eigenpair.m!r} is not a {polarization.value} index of a "
+            f"{math.degrees(domain.azimuth_opening_rad):g} deg wedge: m*Phi/pi = {q2 / 2.0:.9g} "
+            "must be an integer or an odd half-integer (> 0 for TM)"
+        )
     root = radial_root(eigenpair.nu, n, polarization)
-    if domain.full_azimuth:
-        kind = "traveling"
-    else:
-        kind = "sin" if polarization is RootKind.TM_RICCATI_DERIV_ZERO else "cos"
+    kind = "traveling" if domain.full_azimuth else ("sin" if tm else "cos")
     return ModeSpec(
         polarization=polarization,
         eigenpair=eigenpair,

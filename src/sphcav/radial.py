@@ -11,14 +11,17 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
+from scipy.special import jv
 
 from .errors import DomainError, RootSearchError
-from .specfun import AIRY_ROOTS, riccati_deriv, spherical_j
+from .specfun import AIRY_ROOTS, bracketed_roots, riccati_deriv, spherical_j
 
 __all__ = [
     "RootKind",
     "RadialRoot",
+    "RadialSweep",
     "SPEED_OF_LIGHT",
     "j_zero",
     "riccati_deriv_zero",
@@ -79,61 +82,105 @@ def mcmahon_seed(nu: float, n: int, kind: RootKind) -> float:
     return mu + c * mu13 + (0.3 * c * c + 0.15 / c) / mu13
 
 
-def _nth_positive_root(f, nu: float, n: int) -> float:
-    # bracket by scanning upward from the order; the first root exceeds nu,
-    # later roots are spaced by roughly pi, so step 0.05 cannot skip any
-    lo = max(nu, 1e-3)
-    step = 0.05
-    hi = lo + 12.0
-    found = 0
-    x, f_prev = lo, f(lo)
-    while True:
-        while x < hi:
-            x_next = min(x + step, hi)
-            f_next = f(x_next)
-            if f_prev == 0.0:
-                found += 1
-                if found == n:
-                    return x
-            elif f_prev * f_next < 0.0:
-                found += 1
-                if found == n:
-                    return float(brentq(f, x, x_next, xtol=1e-12))
-            x, f_prev = x_next, f_next
-        if hi > lo + 40.0 + 4.0 * n:
-            raise RootSearchError(
-                f"failed to bracket root n={n} for nu={nu}", window=(lo, hi)
-            )
-        hi += 12.0
+_STEP = 0.05  # the first root exceeds nu and later ones are ~pi apart, so no root is skipped
+_WINDOW = 12.0  # the scan grid is summed window by window, each clamped to its end
+_BLOCK = 64  # grid points per vectorized block past the estimate, about one root spacing
+
+
+def _wall_condition(nu: float, kind: RootKind, x):
+    """spherical_j (TE) or riccati_deriv (TM) on an array of x, in the arithmetic of
+    their J_{nu+1/2} branch (below x = 0.5 spherical_j sums a series: same sign)."""
+    j = np.sqrt(np.pi / (2.0 * x)) * jv(nu + 0.5, x)
+    if kind is RootKind.TE_JZERO:
+        return j
+    return (nu + 1.0) * j - x * (np.sqrt(np.pi / (2.0 * x)) * jv(nu + 1.5, x))
+
+
+class RadialSweep:
+    """Every root of one radial condition, found in increasing order and kept.
+
+    The scan starts at max(nu, 1e-3) and steps by 0.05 in windows of 12, each
+    window's last step clamped to its end; the condition is evaluated on the
+    grid in vectorized blocks, and Brent's method refines each sign change to
+    xtol = 1e-12 as it is reached (specfun.bracketed_roots).  Later requests
+    continue the scan, so no root is bracketed or refined twice.
+    """
+
+    def __init__(self, nu: float, kind: RootKind):
+        if nu <= -0.5:
+            raise DomainError(f"radial roots require nu > -1/2, got nu={nu}")
+        self.nu, self.kind = nu, kind
+        self.lo = self._x = max(nu, 1e-3)
+        self._hi = self.lo + _WINDOW
+        self._pending = iter(())
+        self.roots: list[RadialRoot] = []
+
+    def value(self, x: float) -> float:
+        """The wall condition at one x, as Brent's method evaluates it."""
+        return spherical_j(self.nu, x) if self.kind is RootKind.TE_JZERO else riccati_deriv(self.nu, x)
+
+    def _scan(self, count: int) -> None:
+        # grid from the last scanned point on, summed in order as a scalar loop would
+        if self._x >= self._hi:
+            self._hi += _WINDOW
+        grid = np.cumsum(np.concatenate(([self._x], np.full(count, _STEP))))
+        grid = grid[grid < self._hi]
+        if len(grid) <= count:
+            grid = np.append(grid, self._hi)
+        values = _wall_condition(self.nu, self.kind, grid)
+        what = f"{self.kind.value} radial condition for nu={self.nu}"
+        # this module's brentq, so that a wrapper around radial.brentq sees each refinement
+        self._pending = bracketed_roots(self.value, grid, values, what, brentq, xtol=1e-12)
+        self._x = float(grid[-1])
+
+    def _next_root(self) -> bool:
+        x = next(self._pending, None)
+        if x is not None:
+            self.roots.append(RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, self.value(x)))
+        return x is not None
+
+    def below(self, x_cap: float) -> list[RadialRoot]:
+        """The roots found so far, once they hold every root <= x_cap (the last may exceed it)."""
+        while not self.roots or self.roots[-1].x <= x_cap:
+            if not self._next_root():
+                if self._x >= x_cap:
+                    break
+                self._scan(int((x_cap - self._x) / _STEP) + 1)
+        return list(self.roots)
+
+    def nth(self, n: int) -> RadialRoot:
+        """The n-th root; RootSearchError once a window ending past lo + 40 + 4n lacks it."""
+        if n < 1:
+            raise DomainError("radial index n must be >= 1")
+        # the first block ends at the Airy estimate, above roots 1-5 as measured for nu <= 200;
+        # a root it misses is found by the next block
+        guess = mcmahon_seed(max(self.nu, 0.5), min(n, 5), self.kind) + math.pi * max(0, n - 5)
+        block = int((guess - self._x) / _STEP) + 2
+        while len(self.roots) < n:
+            if self._next_root():
+                continue
+            if self._x >= self._hi and self._hi > self.lo + 40.0 + 4.0 * n:
+                raise RootSearchError(
+                    f"failed to bracket root n={n} for nu={self.nu}", window=(self.lo, self._hi)
+                )
+            self._scan(max(block, 1))
+            block = _BLOCK
+        return self.roots[n - 1]
 
 
 def j_zero(nu: float, n: int) -> RadialRoot:
     """n-th positive root of j_nu (TE wall condition)."""
-    if nu <= -0.5:
-        raise DomainError(f"j_zero requires nu > -1/2, got nu={nu}")
-    if n < 1:
-        raise DomainError("radial index n must be >= 1")
-    x = _nth_positive_root(lambda t: spherical_j(nu, t), nu, n)
-    return RadialRoot(nu=nu, n=n, kind=RootKind.TE_JZERO, x=x, residual=spherical_j(nu, x))
+    return RadialSweep(nu, RootKind.TE_JZERO).nth(n)
 
 
 def riccati_deriv_zero(nu: float, n: int) -> RadialRoot:
     """n-th positive root of d/dx [x j_nu(x)] (TM wall condition)."""
-    if nu <= -0.5:
-        raise DomainError(f"riccati_deriv_zero requires nu > -1/2, got nu={nu}")
-    if n < 1:
-        raise DomainError("radial index n must be >= 1")
-    x = _nth_positive_root(lambda t: riccati_deriv(nu, t), nu, n)
-    return RadialRoot(
-        nu=nu, n=n, kind=RootKind.TM_RICCATI_DERIV_ZERO, x=x, residual=riccati_deriv(nu, x)
-    )
+    return RadialSweep(nu, RootKind.TM_RICCATI_DERIV_ZERO).nth(n)
 
 
 def radial_root(nu: float, n: int, kind: RootKind) -> RadialRoot:
-    """Root of the requested kind; dispatch helper for mode enumeration."""
-    if kind is RootKind.TE_JZERO:
-        return j_zero(nu, n)
-    return riccati_deriv_zero(nu, n)
+    """Root of the requested kind; dispatch helper for mode construction."""
+    return (j_zero if kind is RootKind.TE_JZERO else riccati_deriv_zero)(nu, n)
 
 
 def frequency_from_root(x: float, radius_m: float) -> float:

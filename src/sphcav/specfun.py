@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.integrate import solve_ivp  # noqa: F401 -- benchmarks/spans.py wraps it by name
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RootSearchError
 
 __all__ = [
     "SeriesControl",
@@ -29,6 +29,7 @@ __all__ = [
     "hyp2f1",
     "spherical_j",
     "riccati_deriv",
+    "bracketed_roots",
     "polar_solution",
     "legendre_theta",
     "legendre_theta_deriv",
@@ -196,6 +197,21 @@ def riccati_deriv(nu: float, x: float) -> float:
     if x <= 0.0:
         raise DomainError(f"riccati_deriv requires x > 0, got x={x}")
     return (nu + 1.0) * spherical_j(nu, x) - x * spherical_j(nu + 1.0, x)
+
+
+def bracketed_roots(f, grid, values, what: str, refine, **tol):
+    """Roots of f on a scanned grid, smallest first, as a lazy iterator.
+
+    ``values`` holds f on ``grid``.  A grid point where f is exactly 0 is a
+    root; a sign change between neighbours is refined by ``refine(f, lo, hi,
+    **tol)`` (Brent's method) when the iterator reaches it.  The last point
+    is only a bracket end: a scan continued past it starts there.  A value
+    that is not finite raises RootSearchError at once, naming ``what``.
+    """
+    if not np.all(np.isfinite(values)):
+        raise RootSearchError(f"{what} is not finite on the scan", window=(grid[0], grid[-1]))
+    at = np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))
+    return (float(grid[i]) if values[i] == 0.0 else float(refine(f, grid[i], grid[i + 1], **tol)) for i in at)
 
 
 # --- polar angular solution -------------------------------------------------

@@ -27,6 +27,7 @@ from .angular import (
 from .errors import DomainError, FixtureLookupError
 from .radial import (
     SPEED_OF_LIGHT,
+    RadialSweep,
     RootKind,
     frequency_from_root,
     j_zero,
@@ -143,22 +144,8 @@ def _angular_candidates(config: CavityConfig, m: float, nu_cap: float):
                 yield nu, None, (kind,)
 
 
-def enumerate_modes(
-    config: CavityConfig,
-    f_max_hz: float | None = None,
-    max_count: int | None = None,
-) -> list[ModeRecord]:
-    """All modes up to f_max_hz (inclusive with 1e-6 slack), sorted by frequency."""
-    if f_max_hz is None and max_count is None:
-        raise DomainError("provide f_max_hz or max_count")
-    if f_max_hz is None:
-        f_cap = frequency_from_root(4.0, config.radius_m)
-        while True:
-            records = enumerate_modes(config, f_max_hz=f_cap)
-            if len(records) >= max_count:
-                return records[:max_count]
-            f_cap *= 1.5
-
+def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[ModeRecord]:
+    """All modes up to f_max_hz, sorted; ``sweeps`` holds one RadialSweep per (nu, kind)."""
     a = config.radius_m
     x_cap = 2.0 * math.pi * a * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
     records: list[ModeRecord] = []
@@ -166,33 +153,36 @@ def enumerate_modes(
     for m in _azimuthal_values(config, x_cap):
         for nu, k, kinds in _angular_candidates(config, m, x_cap):
             for kind in kinds:
-                n = 1
-                while True:
-                    root = (
-                        riccati_deriv_zero(nu, n)
-                        if kind is RootKind.TM_RICCATI_DERIV_ZERO
-                        else j_zero(nu, n)
-                    )
+                sweep = sweeps.get((nu, kind)) or sweeps.setdefault((nu, kind), RadialSweep(nu, kind))
+                for root in sweep.below(x_cap):
                     f = frequency_from_root(root.x, a)
                     if f > f_max_hz * (1.0 + _FREQ_SLACK):
                         break
-                    records.append(
-                        ModeRecord(
-                            polarization=kind.value,
-                            nu=nu,
-                            m=m,
-                            k=k,
-                            n=n,
-                            root_x=root.x,
-                            frequency_hz=f,
-                            family=classify(nu, m, cone_present=cone).value,
-                        )
-                    )
-                    n += 1
+                    family = classify(nu, m, cone_present=cone).value
+                    records.append(ModeRecord(kind.value, nu, m, k, root.n, root.x, f, family))
     records.sort(key=_sort_key)
-    if max_count is not None:
-        records = records[:max_count]
     return records
+
+
+def enumerate_modes(
+    config: CavityConfig,
+    f_max_hz: float | None = None,
+    max_count: int | None = None,
+) -> list[ModeRecord]:
+    """All modes up to f_max_hz (inclusive with 1e-6 slack), sorted by frequency.
+
+    With ``max_count`` alone the cap starts at x = 4 and grows 1.5x until that many
+    modes fit; each (nu, kind) is swept for radial roots once per call, for every cap.
+    """
+    if f_max_hz is None and max_count is None:
+        raise DomainError("provide f_max_hz or max_count")
+    sweeps: dict = {}
+    if f_max_hz is not None:
+        return _modes_below(config, f_max_hz, sweeps)[:max_count]
+    f_cap = frequency_from_root(4.0, config.radius_m)
+    while len(records := _modes_below(config, f_cap, sweeps)) < max_count:
+        f_cap *= 1.5
+    return records[:max_count]
 
 
 def fundamental_tm(config: CavityConfig) -> ModeRecord:
@@ -349,126 +339,68 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _dispersion_row(fx: dict, row: dict, radius: float):
+    comp = dispersion_table([row["nu"]], radius)[0]
+    ok, devs = True, []
+    for key_x, key_f in (("x_te", "f_te_ghz"), ("x_tm", "f_tm_ghz")):
+        df = abs(comp[key_f] - row[key_f])
+        ok &= abs(comp[key_x] - row[key_x]) <= fx["root_atol"] and df <= fx["freq_atol_ghz"]
+        devs.append(df / row[key_f])
+    row_out = {key: comp[key] for key in ("nu", "x_te", "x_tm", "f_te_ghz", "f_tm_ghz")}
+    return {**row_out, "ok": ok}, devs, [0.0]
+
+
+def _frequency_row(fx: dict, row: dict, radius: float, head: dict, x: float, head_ok: bool = True):
+    """The row of a first-root frequency compared with the theory and reference columns."""
+    f_ghz = frequency_from_root(x, radius) / 1e9
+    t_dev = abs(f_ghz - row["f_theory_ghz"]) / row["f_theory_ghz"]
+    r_dev = abs(f_ghz - row["f_ref_ghz"]) / row["f_ref_ghz"]
+    ok = head_ok and t_dev <= fx["theory_rtol"] and r_dev <= fx["reference_rtol"]
+    return {**head, "f_ghz": f_ghz, "theory_dev": t_dev, "reference_dev": r_dev, "ok": ok}, [t_dev], [r_dev]
+
+
+def _modes_row(fx: dict, row: dict, radius: float):
+    nu = row["nu"]
+    root = riccati_deriv_zero(nu, 1) if row["pol"] == "TM" else j_zero(nu, 1)
+    head = {"mode": int(row["mode"]), "pol": row["pol"], "nu": nu, "m": row["m"]}
+    return _frequency_row(fx, row, radius, head, root.x)
+
+
+def _cone_row(fx: dict, row: dict, radius: float):
+    nu = cone_nu(fx["m"], math.radians(row["theta_c_deg"]), "TM", 1)
+    nu_dev = abs(nu - row["nu"])
+    head = {"theta_c_deg": row["theta_c_deg"], "nu": nu, "nu_fixture": row["nu"], "nu_dev": nu_dev}
+    return _frequency_row(fx, row, radius, head, riccati_deriv_zero(nu, 1).x, nu_dev <= fx["nu_atol"])
+
+
+def _combined_row(fx: dict, row: dict, radius: float):
+    m_exact = math.pi / math.radians(row["opening_deg"])
+    nu = cone_nu(m_exact, math.radians(fx["cone_half_angle_deg"]), "TM", 1)
+    head = dict(
+        opening_deg=row["opening_deg"], m_exact=m_exact, m_printed=row["m"], nu=nu, nu_fixture=row["nu"]
+    )
+    return _frequency_row(fx, row, radius, head, riccati_deriv_zero(nu, 1).x)
+
+
+# per fixture kind: (fixture, row, radius) -> (report row, theory deviations, reference deviations)
+_RECOMPUTE = dict(dispersion=_dispersion_row, modes=_modes_row, cone=_cone_row, combined=_combined_row)
+
+
 def validate(fixture_name: str) -> ValidationReport:
     """Recompute a fixture's theory column from scratch and compare both columns."""
     fx = load_fixture(fixture_name)
-    kind = fx["kind"]
-    radius = fx["radius_mm"] / 1000.0
-    rows_out: list[dict] = []
-    theory_devs: list[float] = []
-    ref_devs: list[float] = []
-    ok = True
-
-    if kind == "dispersion":
-        for row in fx["rows"]:
-            comp = dispersion_table([row["nu"]], radius)[0]
-            row_ok = True
-            for key_x, key_f in (("x_te", "f_te_ghz"), ("x_tm", "f_tm_ghz")):
-                dx = abs(comp[key_x] - row[key_x])
-                df = abs(comp[key_f] - row[key_f])
-                row_ok &= dx <= fx["root_atol"] and df <= fx["freq_atol_ghz"]
-                theory_devs.append(df / row[key_f])
-            rows_out.append(
-                {
-                    "nu": row["nu"],
-                    "x_te": comp["x_te"],
-                    "x_tm": comp["x_tm"],
-                    "f_te_ghz": comp["f_te_ghz"],
-                    "f_tm_ghz": comp["f_tm_ghz"],
-                    "ok": row_ok,
-                }
-            )
-            ok &= row_ok
-        ref_devs.append(0.0)
-
-    elif kind == "modes":
-        for row in fx["rows"]:
-            nu = row["nu"]
-            root = riccati_deriv_zero(nu, 1) if row["pol"] == "TM" else j_zero(nu, 1)
-            f_ghz = frequency_from_root(root.x, radius) / 1e9
-            t_dev = abs(f_ghz - row["f_theory_ghz"]) / row["f_theory_ghz"]
-            r_dev = abs(f_ghz - row["f_ref_ghz"]) / row["f_ref_ghz"]
-            row_ok = t_dev <= fx["theory_rtol"] and r_dev <= fx["reference_rtol"]
-            theory_devs.append(t_dev)
-            ref_devs.append(r_dev)
-            rows_out.append(
-                {
-                    "mode": int(row["mode"]),
-                    "pol": row["pol"],
-                    "nu": nu,
-                    "m": row["m"],
-                    "f_ghz": f_ghz,
-                    "theory_dev": t_dev,
-                    "reference_dev": r_dev,
-                    "ok": row_ok,
-                }
-            )
-            ok &= row_ok
-
-    elif kind == "cone":
-        for row in fx["rows"]:
-            tc = math.radians(row["theta_c_deg"])
-            nu = cone_nu(fx["m"], tc, "TM", 1)
-            f_ghz = frequency_from_root(riccati_deriv_zero(nu, 1).x, radius) / 1e9
-            nu_dev = abs(nu - row["nu"])
-            t_dev = abs(f_ghz - row["f_theory_ghz"]) / row["f_theory_ghz"]
-            r_dev = abs(f_ghz - row["f_ref_ghz"]) / row["f_ref_ghz"]
-            row_ok = (
-                nu_dev <= fx["nu_atol"]
-                and t_dev <= fx["theory_rtol"]
-                and r_dev <= fx["reference_rtol"]
-            )
-            theory_devs.append(t_dev)
-            ref_devs.append(r_dev)
-            rows_out.append(
-                {
-                    "theta_c_deg": row["theta_c_deg"],
-                    "nu": nu,
-                    "nu_fixture": row["nu"],
-                    "nu_dev": nu_dev,
-                    "f_ghz": f_ghz,
-                    "theory_dev": t_dev,
-                    "reference_dev": r_dev,
-                    "ok": row_ok,
-                }
-            )
-            ok &= row_ok
-
-    elif kind == "combined":
-        tc = math.radians(fx["cone_half_angle_deg"])
-        for row in fx["rows"]:
-            m_exact = math.pi / math.radians(row["opening_deg"])
-            nu = cone_nu(m_exact, tc, "TM", 1)
-            f_ghz = frequency_from_root(riccati_deriv_zero(nu, 1).x, radius) / 1e9
-            t_dev = abs(f_ghz - row["f_theory_ghz"]) / row["f_theory_ghz"]
-            r_dev = abs(f_ghz - row["f_ref_ghz"]) / row["f_ref_ghz"]
-            row_ok = t_dev <= fx["theory_rtol"] and r_dev <= fx["reference_rtol"]
-            theory_devs.append(t_dev)
-            ref_devs.append(r_dev)
-            rows_out.append(
-                {
-                    "opening_deg": row["opening_deg"],
-                    "m_exact": m_exact,
-                    "m_printed": row["m"],
-                    "nu": nu,
-                    "nu_fixture": row["nu"],
-                    "f_ghz": f_ghz,
-                    "theory_dev": t_dev,
-                    "reference_dev": r_dev,
-                    "ok": row_ok,
-                }
-            )
-            ok &= row_ok
-    else:
-        raise FixtureLookupError(f"fixture kind {kind!r} has no validator")
-
+    recompute = _RECOMPUTE.get(fx["kind"])
+    if recompute is None:
+        raise FixtureLookupError(f"fixture kind {fx['kind']!r} has no validator")
+    rows, theory, reference = zip(*(recompute(fx, row, fx["radius_mm"] / 1000.0) for row in fx["rows"]))
+    theory_devs = sum(theory, [])
     return ValidationReport(
         fixture=fixture_name,
-        rows=rows_out,
+        rows=list(rows),
         max_theory_dev=max(theory_devs),
         mean_theory_dev=statistics.fmean(theory_devs),
-        max_reference_dev=max(ref_devs),
-        passed=ok,
+        max_reference_dev=max(sum(reference, [])),
+        passed=all(r["ok"] for r in rows),
     )
 
 

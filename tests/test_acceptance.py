@@ -37,6 +37,10 @@ from oracles import (
 A15 = CavityConfig(radius_m=0.015)
 
 
+# the tests only read the reports, so each fixture is validated once per test run
+_validate = functools.cache(validate)
+
+
 def _report(name: str, ok: bool, detail: str = ""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
@@ -122,7 +126,7 @@ def test_c02_table2_theory_column():
     within 0.12%.
     """
     fx = load_fixture("table2_wedge90")
-    report = validate("table2_wedge90")
+    report = _validate("table2_wedge90")
     radius = fx["radius_mm"] / 1000.0
     oracle = [
         frequency_ghz(
@@ -141,7 +145,7 @@ def test_c02_table2_theory_column():
 
 
 def test_c02_table2_reference_column():
-    report = validate("table2_wedge90")
+    report = _validate("table2_wedge90")
     bound = 0.014 + 0.003
     _report(
         "C2 table2 vs reference (1.4%+0.3%)",
@@ -156,6 +160,7 @@ def test_c02_table2_reference_column():
 TABLE3_ANGLES = [0.38, 7.59, 14.93, 21.80, 28.07, 33.69]
 
 
+@functools.cache
 def _cone_rows():
     return cone_sweep(A15, TABLE3_ANGLES)
 
@@ -286,7 +291,7 @@ def test_c04_table4_frequencies():
     finite-element reference (6.94 GHz).  Rows 2-3 agree within 0.6%.
     """
     fx = load_fixture("table4_combined")
-    report = validate("table4_combined")
+    report = _validate("table4_combined")
     theta_c = math.radians(fx["cone_half_angle_deg"])
     oracle_nu = []
     for row in fx["rows"]:
@@ -317,7 +322,7 @@ def test_c04_table4_nu_below_m():
     # to two digits); the recomputed Dirichlet eigenvalues sit marginally
     # above m -- both are reported here, the row data is what is asserted
     fx = load_fixture("table4_combined")
-    report = validate("table4_combined")
+    report = _validate("table4_combined")
     row_ok = all(row["nu"] < row["m"] for row in fx["rows"])
     computed = ", ".join(
         f"nu={r['nu']:.5f} vs m={r['m_exact']:.5f}" for r in report.rows

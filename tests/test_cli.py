@@ -129,3 +129,50 @@ def test_computational_error_exit_code(capsys):
 def test_bad_mode_argument():
     with pytest.raises(SystemExit):
         main(["field", "--mode", "XX,1,1,1", "--at", "0.008,1.1,0.3"])
+
+
+def test_energy_rejects_an_m_the_wedge_does_not_admit(capsys):
+    # sin(phi/2) does not vanish on the face of a 90 deg wedge, which admits m = 2, 4, ...
+    code, out, err = run(capsys, "energy", "--mode", "TM,2.5,0.5,1", "--wedge-deg", "90")
+    assert code == 1
+    assert out == "" and "not a TM index" in err
+    code, _, err = run(capsys, "energy", "--mode", "TM,1,0,1", "--wedge-deg", "270")
+    assert code == 1 and "not a TM index" in err
+
+
+# stdout of the README's `sphcav modes` examples, as the scalar root scan printed it
+README_TABLE = """\
+pol         nu         m   k  n          x  f [GHz] family
+TM      0.6667    0.6667   0  1     2.3600     7.51 sectoral
+TM      1.3333    1.3333   0  1     3.1227     9.93 sectoral
+TM      1.6667    0.6667   1  1     3.4980    11.13 tesseral
+TM      2.0000    2.0000   0  1     3.8702    12.31 sectoral
+TE      0.6667    0.6667   0  1     4.0549    12.90 sectoral
+TM      2.3333    1.3333   1  1     4.2400    13.49 tesseral
+"""
+README_CSV = """\
+pol,nu,m,k,n,x,f_GHz,family
+TM,0.6666666666666666,0.6666666666666666,0,1,2.359976076883298,7.506840286901409,sectoral
+TM,1.3333333333333333,1.3333333333333333,0,1,3.122700633385499,9.932988367233357,sectoral
+TM,1.6666666666666665,0.6666666666666666,1,1,3.497976955027039,11.12670360766043,tesseral
+TM,2.0,2.0,0,1,3.870238580221931,12.310829409889314,sectoral
+TE,0.6666666666666666,0.6666666666666666,0,1,4.05487696250242,12.898145044224881,sectoral
+TM,2.333333333333333,1.3333333333333333,1,1,4.239993301117747,13.486981008323484,tesseral
+"""
+
+
+def test_readme_modes_examples_print_what_they_printed(capsys):
+    argv = ["modes", "--radius-mm", "15", "--wedge-deg", "270", "--fmax-ghz", "13.7", "--format", "table"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == README_TABLE
+    code, out, _ = run(capsys, "modes", "--wedge-deg", "270", "--fmax-ghz", "13.7", "--format", "csv")
+    assert code == 0
+    got, want = out.splitlines(), README_CSV.splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for got_row, want_row in zip(got[1:], want[1:]):
+        for g, w in zip(got_row.split(","), want_row.split(","), strict=True):
+            try:
+                assert abs(float(g) - float(w)) <= 1e-13 * abs(float(w)), (g, w)
+            except ValueError:
+                assert g == w

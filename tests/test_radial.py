@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from sphcav.errors import DomainError
+from sphcav import radial
+from sphcav.errors import DomainError, RootSearchError
 from sphcav.radial import (
+    RadialSweep,
     RootKind,
     SPEED_OF_LIGHT,
     asymptotic_m_of_omega,
@@ -14,6 +19,7 @@ from sphcav.radial import (
     riccati_deriv_zero,
 )
 from sphcav.specfun import riccati_deriv, spherical_j
+from sphcav.spectrum import CavityConfig, enumerate_modes
 
 GHZ_PER_X = SPEED_OF_LIGHT / (2.0 * math.pi * 0.015) / 1e9
 
@@ -182,3 +188,105 @@ def test_root_domain_errors():
         j_zero(1.0, 0)
     with pytest.raises(DomainError):
         riccati_deriv_zero(1.0, -2)
+
+
+TE, TM = RootKind.TE_JZERO, RootKind.TM_RICCATI_DERIV_ZERO
+
+
+def _scalar_scan(f, nu: float, count: int) -> list[float]:
+    """First ``count`` roots by a scalar upward scan: step 0.05 from max(nu, 1e-3),
+    windows of 12 with the last step clamped, Brent to xtol 1e-12."""
+    lo = max(nu, 1e-3)
+    hi, x, fx, roots = lo + 12.0, lo, f(lo), []
+    while True:
+        while x < hi:
+            x_next = min(x + 0.05, hi)
+            f_next = f(x_next)
+            if fx == 0.0:
+                roots.append(x)
+            elif fx * f_next < 0.0:
+                roots.append(brentq(f, x, x_next, xtol=1e-12))
+            if len(roots) == count:
+                return roots
+            x, fx = x_next, f_next
+        hi += 12.0
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.0 / 3.0, 7.3, 40.0, 120.0])
+def test_sweep_matches_the_scalar_scan(nu):
+    for kind, f, nth in ((TE, spherical_j, j_zero), (TM, riccati_deriv, riccati_deriv_zero)):
+        want = _scalar_scan(lambda t: f(nu, t), nu, 20)
+        got = RadialSweep(nu, kind).below(want[-1])[:20]
+        assert [r.n for r in got] == list(range(1, 21))
+        for r, x in zip(got, want):
+            assert abs(r.x - x) <= 1e-13 * x
+            assert r.residual == f(nu, r.x) and r.kind is kind and r.nu == nu
+        for n in (1, 2, 7, 20):
+            assert abs(nth(nu, n).x - want[n - 1]) <= 1e-13 * want[n - 1]
+
+
+def test_sweep_continues_without_refining_twice(monkeypatch):
+    refined = []
+
+    def counting(f, a, b, **tol):
+        refined.append(a)
+        return brentq(f, a, b, **tol)
+
+    monkeypatch.setattr(radial, "brentq", counting)
+    sweep = RadialSweep(2.0, TM)
+    first = list(sweep.below(10.0))
+    assert [r.x for r in first if r.x <= 10.0] == [riccati_deriv_zero(2.0, n).x for n in (1, 2)]
+    refined.clear()
+    assert sweep.below(9.0) == first and not refined
+    more = sweep.below(30.0)
+    assert more[: len(first)] == first and more[-1].x > 28.0
+    assert len(refined) == len(set(refined)) == len(more) - len(first)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.floats(min_value=0.0, max_value=60.0))
+def test_te_and_tm_roots_interlace(nu):
+    # x'_1 < x_1 < x'_2 < x_2 < ...: [x j_nu]' vanishes once between zeros of x j_nu
+    te = [r.x for r in RadialSweep(nu, TE).below(nu + 30.0)]
+    tm = [r.x for r in RadialSweep(nu, TM).below(nu + 30.0)]
+    count = min(len(te), len(tm))
+    assert count >= 3
+    merged = [x for pair in zip(tm[:count], te[:count]) for x in pair]
+    assert all(a < b for a, b in zip(merged, merged[1:]))
+
+
+X_CAP = 10.5  # no radial root within 1e-3 of it on either domain below
+
+
+@settings(max_examples=12, deadline=None)
+@given(radius=st.floats(min_value=1e-3, max_value=1.0), opening=st.sampled_from([360.0, 270.0]))
+def test_frequency_times_radius_is_invariant(radius, opening):
+    def spectrum(a):
+        f_max = X_CAP * SPEED_OF_LIGHT / (2.0 * math.pi * a)
+        return enumerate_modes(CavityConfig(a, opening), f_max_hz=f_max)
+
+    # keyed by label: modes one ulp apart in frequency may sort either way
+    ref = {(r.polarization, r.nu, r.m, r.n): r.frequency_hz * 0.015 for r in spectrum(0.015)}
+    got = {(r.polarization, r.nu, r.m, r.n): r.frequency_hz * radius for r in spectrum(radius)}
+    assert got.keys() == ref.keys()
+    assert min(abs(f * 2.0 * math.pi / SPEED_OF_LIGHT - X_CAP) for f in ref.values()) > 1e-3
+    for key, fa in ref.items():
+        assert got[key] == pytest.approx(fa, rel=1e-13)
+
+
+def test_non_finite_scan_raises(monkeypatch):
+    real = radial.jv
+    monkeypatch.setattr(radial, "jv", lambda v, x: np.where(x > 5.0, np.nan, real(v, x)))
+    assert j_zero(0.0, 1).x == pytest.approx(math.pi, abs=1e-12)  # its scan stays below 5
+    with pytest.raises(RootSearchError):
+        j_zero(0.0, 3)
+    with pytest.raises(RootSearchError):
+        RadialSweep(0.0, TM).below(20.0)
+
+
+def test_root_search_window_when_no_root_is_found(monkeypatch):
+    # the scan gives up after the first 12-wide window that ends past nu + 40 + 4n
+    monkeypatch.setattr(radial, "jv", lambda v, x: np.ones_like(x))
+    with pytest.raises(RootSearchError) as err:
+        j_zero(1.0, 2)
+    assert err.value.window == (1.0, 61.0)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from sphcav.errors import ConvergenceError, DomainError
+from sphcav.errors import ConvergenceError, DomainError, RootSearchError
 from sphcav.specfun import (
     AIRY_ROOTS,
     SeriesControl,
+    bracketed_roots,
     digamma,
     hyp2f1,
     legendre_theta,
@@ -364,3 +366,15 @@ def test_airy_table_matches_scipy():
     assert all(x < y for x, y in zip(AIRY_ROOTS.ai_zeros, AIRY_ROOTS.ai_zeros[1:]))
     assert AIRY_ROOTS.ai_zeros[0] == pytest.approx(2.338107, abs=1e-6)
     assert AIRY_ROOTS.ai_prime_zeros[0] == pytest.approx(1.018793, abs=1e-6)
+
+
+def test_bracketed_roots_takes_grid_zeros_once_and_refines_sign_changes():
+    def f(x):
+        return (x - 1.0) * (x - 2.3)
+
+    grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    values = np.array([f(x) for x in grid])
+    roots = list(bracketed_roots(f, grid, values, "f", brentq, xtol=1e-14))
+    assert roots == [1.0, pytest.approx(2.3, abs=1e-13)]
+    with pytest.raises(RootSearchError, match="f is not finite"):
+        bracketed_roots(f, grid, np.append(values[:-1], np.inf), "f", brentq)

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import jv
 
+from sphcav import radial
 from sphcav.errors import DomainError, FixtureLookupError
 from sphcav.spectrum import (
     CavityConfig,
@@ -83,6 +84,21 @@ def test_enumerate_modes_max_count():
     records = enumerate_modes(WEDGE90, max_count=4)
     assert len(records) == 4
     assert [r.polarization for r in records] == ["TM", "TM", "TM", "TM"]
+
+
+@pytest.mark.parametrize("config", [A15, WEDGE90], ids=["sphere", "wedge270"])
+def test_max_count_is_a_prefix_and_refines_each_root_once(config, monkeypatch):
+    refined = []
+
+    def counting(f, a, b, **tol):
+        refined.append((f.__self__.nu, f.__self__.kind, a, b))  # f is RadialSweep.value
+        return brentq(f, a, b, **tol)
+
+    monkeypatch.setattr(radial, "brentq", counting)
+    got = enumerate_modes(config, max_count=150)
+    assert len(got) == 150
+    assert len(refined) == len(set(refined)) >= len({(r.polarization, r.nu, r.n) for r in got})
+    assert got == enumerate_modes(config, f_max_hz=got[-1].frequency_hz)[:150]
 
 
 def test_enumerate_requires_a_limit():
