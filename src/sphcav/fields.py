@@ -20,13 +20,20 @@ which the impedance-duality and wall-condition tests rely on.
 Azimuthal factor: exp(i m phi) on the full azimuth; between PEC wedge faces
 the standing wave whose tangential E vanishes on both faces: sin(m phi) for
 TM (E_r and E_theta carry Phi) and cos(m phi) for TE (E_theta carries Phi').
+
+Each ModeSpec keeps a bounded memo of its radial factors (j_nu, Ric') by r and
+its polar pair (Theta, Theta') by theta, so a sample reuses the factors of the
+samples before it: on an n_r x n_theta x n_phi tensor grid the mode computes
+n_r radial and n_theta polar factors instead of one of each per point.  A
+cloud of distinct points misses every time and costs what it did without the
+memo.  The memo starts over past _MEMO_LIMIT entries and pickles empty.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401 -- benchmarks/spans.py wraps it by name
@@ -71,6 +78,22 @@ VACUUM = Medium()
 
 FULL_SPHERE = AngularDomain()
 
+_MEMO_LIMIT = 1024  # factor entries one mode keeps before its memo starts over
+
+
+class _FactorMemo(dict):
+    """A mode's computed factors by key; pickles (and copies) empty."""
+
+    def __reduce__(self):
+        return type(self), ()
+
+    def get_or(self, key, compute):
+        if key not in self:
+            if len(self) >= _MEMO_LIMIT:
+                self.clear()
+            self[key] = compute()
+        return self[key]
+
 
 @dataclass(frozen=True)
 class ModeSpec:
@@ -85,6 +108,7 @@ class ModeSpec:
     domain: AngularDomain = FULL_SPHERE
     azimuthal_kind: str = "traveling"  # traveling | sin | cos
     south_regular: bool = False
+    _memo: _FactorMemo = field(default_factory=_FactorMemo, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius_m <= 0.0:
@@ -133,46 +157,6 @@ def _azimuthal_factors(mode: ModeSpec, phi: float) -> tuple[complex, complex]:
     return complex(math.cos(m * phi)), complex(-m * math.sin(m * phi))
 
 
-def _profiles(mode: ModeSpec, r: float, theta: float, polarization: RootKind | None = None):
-    """(r, theta)-dependent coefficients of the six components.
-
-    Returns (e_coeff, e_on_phi_deriv, h_coeff, h_on_phi_deriv): coefficient
-    arrays plus flags telling which azimuthal factor (Phi or Phi') each
-    component multiplies.  ``polarization`` overrides the mode's own tag to
-    evaluate the dual-polarization wave sharing the same (nu, m, omega);
-    duality statements compare TE and TM at a common frequency.
-    """
-    if polarization is None:
-        polarization = mode.polarization
-    nu = mode.eigenpair.nu
-    a = mode.amplitude
-    k = mode.wavenumber
-    x = k * r
-    jv = spherical_j(nu, x)
-    rp = riccati_deriv(nu, x)
-    th, dth = mode.polar(theta)
-    s = math.sin(theta)
-    omega = mode.omega
-    lam = nu * (nu + 1.0)
-
-    double_curl = np.array(
-        [lam / r * a * jv * th, a / r * rp * dth, a / (r * s) * rp * th], dtype=complex
-    )
-    dc_flags = (False, False, True)
-
-    if polarization is RootKind.TM_RICCATI_DERIV_ZERO:
-        ce = -1j * omega * mode.medium.epsilon
-        e_coeff, e_flags = double_curl, dc_flags
-        h_coeff = np.array([0.0, ce * a / s * jv * th, -ce * a * jv * dth], dtype=complex)
-        h_flags = (False, True, False)
-    else:
-        cm = 1j * omega * mode.medium.mu
-        h_coeff, h_flags = double_curl, dc_flags
-        e_coeff = np.array([0.0, cm * a / s * jv * th, -cm * a * jv * dth], dtype=complex)
-        e_flags = (False, True, False)
-    return e_coeff, e_flags, h_coeff, h_flags
-
-
 def _check_point(mode: ModeSpec, r: float, theta: float, phi: float) -> None:
     if not (0.0 < r <= mode.radius_m):
         raise DomainError(f"r={r} outside (0, {mode.radius_m}]")
@@ -188,13 +172,27 @@ def _check_point(mode: ModeSpec, r: float, theta: float, phi: float) -> None:
 def _sample(
     mode: ModeSpec, point: tuple[float, float, float], polarization: RootKind | None = None
 ) -> FieldSample:
-    """Six components at (r, theta, phi); ``polarization`` as in ``_profiles``."""
+    """Six components at (r, theta, phi).
+
+    ``polarization`` overrides the mode's own tag to evaluate the
+    dual-polarization wave sharing the same (nu, m, omega); duality statements
+    compare TE and TM at a common frequency.
+    """
     r, theta, phi = point
     _check_point(mode, r, theta, phi)
     f0, f1 = _azimuthal_factors(mode, phi)
-    e_coeff, e_flags, h_coeff, h_flags = _profiles(mode, r, theta, polarization)
-    e = e_coeff * np.array([f1 if fl else f0 for fl in e_flags])
-    h = h_coeff * np.array([f1 if fl else f0 for fl in h_flags])
+    nu, a = mode.eigenpair.nu, mode.amplitude
+    x = mode.wavenumber * r
+    jv, rp = mode._memo.get_or(("r", r), lambda: (spherical_j(nu, x), riccati_deriv(nu, x)))
+    th, dth = mode._memo.get_or(("theta", theta), lambda: mode.polar(theta))
+    s = math.sin(theta)
+    tm = (polarization or mode.polarization) is RootKind.TM_RICCATI_DERIV_ZERO
+    c = -1j * mode.omega * mode.medium.epsilon if tm else 1j * mode.omega * mode.medium.mu
+    # (coefficients, Phi or Phi' per component): the double curl is E for TM, H for TE
+    curl2 = [nu * (nu + 1.0) / r * a * jv * th, a / r * rp * dth, a / (r * s) * rp * th], (f0, f0, f1)
+    curl1 = [0.0, c * a / s * jv * th, -c * a * jv * dth], (f0, f1, f0)
+    (e, fe), (h, fh) = (curl2, curl1) if tm else (curl1, curl2)
+    e, h = np.array(e, dtype=complex) * np.array(fe), np.array(h, dtype=complex) * np.array(fh)
     return FieldSample(point=point, E=e, H=h)
 
 

@@ -262,6 +262,8 @@ def _not_converged(what: str, total, term, ctrl: SeriesControl) -> ConvergenceEr
 
 def _terminates(nu, m: float):
     d = nu - m
+    if isinstance(d, float):  # the scalar path, without numpy's per-call overhead
+        return math.isfinite(d) and d >= -INT_TOL and abs(d - round(d)) <= INT_TOL * max(1.0, abs(d))
     return (d >= -INT_TOL) & (abs(d - np.round(d)) <= INT_TOL * np.maximum(1.0, abs(d)))
 
 

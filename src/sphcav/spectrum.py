@@ -145,7 +145,12 @@ def _angular_candidates(config: CavityConfig, m: float, nu_cap: float):
 
 
 def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[ModeRecord]:
-    """All modes up to f_max_hz, sorted; ``sweeps`` holds one RadialSweep per (nu, kind)."""
+    """All modes up to f_max_hz, sorted; ``sweeps`` holds one RadialSweep per (nu, kind).
+
+    nu = m + k is formed in floating point, so one eigenvalue can arrive as floats an
+    ulp apart (13/3 = 4/3 + 3 = 10/3 + 1); keyed to 12 decimals they share one sweep,
+    and each record keeps its own nu.
+    """
     a = config.radius_m
     x_cap = 2.0 * math.pi * a * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
     records: list[ModeRecord] = []
@@ -153,7 +158,8 @@ def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[Mo
     for m in _azimuthal_values(config, x_cap):
         for nu, k, kinds in _angular_candidates(config, m, x_cap):
             for kind in kinds:
-                sweep = sweeps.get((nu, kind)) or sweeps.setdefault((nu, kind), RadialSweep(nu, kind))
+                key = (round(nu, 12), kind)
+                sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
                 for root in sweep.below(x_cap):
                     f = frequency_from_root(root.x, a)
                     if f > f_max_hz * (1.0 + _FREQ_SLACK):

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sphcav.angular import (
@@ -211,6 +213,25 @@ def test_cone_nu_small_angle_log_estimate():
     est = 1.0 / (2.0 * math.log(2.0 / tc))
     got = cone_nu(0.0, tc, "TM", 1)
     assert abs(got - est) / est < 0.05
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    small=st.floats(min_value=0.05, max_value=1.0),
+    large=st.floats(min_value=0.05, max_value=1.0),
+)
+def test_cone_nu_sliver_limit(small, large):
+    # as theta_c -> 0 the zonal TM nu tends to 0 like 1/(2 ln(2/theta_c)),
+    # and the relative error of that estimate shrinks with the cone
+    small, large = sorted((small, large))
+    assume(large >= 1.05 * small)
+
+    def rel_error(tc_deg):
+        tc = math.radians(tc_deg)
+        est = 1.0 / (2.0 * math.log(2.0 / tc))
+        return abs(cone_nu(0.0, tc, "TM", 1) - est) / est
+
+    assert rel_error(small) < rel_error(large) <= 0.1
 
 
 def test_cone_nu_monotone_in_angle():

@@ -1,12 +1,16 @@
 import cmath
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sphcav.angular import AngularDomain, AngularEigenpair, Family
+from sphcav import fields
+from sphcav.angular import AngularDomain, AngularEigenpair, Family, cone_nu
 from sphcav.errors import DomainError, ImpedanceUndefinedError
 from sphcav.fields import (
+    _MEMO_LIMIT,
     FULL_SPHERE,
     FieldSample,
     VACUUM,
@@ -294,3 +298,86 @@ def test_mode_spec_invariants():
             radial=root,
             radius_m=A_RADIUS,
         )
+
+
+# --- the per-mode factor memo ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def memo_modes():
+    tm, te = RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO
+    cone = AngularDomain(cone_half_angle_rad=math.radians(20.0))
+    nu_tm, nu_te = (cone_nu(m, cone.cone_half_angle_rad, pol, 1) for m, pol in ((0.0, "TM"), (1.0, "TE")))
+    pairs = {
+        "sphere_TM_sectoral": (tm, sectoral(2.0), FULL_SPHERE),
+        "sphere_TE_tesseral": (te, AngularEigenpair(3.0, 1.0, Family.TESSERAL, 2), FULL_SPHERE),
+        "wedge_TM_tesseral": (tm, AngularEigenpair(5.0 / 3.0, 2.0 / 3.0, Family.TESSERAL, 1), WEDGE_270),
+        "wedge_TE_sectoral": (te, sectoral(4.0 / 3.0), WEDGE_270),
+        "cone20_TM_zonal": (tm, AngularEigenpair(nu_tm, 0.0, Family.ZONAL), cone),
+        "cone20_TE_m1": (te, AngularEigenpair(nu_te, 1.0, Family.TESSERAL), cone),
+    }
+    return {name: make_mode(kind, pair, 1, A_RADIUS, domain=dom) for name, (kind, pair, dom) in pairs.items()}
+
+
+MEMO_MODES = [
+    "sphere_TM_sectoral", "sphere_TE_tesseral", "wedge_TM_tesseral",
+    "wedge_TE_sectoral", "cone20_TM_zonal", "cone20_TE_m1",
+]
+
+
+def _memo_points(mode, layout):
+    lo, opening = mode.domain.cone_half_angle_rad, mode.domain.azimuth_opening_rad
+    if layout == "tensor_grid":
+        return [
+            (float(r), float(t), float(p))
+            for r in np.linspace(0.1, 1.0, 5) * A_RADIUS
+            for t in np.linspace(lo + 0.05, math.pi - 0.05, 6)
+            for p in np.linspace(0.1, 0.9, 3) * opening
+        ]
+    rng = np.random.default_rng(5)
+    r = rng.uniform(0.05, 1.0, 40) * A_RADIUS
+    theta = rng.uniform(lo + 0.01, math.pi - 0.01, 40)
+    phi = rng.uniform(0.0, opening, 40)
+    return list(zip(r.tolist(), theta.tolist(), phi.tolist()))
+
+
+@pytest.mark.parametrize("layout", ["tensor_grid", "cloud"])
+@pytest.mark.parametrize("name", MEMO_MODES)
+def test_memo_reuse_is_bit_identical(memo_modes, name, layout, monkeypatch):
+    mode = replace(memo_modes[name])  # a new, empty memo for every case
+    points = _memo_points(mode, layout)
+    pols = (RootKind.TE_JZERO, RootKind.TM_RICCATI_DERIV_ZERO)
+    with monkeypatch.context() as patch:  # every factor computed anew, nothing kept
+        patch.setattr(fields._FactorMemo, "get_or", lambda memo, key, compute: compute())
+        fresh = [evaluate(mode, p) for p in points]
+        fresh_z = [wave_impedances(mode, *p, polarization=pol) for p in points[::7] for pol in pols]
+    assert len(mode._memo) == 0
+    first = [evaluate(mode, p) for p in points]  # fills the memo; a grid reuses it
+    again = [evaluate(mode, p) for p in points]  # every factor from the memo
+    assert len(mode._memo) > 0
+    for s, t, u in zip(fresh, first, again):
+        assert s.E.tobytes() == t.E.tobytes() == u.E.tobytes()
+        assert s.H.tobytes() == t.H.tobytes() == u.H.tobytes()
+    assert fresh_z == [wave_impedances(mode, *p, polarization=pol) for p in points[::7] for pol in pols]
+
+
+def test_memo_is_not_part_of_the_mode():
+    warm, cold = tm_mode(2.0), tm_mode(2.0)
+    point = (0.008, 1.1, 0.3)
+    sample = evaluate(warm, point)
+    assert len(warm._memo) > 0 and len(cold._memo) == 0
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    copy = pickle.loads(pickle.dumps(warm))
+    assert copy == warm and len(copy._memo) == 0
+    assert evaluate(copy, point).E.tobytes() == sample.E.tobytes()
+
+
+def test_memo_stays_bounded():
+    mode = tm_mode(1.0)
+    rng = np.random.default_rng(11)
+    n, largest = 20_000, 0
+    r, theta, phi = rng.uniform(0.05, 1.0, n) * A_RADIUS, rng.uniform(0.05, 3.0, n), rng.uniform(0.0, 6.0, n)
+    for point in zip(r.tolist(), theta.tolist(), phi.tolist()):
+        evaluate(mode, point)
+        largest = max(largest, len(mode._memo))
+    assert 0 < len(mode._memo) <= largest <= _MEMO_LIMIT

@@ -332,6 +332,18 @@ def test_polar_solution_past_half_matches_mpmath(m):
             assert deriv == pytest.approx(want_deriv, rel=1e-11, abs=1e-12 * scale / math.sin(theta))
 
 
+def test_terminates_scalar_path_matches_array_path():
+    from sphcav.specfun import INT_TOL, _terminates
+
+    offsets = (0.0, 0.5, 1.5, 2.5, -INT_TOL, -2.0 * INT_TOL, 3.0 + INT_TOL, 3.0 - 3.0 * INT_TOL, 7.3, 1e300)
+    for m in (0.0, 2.0 / 3.0, 1.0, 4.0):
+        for nu in [m + d for d in offsets] + [math.inf, math.nan]:
+            with np.errstate(invalid="ignore"):
+                want = bool(_terminates(np.array([nu]), m)[0])
+            assert _terminates(nu, m) == want
+            assert _terminates(np.float64(nu), m) == want
+
+
 def test_polar_solution_vectorized_matches_scalar():
     nus = np.array([0.3, 1.0, 2.0 + 1.0 / 3.0, 3.7])
     thetas = np.array([[0.4], [1.6], [2.9]])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import jv
 
@@ -99,6 +101,28 @@ def test_max_count_is_a_prefix_and_refines_each_root_once(config, monkeypatch):
     assert len(got) == 150
     assert len(refined) == len(set(refined)) >= len({(r.polarization, r.nu, r.n) for r in got})
     assert got == enumerate_modes(config, f_max_hz=got[-1].frequency_hz)[:150]
+
+
+def test_one_radial_sweep_per_eigenvalue(monkeypatch):
+    # nu = m + k is formed in floating point, so on the 270 deg wedge one
+    # eigenvalue arrives as floats an ulp apart (13/3 = 4/3 + 3 = 10/3 + 1);
+    # its radial roots are refined once and shared, and each record keeps its nu
+    refined = []
+
+    def counting(f, a, b, **tol):
+        x = brentq(f, a, b, **tol)
+        refined.append((round(f.__self__.nu, 9), f.__self__.kind, round(x, 9)))
+        return x
+
+    monkeypatch.setattr(radial, "brentq", counting)
+    got = enumerate_modes(WEDGE90, max_count=150)
+    assert len(refined) == len(set(refined))
+    twins: dict = {}
+    for r in got:
+        twins.setdefault((r.polarization, round(r.nu, 9), r.n), []).append(r)
+    shared = [rs for rs in twins.values() if len({r.nu for r in rs}) > 1]
+    assert len(shared) >= 10
+    assert all(len({r.root_x for r in rs}) == 1 for rs in shared)
 
 
 def test_enumerate_requires_a_limit():
@@ -236,6 +260,21 @@ def test_wedge_sweep_full_circle_jumps_back_to_integer_m():
     assert rows[0]["f_ghz"] == pytest.approx(6.9156, abs=1e-3)
     assert rows[1]["m1"] == 1.0
     assert rows[1]["f_ghz"] == pytest.approx(8.7275, abs=1e-3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lo=st.floats(min_value=350.0, max_value=360.0, exclude_max=True),
+    hi=st.floats(min_value=350.0, max_value=360.0, exclude_max=True),
+)
+def test_wedge_m1_tends_to_half_from_above(lo, hi):
+    # m1 = pi / Phi, so m1 - 1/2 = (360 - Phi) / (2 Phi) in degrees
+    lo, hi = sorted((lo, hi))
+    rows = wedge_sweep(A15, [lo, hi, 360.0])
+    m_lo, m_hi = rows[0]["m1"], rows[1]["m1"]
+    assert m_lo >= m_hi > 0.5
+    assert abs((m_hi - 0.5) - (360.0 - hi) / (2.0 * hi)) <= 1e-15
+    assert rows[2]["m1"] == 1.0
 
 
 def test_pec_pmc_wedge_fundamental():
