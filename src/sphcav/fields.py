@@ -88,11 +88,12 @@ class _FactorMemo(dict):
         return type(self), ()
 
     def get_or(self, key, compute):
-        if key not in self:
+        value = self.get(key)
+        if value is None:
             if len(self) >= _MEMO_LIMIT:
                 self.clear()
-            self[key] = compute()
-        return self[key]
+            value = self[key] = compute()
+        return value
 
 
 @dataclass(frozen=True)
