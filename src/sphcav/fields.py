@@ -21,12 +21,16 @@ Azimuthal factor: exp(i m phi) on the full azimuth; between PEC wedge faces
 the standing wave whose tangential E vanishes on both faces: sin(m phi) for
 TM (E_r and E_theta carry Phi) and cos(m phi) for TE (E_theta carries Phi').
 
-Each ModeSpec keeps a bounded memo of its radial factors (j_nu, Ric') by r and
-its polar pair (Theta, Theta') by theta, so a sample reuses the factors of the
-samples before it: on an n_r x n_theta x n_phi tensor grid the mode computes
-n_r radial and n_theta polar factors instead of one of each per point.  A
-cloud of distinct points misses every time and costs what it did without the
-memo.  The memo starts over past _MEMO_LIMIT entries and pickles empty.
+Each ModeSpec keeps a bounded memo of its radial factors (j_nu, Ric') by r,
+its polar pair (Theta, Theta') with sin(theta) by theta, and its azimuthal
+factor arrays by phi, so a sample reuses the factors of the samples before it:
+on an n_r x n_theta x n_phi tensor grid the mode computes n_r radial, n_theta
+polar and n_phi azimuthal factors instead of one of each per point.  The memo
+also holds, by polarization, the per-mode constants of a sample (nu, A,
+nu(nu+1), the single-curl coefficient, k and the domain bounds), so a sample
+reads them once instead of through the mode's properties.  A cloud of
+distinct points misses every time and costs what it did without the memo.
+The memo starts over past _MEMO_LIMIT entries and pickles empty.
 """
 
 from __future__ import annotations
@@ -147,15 +151,18 @@ class FieldSample:
     H: np.ndarray  # (H_r, H_theta, H_phi) in A/m
 
 
-def _azimuthal_factors(mode: ModeSpec, phi: float) -> tuple[complex, complex]:
-    """(Phi(phi), Phi'(phi)) for the mode's azimuthal convention."""
+def _azimuthal_arrays(mode: ModeSpec, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Phi(phi) or Phi'(phi) per component, for the mode's azimuthal convention:
+    (Phi, Phi, Phi') for the double curl and (Phi, Phi', Phi) for the single curl."""
     m = mode.eigenpair.m
     if mode.azimuthal_kind == "traveling":
-        e = cmath.exp(1j * m * phi)
-        return e, 1j * m * e
-    if mode.azimuthal_kind == "sin":
-        return complex(math.sin(m * phi)), complex(m * math.cos(m * phi))
-    return complex(math.cos(m * phi)), complex(-m * math.sin(m * phi))
+        f0 = cmath.exp(1j * m * phi)
+        f1 = 1j * m * f0
+    elif mode.azimuthal_kind == "sin":
+        f0, f1 = complex(math.sin(m * phi)), complex(m * math.cos(m * phi))
+    else:
+        f0, f1 = complex(math.cos(m * phi)), complex(-m * math.sin(m * phi))
+    return np.array((f0, f0, f1)), np.array((f0, f1, f0))
 
 
 def _check_point(mode: ModeSpec, r: float, theta: float, phi: float) -> None:
@@ -170,6 +177,18 @@ def _check_point(mode: ModeSpec, r: float, theta: float, phi: float) -> None:
         raise DomainError(f"phi={phi} outside the wedge opening")
 
 
+def _constants(mode: ModeSpec, polarization: RootKind) -> tuple:
+    """What _sample needs of the mode besides the factors: TM or not, nu, A, nu(nu+1),
+    c A and -c A (c the single-curl coefficient), k, and the domain bounds of r, theta
+    and phi (the phi bound is None on the full azimuth)."""
+    nu, a, dom = mode.eigenpair.nu, mode.amplitude, mode.domain
+    tm = polarization is RootKind.TM_RICCATI_DERIV_ZERO
+    c = -1j * mode.omega * mode.medium.epsilon if tm else 1j * mode.omega * mode.medium.mu
+    phi_hi = None if dom.full_azimuth else dom.azimuth_opening_rad + 1e-12
+    bounds = mode.radius_m, dom.cone_half_angle_rad, phi_hi
+    return tm, nu, a, nu * (nu + 1.0), c * a, -c * a, mode.wavenumber, *bounds
+
+
 def _sample(
     mode: ModeSpec, point: tuple[float, float, float], polarization: RootKind | None = None
 ) -> FieldSample:
@@ -180,21 +199,25 @@ def _sample(
     compare TE and TM at a common frequency.
     """
     r, theta, phi = point
-    _check_point(mode, r, theta, phi)
-    f0, f1 = _azimuthal_factors(mode, phi)
-    nu, a = mode.eigenpair.nu, mode.amplitude
-    x = mode.wavenumber * r
-    jv, rp = mode._memo.get_or(("r", r), lambda: (spherical_j(nu, x), riccati_deriv(nu, x)))
-    th, dth = mode._memo.get_or(("theta", theta), lambda: mode.polar(theta))
-    s = math.sin(theta)
-    tm = (polarization or mode.polarization) is RootKind.TM_RICCATI_DERIV_ZERO
-    c = -1j * mode.omega * mode.medium.epsilon if tm else 1j * mode.omega * mode.medium.mu
-    # (coefficients, Phi or Phi' per component): the double curl is E for TM, H for TE
-    curl2 = [nu * (nu + 1.0) / r * a * jv * th, a / r * rp * dth, a / (r * s) * rp * th], (f0, f0, f1)
-    curl1 = [0.0, c * a / s * jv * th, -c * a * jv * dth], (f0, f1, f0)
-    (e, fe), (h, fh) = (curl2, curl1) if tm else (curl1, curl2)
-    e, h = np.array(e, dtype=complex) * np.array(fe), np.array(h, dtype=complex) * np.array(fh)
-    return FieldSample(point=point, E=e, H=h)
+    memo, pol = mode._memo, polarization or mode.polarization
+    # a memo hit is one dict lookup; a miss computes and stores through get_or
+    tm, nu, a, nn1, ca, nca, k, r_hi, theta_lo, phi_hi = memo.get(pol) or memo.get_or(
+        pol, lambda: _constants(mode, pol)
+    )
+    if not (0.0 < r <= r_hi and theta_lo < theta < math.pi and (phi_hi is None or -1e-12 <= phi <= phi_hi)):
+        _check_point(mode, r, theta, phi)  # raises, with the message for the failed bound
+    jv, rp = memo.get(("r", r)) or memo.get_or(
+        ("r", r), lambda: (spherical_j(nu, k * r), riccati_deriv(nu, k * r))
+    )
+    th, dth, s = memo.get(("theta", theta)) or memo.get_or(
+        ("theta", theta), lambda: (*mode.polar(theta), math.sin(theta))
+    )
+    f2, f1 = memo.get(("phi", phi)) or memo.get_or(("phi", phi), lambda: _azimuthal_arrays(mode, phi))
+    # the double curl is E for TM, H for TE
+    curl2 = [nn1 / r * a * jv * th, a / r * rp * dth, a / (r * s) * rp * th]
+    curl1 = [0.0, ca / s * jv * th, nca * jv * dth]
+    (e, fe), (h, fh) = ((curl2, f2), (curl1, f1)) if tm else ((curl1, f1), (curl2, f2))
+    return FieldSample(point=point, E=np.array(e, dtype=complex) * fe, H=np.array(h, dtype=complex) * fh)
 
 
 def evaluate(mode: ModeSpec, point: tuple[float, float, float]) -> FieldSample:
@@ -219,10 +242,11 @@ def make_mode(
     tm = polarization is RootKind.TM_RICCATI_DERIV_ZERO
     q2 = 2.0 * eigenpair.m * domain.azimuth_opening_rad / math.pi
     if not domain.full_azimuth and (abs(q2 - round(q2)) > 1e-9 * max(1.0, q2) or (tm and q2 == 0.0)):
+        nearest = (round(q2) or int(tm)) * math.pi / (2.0 * domain.azimuth_opening_rad)
         raise DomainError(
             f"m={eigenpair.m!r} is not a {polarization.value} index of a "
             f"{math.degrees(domain.azimuth_opening_rad):g} deg wedge: m*Phi/pi = {q2 / 2.0:.9g} "
-            "must be an integer or an odd half-integer (> 0 for TM)"
+            f"must be an integer or an odd half-integer (> 0 for TM); the nearest index is m={nearest!r}"
         )
     root = radial_root(eigenpair.nu, n, polarization)
     kind = "traveling" if domain.full_azimuth else ("sin" if tm else "cos")

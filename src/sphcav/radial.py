@@ -82,7 +82,17 @@ def mcmahon_seed(nu: float, n: int, kind: RootKind) -> float:
     return mu + c * mu13 + (0.3 * c * c + 0.15 / c) / mu13
 
 
-_STEP = 0.05  # the first root exceeds nu and later ones are ~pi apart, so no root is skipped
+# Consecutive roots of either kind are at least pi apart for nu >= 0.  psi = x j_nu solves
+# psi'' + q psi = 0 with q = 1 - nu(nu+1)/x^2, and its Pruefer angle (psi = rho sin t,
+# psi' = rho cos t) grows at t' = cos^2 t + q sin^2 t <= 1 wherever q <= 1.  TE: the zeros of
+# j_nu, those of J_{nu+1/2}, are zeros of psi, so they are at least pi apart (Sturm
+# comparison; Watson, Treatise on Bessel Functions, 15.8).  TM: each zero of psi' lies at
+# least pi/2 from the zero of psi that interlaces with it, so zeros of psi' are at least pi
+# apart too.  For -1/2 < nu < 0, q exceeds 1 by at most 1/(4 x^2); the least spacing
+# measured there is 3.02, as nu -> -1/2.  A coarse interval of x-width 1.0 thus holds at
+# most one root and shows it as a sign change.
+_STEP = 0.05  # the first root exceeds nu, so a scan from nu in these steps skips none
+_COARSE = 20  # scan steps per coarse interval (x-width 1.0)
 _WINDOW = 12.0  # the scan grid is summed window by window, each clamped to its end
 _BLOCK = 64  # grid points per vectorized block past the estimate, about one root spacing
 
@@ -104,6 +114,13 @@ class RadialSweep:
     grid in vectorized blocks, and Brent's method refines each sign change to
     xtol = 1e-12 as it is reached (specfun.bracketed_roots).  Later requests
     continue the scan, so no root is bracketed or refined twice.
+
+    A block is evaluated coarse to fine: first at every 20th grid point (an
+    x-stride of 1.0) and the last, then at every grid point of each coarse
+    interval that changes sign.  Roots are more than 1.0 apart, so a coarse
+    interval holds at most one, and Brent gets the brackets of the dense scan;
+    the roots are those of the dense scan bit for bit.  nth's blocks of at most
+    _BLOCK steps are evaluated densely, which costs less than two passes.
     """
 
     def __init__(self, nu: float, kind: RootKind):
@@ -119,7 +136,7 @@ class RadialSweep:
         """The wall condition at one x, as Brent's method evaluates it."""
         return spherical_j(self.nu, x) if self.kind is RootKind.TE_JZERO else riccati_deriv(self.nu, x)
 
-    def _scan(self, count: int) -> None:
+    def _scan(self, count: int, stride: int = _COARSE) -> None:
         # grid from the last scanned point on, summed in order as a scalar loop would
         if self._x >= self._hi:
             self._hi += _WINDOW
@@ -127,7 +144,19 @@ class RadialSweep:
         grid = grid[grid < self._hi]
         if len(grid) <= count:
             grid = np.append(grid, self._hi)
-        values = _wall_condition(self.nu, self.kind, grid)
+        if stride == 1:
+            values = _wall_condition(self.nu, self.kind, grid)
+        else:  # every stride-th point and the last, then every point of each coarse interval
+            # that changes sign: a dense scan's brackets (a zero at a coarse point is a root as is)
+            coarse = np.append(np.arange(0, len(grid) - 1, stride), len(grid) - 1)
+            ends = _wall_condition(self.nu, self.kind, grid[coarse])
+            keep = np.zeros(len(grid), dtype=bool)
+            for i in np.flatnonzero(ends[:-1] * ends[1:] < 0.0):
+                keep[coarse[i] + 1 : coarse[i + 1]] = True
+            values = np.empty(len(grid))
+            values[coarse], values[keep] = ends, _wall_condition(self.nu, self.kind, grid[keep])
+            keep[coarse] = True
+            grid, values = grid[keep], values[keep]
         what = f"{self.kind.value} radial condition for nu={self.nu}"
         # this module's brentq, so that a wrapper around radial.brentq sees each refinement
         self._pending = bracketed_roots(self.value, grid, values, what, brentq, xtol=1e-12)
@@ -163,7 +192,8 @@ class RadialSweep:
                 raise RootSearchError(
                     f"failed to bracket root n={n} for nu={self.nu}", window=(self.lo, self._hi)
                 )
-            self._scan(max(block, 1))
+            # a block this short costs less evaluated densely (stride 1) than in two passes
+            self._scan(max(block, 1), _COARSE if block > _BLOCK else 1)
             block = _BLOCK
         return self.roots[n - 1]
 

@@ -140,6 +140,13 @@ def test_energy_rejects_an_m_the_wedge_does_not_admit(capsys):
     assert code == 1 and "not a TM index" in err
 
 
+def test_rejected_wedge_index_names_the_nearest_in_full(capsys):
+    # the table format prints m to 4 decimals; the error gives the admissible m to copy back
+    code, out, err = run(capsys, "energy", "--mode", "TM,0.6667,0.6667,1", "--wedge-deg", "270")
+    assert code == 1 and out == ""
+    assert "not a TM index" in err and "0.6666666666666666" in err
+
+
 # stdout of the README's `sphcav modes` examples, as the scalar root scan printed it
 README_TABLE = """\
 pol         nu         m   k  n          x  f [GHz] family

@@ -361,6 +361,53 @@ def test_memo_reuse_is_bit_identical(memo_modes, name, layout, monkeypatch):
     assert fresh_z == [wave_impedances(mode, *p, polarization=pol) for p in points[::7] for pol in pols]
 
 
+def _impedance_bits(mode, points, pols):
+    return [np.array(wave_impedances(mode, *p, polarization=pol)).tobytes() for p in points for pol in pols]
+
+
+@pytest.mark.parametrize("name", ["wedge_TM_tesseral", "wedge_TE_sectoral"])
+def test_memo_keeps_the_dual_polarization_apart(memo_modes, name, monkeypatch):
+    # the memo keys the mode's constants by polarization: the dual wave at the same
+    # points, before and after the mode's own, matches a memo-less evaluation byte for byte
+    mode = replace(memo_modes[name])
+    points = _memo_points(mode, "tensor_grid")
+    own = mode.polarization
+    dual = RootKind.TE_JZERO if own is RootKind.TM_RICCATI_DERIV_ZERO else RootKind.TM_RICCATI_DERIV_ZERO
+    with monkeypatch.context() as patch:
+        patch.setattr(fields._FactorMemo, "get_or", lambda memo, key, compute: compute())
+        fresh = _impedance_bits(mode, points, (dual, own))
+        fresh_e = [evaluate(mode, p).E.tobytes() for p in points]
+    assert len(mode._memo) == 0
+    assert _impedance_bits(mode, points, (dual, own)) == fresh
+    assert [evaluate(mode, p).E.tobytes() for p in points] == fresh_e
+    assert _impedance_bits(mode, points, (own, dual)) == [z for pair in zip(fresh[1::2], fresh[::2]) for z in pair]
+
+
+def test_domain_errors_after_a_memo_hit(memo_modes):
+    wedge, cone = replace(memo_modes["wedge_TM_tesseral"]), replace(memo_modes["cone20_TM_zonal"])
+    inside = (0.008, 1.1, 0.3)
+    for mode in (wedge, cone):
+        evaluate(mode, inside)
+        evaluate(mode, inside)  # every factor from the memo
+        assert len(mode._memo) > 0
+    r = 1.1 * A_RADIUS
+    with pytest.raises(DomainError) as err:
+        evaluate(wedge, (r, 1.1, 0.3))
+    assert str(err.value) == f"r={r} outside (0, {A_RADIUS}]"
+    lo = cone.domain.cone_half_angle_rad
+    for theta in (lo, 0.5 * lo):
+        with pytest.raises(DomainError) as err:
+            evaluate(cone, (0.008, theta, 0.3))
+        assert str(err.value) == f"theta={theta} outside the angular domain ({lo}, pi)"
+    for phi in (-1e-9, WEDGE_270.azimuth_opening_rad + 1e-9):
+        with pytest.raises(DomainError) as err:
+            evaluate(wedge, (0.008, 1.1, phi))
+        assert str(err.value) == f"phi={phi} outside the wedge opening"
+    with pytest.raises(DomainError) as err:
+        wave_impedances(wedge, 0.008, 1.1, 5.0, polarization=RootKind.TE_JZERO)
+    assert str(err.value) == "phi=5.0 outside the wedge opening"
+
+
 def test_memo_is_not_part_of_the_mode():
     warm, cold = tm_mode(2.0), tm_mode(2.0)
     point = (0.008, 1.1, 0.3)

@@ -16,6 +16,7 @@ from sphcav.radial import (
     frequency_from_root,
     j_zero,
     mcmahon_seed,
+    radial_root,
     riccati_deriv_zero,
 )
 from sphcav.specfun import riccati_deriv, spherical_j
@@ -241,6 +242,71 @@ def test_sweep_continues_without_refining_twice(monkeypatch):
     more = sweep.below(30.0)
     assert more[: len(first)] == first and more[-1].x > 28.0
     assert len(refined) == len(set(refined)) == len(more) - len(first)
+
+
+class DenseSweep(RadialSweep):
+    """The reference scan: the wall condition at every 0.05 step of the same grid."""
+
+    def _scan(self, count):
+        if self._x >= self._hi:
+            self._hi += 12.0
+        grid = np.cumsum(np.concatenate(([self._x], np.full(count, 0.05))))
+        grid = grid[grid < self._hi]
+        if len(grid) <= count:
+            grid = np.append(grid, self._hi)
+        values = radial._wall_condition(self.nu, self.kind, grid)
+        what = f"{self.kind.value} radial condition for nu={self.nu}"
+        self._pending = radial.bracketed_roots(self.value, grid, values, what, brentq, xtol=1e-12)
+        self._x = float(grid[-1])
+
+
+def _bits(roots):
+    return [(r.nu, r.n, r.kind, r.x.hex(), r.residual.hex()) for r in roots]
+
+
+def _assert_scan_matches_the_dense_scan(nu):
+    for kind in (TE, TM):
+        want = DenseSweep(nu, kind).below(nu + 120.0)
+        assert len(want) >= 21
+        assert _bits(RadialSweep(nu, kind).below(nu + 120.0)) == _bits(want)
+        for n in (1, 2, 7, 20):
+            assert _bits([radial_root(nu, n, kind)]) == _bits(want[n - 1 : n])
+
+
+SCAN_NUS = [
+    *np.linspace(-0.499, 0.0, 26)[1:].tolist(),
+    *np.round(np.arange(0.0, 5.05, 0.1), 12).tolist(),
+    1e-9, 2.0 / 3.0, 13.0 / 3.0, 7.3, 40.0, 120.0, 200.0,
+]
+
+
+@pytest.mark.parametrize("nu", SCAN_NUS)
+def test_coarse_scan_matches_the_dense_scan(nu):
+    _assert_scan_matches_the_dense_scan(nu)
+
+
+@settings(max_examples=15, deadline=None)
+@given(nu=st.floats(min_value=-0.499, max_value=200.0))
+def test_coarse_scan_matches_the_dense_scan_anywhere(nu):
+    _assert_scan_matches_the_dense_scan(nu)
+
+
+@pytest.mark.parametrize("at", [20, 25])  # a coarse point, a point between two
+def test_an_exact_zero_on_the_grid_is_the_root(monkeypatch, at):
+    zero = np.cumsum([1.0] + [0.05] * at)[-1]
+    monkeypatch.setattr(radial, "jv", lambda v, x: np.asarray(x) - zero)
+    want = DenseSweep(1.0, TE).below(5.0)
+    assert [r.x for r in want] == [zero]
+    assert _bits(RadialSweep(1.0, TE).below(5.0)) == _bits(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(nu=st.floats(min_value=-0.5, max_value=200.0, exclude_min=True), kind=st.sampled_from([TE, TM]))
+def test_consecutive_roots_are_far_apart(nu, kind):
+    # at least pi apart for nu >= 0 (see radial.py); 3.02 at the least as nu -> -1/2
+    xs = [r.x for r in RadialSweep(nu, kind).below(nu + 60.0)]
+    assert len(xs) >= 5
+    assert min(b - a for a, b in zip(xs, xs[1:])) > 2.5
 
 
 @settings(max_examples=40, deadline=None)
