@@ -247,7 +247,7 @@ def test_sweep_continues_without_refining_twice(monkeypatch):
 class DenseSweep(RadialSweep):
     """The reference scan: the wall condition at every 0.05 step of the same grid."""
 
-    def _scan(self, count):
+    def _scan(self, count, stride=1):  # every grid point, whatever the stride
         if self._x >= self._hi:
             self._hi += 12.0
         grid = np.cumsum(np.concatenate(([self._x], np.full(count, 0.05))))
@@ -274,7 +274,7 @@ def _assert_scan_matches_the_dense_scan(nu):
 
 
 SCAN_NUS = [
-    *np.linspace(-0.499, 0.0, 26)[1:].tolist(),
+    *np.linspace(-0.499, 0.0, 26)[1:-1].tolist(),  # with 0 below: 25 points on (-0.499, 0]
     *np.round(np.arange(0.0, 5.05, 0.1), 12).tolist(),
     1e-9, 2.0 / 3.0, 13.0 / 3.0, 7.3, 40.0, 120.0, 200.0,
 ]
