@@ -50,17 +50,12 @@ from .radial import (
     RadialSweep,
     RootKind,
     SPEED_OF_LIGHT,
-    asymptotic_m_of_omega,
     frequency_from_root,
     j_zero,
     mcmahon_seed,
     riccati_deriv_zero,
 )
 from .specfun import (
-    AIRY_ROOTS,
-    AiryRootTable,
-    SeriesControl,
-    digamma,
     hyp2f1,
     legendre_theta,
     legendre_theta_deriv,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .errors import ClassificationError, DomainError, RootSearchError
-from .specfun import DEFAULT_CONTROL, INT_TOL, SeriesControl, bracketed_roots, ln_gamma, polar_solution
+from .specfun import INT_TOL, bracketed_roots, ln_gamma, polar_solution
 
 __all__ = [
     "Family",
@@ -195,7 +195,6 @@ def cone_roots(
     theta_c: float,
     polarization: str,
     nu_max: float,
-    ctrl: SeriesControl = DEFAULT_CONTROL,
     max_branches: int | None = None,
 ) -> list[float]:
     """All cone eigenvalues below nu_max, smallest first.
@@ -220,12 +219,12 @@ def cone_roots(
     index = 0 if pol == "TM" else 1
 
     def g(nu: float) -> float:
-        return polar_solution(nu, m, target, ctrl)[index]
+        return polar_solution(nu, m, target)[index]
 
     grid = [_NU_FLOOR]
     while grid[-1] < nu_max:
         grid.append(min(grid[-1] + _SCAN_STEP, nu_max))
-    values = polar_solution(grid, m, target, ctrl)[index]
+    values = polar_solution(grid, m, target)[index]
     # this module's brentq, so that a wrapper around angular.brentq sees each refinement
     what = f"{pol} cone condition for m={m}, theta_c={theta_c:g} rad"
     roots = bracketed_roots(g, grid, values, what, brentq, xtol=1e-10, rtol=1e-14)
@@ -237,7 +236,6 @@ def cone_nu(
     theta_c: float,
     polarization: str,
     branch: int = 1,
-    ctrl: SeriesControl = DEFAULT_CONTROL,
     nu_max: float | None = None,
 ) -> float:
     """The branch-th smallest nu > 0 satisfying the cone condition.
@@ -250,7 +248,7 @@ def cone_nu(
     if branch < 1:
         raise DomainError("branch index must be >= 1")
     hi = nu_max if nu_max is not None else m + branch + 2.0
-    roots = cone_roots(m, theta_c, polarization, hi, ctrl, max_branches=branch)
+    roots = cone_roots(m, theta_c, polarization, hi, max_branches=branch)
     if len(roots) < branch:
         raise RootSearchError(
             f"no {polarization} cone root (branch {branch}) for m={m}, "

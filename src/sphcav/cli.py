@@ -30,6 +30,14 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(t) for t in text.replace(",", " ").split()]
 
 
+def _parse_point(text: str) -> tuple[float, float, float]:
+    try:
+        r, theta, phi = _parse_float_list(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"point must be r,theta,phi; got {text!r}") from exc
+    return r, theta, phi
+
+
 def _config_from(args) -> spectrum.CavityConfig:
     return spectrum.CavityConfig(
         radius_m=args.radius_mm / 1000.0,
@@ -99,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("field", help="field components of one mode at a point")
     _add_geometry_args(p)
     p.add_argument("--mode", type=_parse_mode, required=True, help="pol,nu,m,n")
-    p.add_argument("--at", type=_parse_float_list, required=True, help="r[m],theta[rad],phi[rad]")
+    p.add_argument("--at", type=_parse_point, required=True, help="r[m],theta[rad],phi[rad]")
 
     p = sub.add_parser("validate", help="recompute a bundled reference fixture")
     p.add_argument("--fixture", choices=spectrum.list_fixtures(), required=True)

@@ -53,6 +53,9 @@ __all__ = [
     "mode_energy",
 ]
 
+_QUAD_REL = 1e-9  # relative tolerance of the 1-D quadratures where no closed form applies
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     radial_integrable: bool
@@ -91,14 +94,14 @@ def _phi_weight(mode: ModeSpec) -> float:
     return 0.5 * opening
 
 
-def _quad(f, lo: float, hi: float, quad_rel: float) -> float:
-    val, err = quad(f, lo, hi, epsabs=1e-14, epsrel=quad_rel, limit=400)
-    if abs(val) > 0.0 and err > 10.0 * quad_rel * abs(val):
+def _quad(f, lo: float, hi: float) -> float:
+    val, err = quad(f, lo, hi, epsabs=1e-14, epsrel=_QUAD_REL, limit=400)
+    if abs(val) > 0.0 and err > 10.0 * _QUAD_REL * abs(val):
         raise IntegrationError(f"energy quadrature error {err:g} too large")
     return val
 
 
-def _angular_norm(mode: ModeSpec, quad_rel: float) -> float:
+def _angular_norm(mode: ModeSpec) -> float:
     """int Theta^2 sin(theta) dtheta over the retained polar interval."""
     pair = mode.eigenpair
     if not mode.domain.has_cone:
@@ -108,22 +111,22 @@ def _angular_norm(mode: ModeSpec, quad_rel: float) -> float:
             return zonal_norm(int(round(pair.nu)))
     return _quad(
         lambda theta: mode.polar(theta)[0] ** 2 * math.sin(theta),
-        mode.domain.cone_half_angle_rad, math.pi, quad_rel,
+        mode.domain.cone_half_angle_rad, math.pi,
     )
 
 
-def mode_energy(mode: ModeSpec, quad_rel: float = 1e-9) -> EnergyReport:
+def mode_energy(mode: ModeSpec) -> EnergyReport:
     """Stored energy and its factorized ingredients for one mode.
 
     For an eigenmode total_energy = 1/2 |A|^2 w nu(nu+1) k^2 a^3 I_r I_theta
     I_phi; off the wall or cone root the boundary terms of the module
     docstring are added.  I_r and I_theta are the dimensionless profile norms
-    and I_phi the azimuthal weight of |Phi|^2.  ``quad_rel`` is the relative
-    tolerance of the 1-D quadratures where no closed form applies.
+    and I_phi the azimuthal weight of |Phi|^2.  Where no closed form applies
+    they come from 1-D quadratures to a relative tolerance of 1e-9.
     """
     nu, x = mode.eigenpair.nu, mode.radial.x
     lam = nu * (nu + 1.0)
-    i_theta = _angular_norm(mode, quad_rel)
+    i_theta = _angular_norm(mode)
     j0, j1 = spherical_j(nu, x), spherical_j(nu + 1.0, x)
     i_r = 0.5 * (j0 * j0 + j1 * j1 - (2.0 * nu + 1.0) / x * j0 * j1)
     i_phi = _phi_weight(mode)
@@ -134,7 +137,7 @@ def mode_energy(mode: ModeSpec, quad_rel: float = 1e-9) -> EnergyReport:
         th, dth = mode.polar(theta_c)
         b = math.sin(theta_c) * th * dth
         # u = s^2 smooths the u^(2 nu) start of j_nu(x u)^2
-        j_sq = _quad(lambda s: 2.0 * s * spherical_j(nu, x * s * s) ** 2, 0.0, 1.0, quad_rel)
+        j_sq = _quad(lambda s: 2.0 * s * spherical_j(nu, x * s * s) ** 2, 0.0, 1.0)
 
     w = mode.medium.epsilon if mode.polarization.value == "TM" else mode.medium.mu
     bracket = (lam * i_theta - b) * (2.0 * x * x * i_r + beta) + b * lam * j_sq

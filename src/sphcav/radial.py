@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 from scipy.special import jv
 
 from .errors import DomainError, RootSearchError
-from .specfun import AIRY_ROOTS, bracketed_roots, riccati_deriv, spherical_j
+from .specfun import bracketed_roots, riccati_deriv, spherical_j
 
 __all__ = [
     "RootKind",
@@ -26,13 +26,17 @@ __all__ = [
     "j_zero",
     "riccati_deriv_zero",
     "mcmahon_seed",
+    "AIRY_ZEROS",
+    "AIRY_PRIME_ZEROS",
     "frequency_from_root",
-    "asymptotic_m_of_omega",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
+# magnitudes z_n of the first Airy zeros, Ai(-z_n) = 0, and z'_n of Ai'(-z'_n) = 0
+AIRY_ZEROS = (2.33810741045977, 4.08794944413097, 5.52055982809555, 6.78670809007176, 7.94413358712085)
+AIRY_PRIME_ZEROS = (1.01879297164747, 3.24819758217984, 4.82009921117874, 6.16330735563949, 7.37217725504777)
 
 
 class RootKind(enum.Enum):
@@ -72,13 +76,13 @@ def mcmahon_seed(nu: float, n: int, kind: RootKind) -> float:
     mu = nu + 0.5
     mu13 = mu ** (1.0 / 3.0)
     if kind is RootKind.TE_JZERO:
-        if n > len(AIRY_ROOTS.ai_zeros):
+        if n > len(AIRY_ZEROS):
             raise DomainError(f"no stored Airy zero for n={n}")
-        c = AIRY_ROOTS.ai_zeros[n - 1] / _CBRT2
+        c = AIRY_ZEROS[n - 1] / _CBRT2
         return mu + c * mu13 + 0.3 * c * c / mu13
-    if n > len(AIRY_ROOTS.ai_prime_zeros):
+    if n > len(AIRY_PRIME_ZEROS):
         raise DomainError(f"no stored Airy-derivative zero for n={n}")
-    c = AIRY_ROOTS.ai_prime_zeros[n - 1] / _CBRT2
+    c = AIRY_PRIME_ZEROS[n - 1] / _CBRT2
     return mu + c * mu13 + (0.3 * c * c + 0.15 / c) / mu13
 
 
@@ -124,9 +128,10 @@ class RadialSweep:
     """
 
     def __init__(self, nu: float, kind: RootKind):
-        if nu <= -0.5:
-            raise DomainError(f"radial roots require nu > -1/2, got nu={nu}")
+        if not -0.5 < nu < math.inf:
+            raise DomainError(f"radial roots require a finite nu > -1/2, got nu={nu}")
         self.nu, self.kind = nu, kind
+        self._what = f"{kind.value} radial condition for nu={nu}"
         self.lo = self._x = max(nu, 1e-3)
         self._hi = self.lo + _WINDOW
         self._pending = iter(())
@@ -137,10 +142,12 @@ class RadialSweep:
         return spherical_j(self.nu, x) if self.kind is RootKind.TE_JZERO else riccati_deriv(self.nu, x)
 
     def _scan(self, count: int, stride: int = _COARSE) -> None:
-        # grid from the last scanned point on, summed in order as a scalar loop would
+        # grid from the last scanned point on, summed in order as a scalar loop would and cut
+        # at the window end; no step is summed more than two past it, as those are cut anyway
         if self._x >= self._hi:
             self._hi += _WINDOW
-        grid = np.cumsum(np.concatenate(([self._x], np.full(count, _STEP))))
+        steps = min(count, int((self._hi - self._x) / _STEP) + 2)
+        grid = np.cumsum(np.concatenate(([self._x], np.full(steps, _STEP))))
         grid = grid[grid < self._hi]
         if len(grid) <= count:
             grid = np.append(grid, self._hi)
@@ -157,9 +164,8 @@ class RadialSweep:
             values[coarse], values[keep] = ends, _wall_condition(self.nu, self.kind, grid[keep])
             keep[coarse] = True
             grid, values = grid[keep], values[keep]
-        what = f"{self.kind.value} radial condition for nu={self.nu}"
         # this module's brentq, so that a wrapper around radial.brentq sees each refinement
-        self._pending = bracketed_roots(self.value, grid, values, what, brentq, xtol=1e-12)
+        self._pending = bracketed_roots(self.value, grid, values, self._what, brentq, xtol=1e-12)
         self._x = float(grid[-1])
 
     def _next_root(self) -> bool:
@@ -220,17 +226,3 @@ def frequency_from_root(x: float, radius_m: float) -> float:
     if x <= 0.0:
         raise DomainError("root must be positive")
     return SPEED_OF_LIGHT * x / (2.0 * math.pi * radius_m)
-
-
-def asymptotic_m_of_omega(omega_a_over_c: float, kind: RootKind) -> float:
-    """Whispering-gallery estimate of the angular index at X = omega*a/c.
-
-    First sectoral branch inverted to leading Airy order:
-    m ~ X - 1.856 X^(1/3) (TE) or X - 0.809 X^(1/3) (TM).
-    """
-    if omega_a_over_c < 1.0:
-        raise DomainError("asymptotic inversion requires omega*a/c >= 1")
-    x13 = omega_a_over_c ** (1.0 / 3.0)
-    if kind is RootKind.TE_JZERO:
-        return omega_a_over_c - 1.856 * x13
-    return omega_a_over_c - 0.809 * x13

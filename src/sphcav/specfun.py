@@ -12,7 +12,6 @@ All functions are pure; no module-level mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -21,11 +20,7 @@ from scipy.integrate import solve_ivp  # noqa: F401 -- benchmarks/spans.py wraps
 from .errors import ConvergenceError, DomainError, RootSearchError
 
 __all__ = [
-    "SeriesControl",
-    "AiryRootTable",
-    "AIRY_ROOTS",
     "ln_gamma",
-    "digamma",
     "hyp2f1",
     "spherical_j",
     "riccati_deriv",
@@ -37,50 +32,8 @@ __all__ = [
 ]
 
 INT_TOL = 1e-12  # how close a float must be to an integer to count as one
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Evaluation controls for series summation."""
-
-    max_terms: int = 500
-    tolerance: float = 1e-15
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-        if not (0.0 < self.tolerance < 1.0):
-            raise DomainError("tolerance must lie in (0, 1)")
-
-
-DEFAULT_CONTROL = SeriesControl()
-
-
-@dataclass(frozen=True)
-class AiryRootTable:
-    """Magnitudes z_n of Airy-function zeros: Ai(-z_n) = 0 and Ai'(-z'_n) = 0.
-
-    Stored rather than computed; only the leading entries are ever needed
-    as asymptotic seeds.
-    """
-
-    ai_zeros: tuple[float, ...] = (
-        2.33810741045977,
-        4.08794944413097,
-        5.52055982809555,
-        6.78670809007176,
-        7.94413358712085,
-    )
-    ai_prime_zeros: tuple[float, ...] = (
-        1.01879297164747,
-        3.24819758217984,
-        4.82009921117874,
-        6.16330735563949,
-        7.37217725504777,
-    )
-
-
-AIRY_ROOTS = AiryRootTable()
+_MAX_TERMS = 500  # a series that needs more raises ConvergenceError
+_TOLERANCE = 1e-15  # a series stops at the first term this small relative to its size
 
 
 def ln_gamma(x: float) -> float:
@@ -90,63 +43,27 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def digamma(x: float) -> float:
-    """Digamma function psi(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
-    return float(sp.psi(x))
-
-
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= INT_TOL and abs(x - round(x)) <= INT_TOL * max(1.0, abs(x))
 
 
-def hyp2f1(a: float, b: float, c: float, z: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric sum 2F1(a, b; c; z) for real z in [0, 1).
 
-    When a or b is a non-positive integer the series terminates and the exact
-    finite polynomial sum is returned regardless of ``ctrl.tolerance``.
-    Otherwise terms are accumulated until the relative term size drops below
-    the tolerance; exceeding ``ctrl.max_terms`` raises ConvergenceError with
-    the partial sum attached.
+    Terms are summed until one falls to 1e-15 of the sum; a series that needs
+    more than 500 terms raises ConvergenceError with the partial sum attached.
+    When a or b is a non-positive integer every term past the polynomial's
+    last is exactly 0, so the sum stops there at the latest.
     """
     if not (0.0 <= z < 1.0):
         raise DomainError(f"hyp2f1 requires 0 <= z < 1, got z={z}")
-
-    a_term = _is_nonpositive_integer(a)
-    b_term = _is_nonpositive_integer(b)
-    if a_term or b_term:
-        # exact polynomial of degree K; c may be a non-positive integer only
-        # if the series stops before 1/Gamma(c) poles are reached
-        k_stop = int(round(-a)) if a_term else int(round(-b))
-        if b_term and a_term:
-            k_stop = min(int(round(-a)), int(round(-b)))
-        if _is_nonpositive_integer(c) and -round(c) < k_stop:
-            raise DomainError(
-                f"hyp2f1 parameter c={c} hits a pole before the series terminates"
-            )
-        total = 1.0
-        term = 1.0
-        for k in range(k_stop):
-            term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-            total += term
-        return total
-
-    if _is_nonpositive_integer(c):
-        raise DomainError(f"hyp2f1 parameter c={c} is a non-positive integer")
-
-    total = 1.0
-    term = 1.0
-    for k in range(ctrl.max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += term
-        if abs(term) < ctrl.tolerance * abs(total):
-            return total
-    raise ConvergenceError(
-        f"hyp2f1({a}, {b}; {c}; {z}) did not converge in {ctrl.max_terms} terms",
-        partial_sum=total,
-        last_term=abs(term),
-    )
+    # a non-positive integer a or b, taken exact, makes every term past the polynomial 0;
+    # a non-positive integer c is a 1/Gamma(c) pole unless the series stops before it
+    a, b = (float(round(x)) if _is_nonpositive_integer(x) else x for x in (a, b))
+    degrees = [-x for x in (a, b) if _is_nonpositive_integer(x)]
+    if _is_nonpositive_integer(c) and (not degrees or -round(c) <= min(degrees)):
+        raise DomainError(f"hyp2f1 parameter c={c} is a non-positive integer the series reaches")
+    return _gauss_series(a, b, c, z)
 
 
 def _double_factorial_odd(nu: float) -> float:
@@ -251,10 +168,10 @@ def _all_below(x, y) -> bool:
     return bool(x <= y) if isinstance(x, float) else bool((x <= y).all())
 
 
-def _not_converged(what: str, total, term, ctrl: SeriesControl) -> ConvergenceError:
+def _not_converged(what: str, total, term) -> ConvergenceError:
     worst = int(np.argmax(np.abs(np.ravel(term))))
     return ConvergenceError(
-        f"{what} did not converge in {ctrl.max_terms} terms",
+        f"{what} did not converge in {_MAX_TERMS} terms",
         partial_sum=float(np.ravel(total)[worst]),
         last_term=float(abs(np.ravel(term)[worst])),
     )
@@ -267,17 +184,17 @@ def _terminates(nu, m: float):
     return (d >= -INT_TOL) & (abs(d - np.round(d)) <= INT_TOL * np.maximum(1.0, abs(d)))
 
 
-def _gauss_series(a, b, c, x, ctrl: SeriesControl):
-    """Sum of (a)_k (b)_k / ((c)_k k!) x^k for 0 <= x <= 1/2."""
+def _gauss_series(a, b, c, x):
+    """Sum of (a)_k (b)_k / ((c)_k k!) x^k for 0 <= x < 1."""
     term = total = size = 1.0  # arrays from the first step on, if any argument is one
-    for k in range(ctrl.max_terms):
+    for k in range(_MAX_TERMS):
         term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0)) * x)
         total = total + term
         size = size + abs(term)
         # relative to the sum, or to its rounding noise where it cancels to ~0
-        if _all_below(abs(term), ctrl.tolerance * (abs(total) + _EPS * size)):
+        if _all_below(abs(term), _TOLERANCE * (abs(total) + _EPS * size)):
             return total
-    raise _not_converged("Gauss series", total, term, ctrl)
+    raise _not_converged("Gauss series", total, term)
 
 
 def _singular_weight(nu, m: float, w):
@@ -286,14 +203,14 @@ def _singular_weight(nu, m: float, w):
     return sp.gammasgn(m) * sp.rgamma(m - nu) * np.exp(log_ratio - 0.5 * m * np.log(w))
 
 
-def _connect_fractional(nu, m: float, w, ctrl: SeriesControl):
+def _connect_fractional(nu, m: float, w):
     """w^(m/2) F by DLMF 15.8.4, non-integer m."""
     a = np.sin(np.pi * nu) / math.sin(math.pi * m)
-    regular = a * w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, w, ctrl)
-    return regular + _singular_weight(nu, m, w) * _gauss_series(nu + 1.0, -nu, 1.0 - m, w, ctrl)
+    regular = a * w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, w)
+    return regular + _singular_weight(nu, m, w) * _gauss_series(nu + 1.0, -nu, 1.0 - m, w)
 
 
-def _connect_integer(nu, m: int, w, ctrl: SeriesControl):
+def _connect_integer(nu, m: int, w):
     """w^(m/2) F by DLMF 15.8.10, integer m: a log series plus a finite head."""
     a, b = m - nu, m + nu + 1.0
     sin_nu, pi_cos_nu = np.sin(np.pi * nu), np.pi * np.cos(np.pi * nu)
@@ -301,7 +218,7 @@ def _connect_integer(nu, m: int, w, ctrl: SeriesControl):
     # psi(k+1), psi(m+k+1) and psi(b+k) by upward recurrence
     psi_k1, psi_km1, psi_b = float(sp.psi(1.0)), float(sp.psi(m + 1.0)), sp.psi(b)
     coef, total, size = 1.0, 0.0, 0.0  # coef = m! (a)_k (b)_k / (k! (m+k)!) w^k
-    for k in range(ctrl.max_terms):
+    for k in range(_MAX_TERMS):
         x = a + k
         reflect = x < 0.5  # then psi(1 - x) and the pi cos(pi nu) term
         sin_psi_a = sin_nu * sp.psi(x + reflect * (1.0 - 2.0 * x)) + reflect * pi_cos_nu
@@ -309,13 +226,13 @@ def _connect_integer(nu, m: int, w, ctrl: SeriesControl):
         size = size + abs(coef)
         coef = coef * ((a + k) * (b + k) / ((k + 1.0) * (m + k + 1.0)) * w)
         # the psi bracket varies slowly, so the coefficients set the convergence
-        if _all_below(abs(coef), ctrl.tolerance * size):
+        if _all_below(abs(coef), _TOLERANCE * size):
             break
         psi_k1 += 1.0 / (k + 1.0)
         psi_km1 += 1.0 / (m + k + 1.0)
         psi_b = psi_b + 1.0 / (b + k)
     else:
-        raise _not_converged("logarithmic connection series", total, coef, ctrl)
+        raise _not_converged("logarithmic connection series", total, coef)
     g = ((-1.0) ** m / math.pi) * w ** (0.5 * m) * total
     if m > 0:
         head = term = 1.0
@@ -326,54 +243,54 @@ def _connect_integer(nu, m: int, w, ctrl: SeriesControl):
     return g
 
 
-def _connect(nu, m: float, w, ctrl: SeriesControl):
+def _connect(nu, m: float, w):
     """w^(m/2) F past z = 1/2, for nu - m not a non-negative integer."""
     base = round(m)
     offset = m - base
     if abs(offset) <= INT_TOL:
-        return _connect_integer(nu, base, w, ctrl)
+        return _connect_integer(nu, base, w)
     if abs(offset) >= _BAND:
-        return _connect_fractional(nu, m, w, ctrl)
+        return _connect_fractional(nu, m, w)
     total = 0.0
     for j, hj in enumerate(_BAND_NODES):
         weight = math.prod((offset - hi) / (hj - hi) for i, hi in enumerate(_BAND_NODES) if i != j)
         if hj == 0.0:
-            node = _connect_integer(nu, base, w, ctrl)
+            node = _connect_integer(nu, base, w)
         else:
-            node = _connect_fractional(nu, base + hj, w, ctrl)
+            node = _connect_fractional(nu, base + hj, w)
         total = total + weight * node
     return total
 
 
-def _reflected(nu, m: float, w, ctrl: SeriesControl):
+def _reflected(nu, m: float, w):
     """w^(m/2) F past z = 1/2 when nu - m = k is a non-negative integer: (-1)^k F(w)."""
     sign = 1.0 - 2.0 * (np.round(nu - m) % 2.0)
-    return sign * w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, w, ctrl)
+    return sign * w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, w)
 
 
-def _scaled_hyp(nu, m: float, z, w, ctrl: SeriesControl):
+def _scaled_hyp(nu, m: float, z, w):
     """G = w^(m/2) 2F1(m - nu, m + nu + 1; m + 1; z), with w = 1 - z passed exactly."""
     if isinstance(nu, float):
         if z <= _CONNECT_Z:
-            return w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, z, ctrl)
+            return w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, z)
         if _terminates(nu, m):
-            return _reflected(nu, m, w, ctrl)
-        return _connect(nu, m, w, ctrl)
+            return _reflected(nu, m, w)
+        return _connect(nu, m, w)
     out = np.empty(nu.shape)
     near = z <= _CONNECT_Z
     poly = ~near & _terminates(nu, m)
     far = ~(near | poly)
     if near.any():
         a, b = m - nu[near], m + nu[near] + 1.0
-        out[near] = w[near] ** (0.5 * m) * _gauss_series(a, b, m + 1.0, z[near], ctrl)
+        out[near] = w[near] ** (0.5 * m) * _gauss_series(a, b, m + 1.0, z[near])
     if poly.any():
-        out[poly] = _reflected(nu[poly], m, w[poly], ctrl)
+        out[poly] = _reflected(nu[poly], m, w[poly])
     if far.any():
-        out[far] = _connect(nu[far], m, w[far], ctrl)
+        out[far] = _connect(nu[far], m, w[far])
     return out
 
 
-def polar_solution(nu, m: float, theta, ctrl: SeriesControl = DEFAULT_CONTROL):
+def polar_solution(nu, m: float, theta):
     """(Theta, dTheta/dtheta) of the north-pole-regular polar solution.
 
     ``nu`` and ``theta`` broadcast against each other and ``m`` is one order
@@ -395,19 +312,19 @@ def polar_solution(nu, m: float, theta, ctrl: SeriesControl = DEFAULT_CONTROL):
     if not inside:
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
     z, w = sin(0.5 * theta) ** 2, cos(0.5 * theta) ** 2
-    value = (4.0 * z) ** (0.5 * m) * _scaled_hyp(nu, m, z, w, ctrl)
+    value = (4.0 * z) ** (0.5 * m) * _scaled_hyp(nu, m, z, w)
     # product rule with dz/dtheta = sin(theta)/2 and dF/dz = (ab/c) F at order
     # m + 1, whose sin^(m+1) F is (4z)^((m+1)/2) G; ab = 0 (nu = m) drops out
     ab_c = (m - nu) * (m + nu + 1.0) / (m + 1.0)
     deriv = m * cos(theta) / sin(theta) * value
     if shape is not None or ab_c != 0.0:
-        deriv = deriv + 0.5 * ab_c * (4.0 * z) ** (0.5 * m + 0.5) * _scaled_hyp(nu, m + 1.0, z, w, ctrl)
+        deriv = deriv + 0.5 * ab_c * (4.0 * z) ** (0.5 * m + 0.5) * _scaled_hyp(nu, m + 1.0, z, w)
     if shape is None:
         return float(value), float(deriv)
     return value.reshape(shape), deriv.reshape(shape)
 
 
-def legendre_theta(nu: float, m: float, theta: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def legendre_theta(nu: float, m: float, theta: float) -> float:
     """North-pole-regular polar solution of the angular equation.
 
     Frobenius normalization: legendre_theta / sin(theta)^m -> 1 as theta -> 0+.
@@ -415,9 +332,9 @@ def legendre_theta(nu: float, m: float, theta: float, ctrl: SeriesControl = DEFA
     it is sin(theta)^m times a degree-k polynomial in sin^2(theta/2); for all
     other (nu, m) it diverges at theta = pi.
     """
-    return polar_solution(nu, m, theta, ctrl)[0]
+    return polar_solution(nu, m, theta)[0]
 
 
-def legendre_theta_deriv(nu: float, m: float, theta: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def legendre_theta_deriv(nu: float, m: float, theta: float) -> float:
     """d/dtheta of legendre_theta, by term-wise analytic differentiation."""
-    return polar_solution(nu, m, theta, ctrl)[1]
+    return polar_solution(nu, m, theta)[1]

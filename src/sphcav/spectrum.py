@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .angular import (
@@ -64,18 +64,14 @@ class CavityConfig:
     wedge_face_kind: str = "PEC_PEC"
 
     def __post_init__(self):
-        if self.radius_m <= 0.0:
-            raise DomainError("radius must be positive")
+        if not 0.0 < self.radius_m < math.inf:
+            raise DomainError(f"radius must be positive and finite, got {self.radius_m}")
         if not (0.0 < self.wedge_opening_deg <= 360.0):
             raise DomainError("wedge opening must lie in (0, 360] degrees")
         if not (0.0 <= self.cone_half_angle_deg < 90.0):
             raise DomainError("cone half-angle must lie in [0, 90) degrees")
         if self.wedge_face_kind not in ("PEC_PEC", "PEC_PMC"):
             raise DomainError(f"unknown wedge face kind {self.wedge_face_kind!r}")
-
-    @property
-    def full_sphere(self) -> bool:
-        return self.wedge_opening_deg == 360.0 and self.cone_half_angle_deg == 0.0
 
     def domain(self) -> AngularDomain:
         return AngularDomain(
@@ -182,6 +178,10 @@ def enumerate_modes(
     """
     if f_max_hz is None and max_count is None:
         raise DomainError("provide f_max_hz or max_count")
+    if f_max_hz is not None and not 0.0 < f_max_hz < math.inf:
+        raise DomainError(f"f_max_hz must be positive and finite, got {f_max_hz}")
+    if max_count is not None and max_count < 1:
+        raise DomainError(f"max_count must be >= 1, got {max_count}")
     sweeps: dict = {}
     if f_max_hz is not None:
         return _modes_below(config, f_max_hz, sweeps)[:max_count]
@@ -220,13 +220,7 @@ def cone_sweep(config: CavityConfig, theta_c_list_deg: list[float]) -> list[dict
     """Branch-1 TM angular eigenvalue and fundamental frequency per cone angle."""
     rows = []
     for tc in theta_c_list_deg:
-        cfg = CavityConfig(
-            radius_m=config.radius_m,
-            wedge_opening_deg=config.wedge_opening_deg,
-            cone_half_angle_deg=tc,
-            wedge_face_kind=config.wedge_face_kind,
-        )
-        rec = fundamental_tm(cfg)
+        rec = fundamental_tm(replace(config, cone_half_angle_deg=tc))
         rows.append({"theta_c_deg": tc, "nu": rec.nu, "f_ghz": rec.frequency_hz / 1e9})
     return rows
 
@@ -235,13 +229,7 @@ def wedge_sweep(config: CavityConfig, openings_deg: list[float]) -> list[dict]:
     """Fundamental TM frequency per azimuthal opening."""
     rows = []
     for phi in openings_deg:
-        cfg = CavityConfig(
-            radius_m=config.radius_m,
-            wedge_opening_deg=phi,
-            cone_half_angle_deg=config.cone_half_angle_deg,
-            wedge_face_kind=config.wedge_face_kind,
-        )
-        rec = fundamental_tm(cfg)
+        rec = fundamental_tm(replace(config, wedge_opening_deg=phi))
         rows.append({"opening_deg": phi, "m1": rec.m, "f_ghz": rec.frequency_hz / 1e9})
     return rows
 
@@ -303,9 +291,7 @@ def load_fixture(name: str) -> dict:
             key, value = key.strip(), value.strip()
             if key == "columns":
                 columns = value.split()
-            elif key == "name":
-                meta[key] = value
-            elif key == "kind":
+            elif key in ("name", "kind"):
                 meta[key] = value
             else:
                 meta[key] = _parse_cell(value)

@@ -126,6 +126,41 @@ def test_computational_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_modes_rejects_a_count_below_one(capsys, count):
+    code, out, err = run(capsys, "modes", "--count", count)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "max_count" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dispersion", "--nu-list", "nan"),
+        ("dispersion", "--nu-list", "inf"),
+        ("modes", "--fmax-ghz", "nan"),
+        ("modes", "--fmax-ghz", "inf"),
+        ("modes", "--fmax-ghz", "-5"),
+        ("modes", "--radius-mm", "nan", "--fmax-ghz", "10"),
+        ("modes", "--radius-mm", "inf", "--fmax-ghz", "10"),
+    ],
+)
+def test_non_finite_input_exits_with_a_typed_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("at", ["0.01,1", "0.01,1,0.3,2", "0.01,x,0.3", ""])
+def test_field_point_must_be_three_floats(capsys, at):
+    with pytest.raises(SystemExit) as exc:
+        main(["field", "--mode", "TM,1,1,1", "--at", at])
+    assert exc.value.code == 2
+    assert "point must be r,theta,phi" in capsys.readouterr().err
+
+
 def test_bad_mode_argument():
     with pytest.raises(SystemExit):
         main(["field", "--mode", "XX,1,1,1", "--at", "0.008,1.1,0.3"])

@@ -12,7 +12,6 @@ from sphcav.radial import (
     RadialSweep,
     RootKind,
     SPEED_OF_LIGHT,
-    asymptotic_m_of_omega,
     frequency_from_root,
     j_zero,
     mcmahon_seed,
@@ -133,53 +132,10 @@ def test_frequency_from_root():
         frequency_from_root(-1.0, 0.015)
 
 
-def test_asymptotic_m_of_omega():
-    x13 = 10.0 ** (1.0 / 3.0)
-    assert asymptotic_m_of_omega(10.0, RootKind.TE_JZERO) == pytest.approx(
-        10.0 - 1.856 * x13, rel=1e-12
-    )
-    assert asymptotic_m_of_omega(10.0, RootKind.TE_JZERO) == pytest.approx(6.001, abs=5e-3)
-    assert asymptotic_m_of_omega(10.0, RootKind.TM_RICCATI_DERIV_ZERO) == pytest.approx(
-        8.257, abs=5e-3
-    )
-
-
 def test_tm_dispersion_below_te():
-    # for equal angular index the TM resonance sits below the TE one, so the
-    # inverted dispersion gives the TM branch the larger index at fixed X
-    for x in (5.0, 10.0, 20.0):
-        assert asymptotic_m_of_omega(x, RootKind.TM_RICCATI_DERIV_ZERO) > asymptotic_m_of_omega(
-            x, RootKind.TE_JZERO
-        )
+    # for equal angular index the TM resonance sits below the TE one
     for nu in (0.5, 1.0, 2.0):
         assert riccati_deriv_zero(nu, 1).x < j_zero(nu, 1).x
-
-
-def test_asymptotic_m_round_trip():
-    # inverting the actual first roots recovers the order with an error that
-    # shrinks as the order grows (4.5%/5.7% at nu=10, 2.3%/2.8% at nu=20);
-    # the formula keeps the published leading coefficients, so it does not
-    # reach sub-percent accuracy in this range
-    prev_te = prev_tm = math.inf
-    for nu in (5.0, 10.0, 15.0, 20.0):
-        err_te = abs(asymptotic_m_of_omega(j_zero(nu, 1).x, RootKind.TE_JZERO) - nu) / nu
-        err_tm = (
-            abs(
-                asymptotic_m_of_omega(
-                    riccati_deriv_zero(nu, 1).x, RootKind.TM_RICCATI_DERIV_ZERO
-                )
-                - nu
-            )
-            / nu
-        )
-        assert err_te < prev_te and err_tm < prev_tm
-        prev_te, prev_tm = err_te, err_tm
-    assert prev_te < 0.03 and prev_tm < 0.03
-
-
-def test_asymptotic_m_domain():
-    with pytest.raises(DomainError):
-        asymptotic_m_of_omega(0.5, RootKind.TE_JZERO)
 
 
 def test_root_domain_errors():
@@ -189,6 +145,13 @@ def test_root_domain_errors():
         j_zero(1.0, 0)
     with pytest.raises(DomainError):
         riccati_deriv_zero(1.0, -2)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize("kind", list(RootKind))
+def test_sweep_rejects_an_order_that_is_not_finite_above_minus_half(nu, kind):
+    with pytest.raises(DomainError, match="nu"):
+        RadialSweep(nu, kind)
 
 
 TE, TM = RootKind.TE_JZERO, RootKind.TM_RICCATI_DERIV_ZERO

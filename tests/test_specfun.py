@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from sphcav.errors import ConvergenceError, DomainError, RootSearchError
+from sphcav.radial import AIRY_PRIME_ZEROS, AIRY_ZEROS
 from sphcav.specfun import (
-    AIRY_ROOTS,
-    SeriesControl,
     bracketed_roots,
-    digamma,
     hyp2f1,
     legendre_theta,
     legendre_theta_deriv,
@@ -24,10 +22,8 @@ from sphcav.specfun import (
 
 mp.mp.dps = 30
 
-EULER_GAMMA = 0.5772156649015329
 
-
-# --- gamma / digamma ---------------------------------------------------------
+# --- gamma ---------------------------------------------------------------------
 
 
 def test_ln_gamma_values():
@@ -41,17 +37,6 @@ def test_ln_gamma_domain():
         ln_gamma(0.0)
     with pytest.raises(DomainError):
         ln_gamma(-1.3)
-
-
-def test_digamma_values():
-    assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
-    assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-13)
-    assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-12)
-
-
-def test_digamma_domain():
-    with pytest.raises(DomainError):
-        digamma(-0.5)
 
 
 # --- hypergeometric -----------------------------------------------------------
@@ -80,19 +65,18 @@ def test_hyp2f1_binomial_identity():
 )
 def test_hyp2f1_termination_independent_of_tolerance(k, b, z):
     # whenever a is a non-positive integer the exact degree-k polynomial is
-    # returned no matter how loose the tolerance is; keep b off the
-    # non-positive integers so only a controls termination -- on both sides,
-    # since hyp2f1 reads a b within 1e-12 of one (b = 1e-12, say) as one
+    # returned, a near-integer a (within 1e-12) included; keep b off the
+    # non-positive integers so only a controls termination -- hyp2f1 reads a b
+    # within 1e-12 of one (b = 1e-12, say) as one
     assume(round(b) > 0 or abs(b - round(b)) > 1e-9)
     c = 1.7
-    loose = hyp2f1(-float(k), b, c, z, SeriesControl(max_terms=500, tolerance=0.5))
-    tight = hyp2f1(-float(k), b, c, z, SeriesControl(max_terms=500, tolerance=1e-16))
-    assert loose == tight
+    got = hyp2f1(-float(k), b, c, z)
+    assert hyp2f1(-float(k) + 1e-13, b, c, z) == got
     term, total = 1.0, 1.0
     for j in range(k):
         term *= (-k + j) * (b + j) / ((c + j) * (j + 1)) * z
         total += term
-    assert loose == pytest.approx(total, rel=1e-14, abs=1e-14)
+    assert got == pytest.approx(total, rel=1e-14, abs=1e-14)
 
 
 def test_hyp2f1_matches_mpmath():
@@ -104,7 +88,7 @@ def test_hyp2f1_matches_mpmath():
 
 def test_hyp2f1_convergence_error_carries_diagnostics():
     with pytest.raises(ConvergenceError) as err:
-        hyp2f1(0.5, 0.7, 1.3, 0.99, SeriesControl(max_terms=10, tolerance=1e-15))
+        hyp2f1(0.5, 0.7, 1.3, 0.99)  # terms fall as 0.99^k k^-1.1: 5e-6 at the 500th
     assert err.value.partial_sum > 1.0
     assert err.value.last_term > 0.0
 
@@ -117,6 +101,8 @@ def test_hyp2f1_c_pole_rules():
     )
     with pytest.raises(DomainError):
         hyp2f1(-5.0, 1.5, -3.0, 0.3)
+    with pytest.raises(DomainError):  # the pole is the term after the last
+        hyp2f1(-2.0, 1.5, -2.0, 0.3)
     with pytest.raises(DomainError):
         hyp2f1(0.5, 1.5, 0.0, 0.3)
 
@@ -126,13 +112,6 @@ def test_hyp2f1_z_domain():
         hyp2f1(0.5, 0.5, 1.5, 1.0)
     with pytest.raises(DomainError):
         hyp2f1(0.5, 0.5, 1.5, -0.1)
-
-
-def test_series_control_validation():
-    with pytest.raises(DomainError):
-        SeriesControl(max_terms=0)
-    with pytest.raises(DomainError):
-        SeriesControl(tolerance=1.5)
 
 
 # --- spherical Bessel ----------------------------------------------------------
@@ -373,11 +352,11 @@ def test_airy_table_matches_scipy():
     from scipy.special import ai_zeros
 
     a, ap, _, _ = ai_zeros(5)
-    assert np.allclose(AIRY_ROOTS.ai_zeros, -a, rtol=0, atol=1e-9)
-    assert np.allclose(AIRY_ROOTS.ai_prime_zeros, -ap, rtol=0, atol=1e-9)
-    assert all(x < y for x, y in zip(AIRY_ROOTS.ai_zeros, AIRY_ROOTS.ai_zeros[1:]))
-    assert AIRY_ROOTS.ai_zeros[0] == pytest.approx(2.338107, abs=1e-6)
-    assert AIRY_ROOTS.ai_prime_zeros[0] == pytest.approx(1.018793, abs=1e-6)
+    assert np.allclose(AIRY_ZEROS, -a, rtol=0, atol=1e-9)
+    assert np.allclose(AIRY_PRIME_ZEROS, -ap, rtol=0, atol=1e-9)
+    assert all(x < y for x, y in zip(AIRY_ZEROS, AIRY_ZEROS[1:]))
+    assert AIRY_ZEROS[0] == pytest.approx(2.338107, abs=1e-6)
+    assert AIRY_PRIME_ZEROS[0] == pytest.approx(1.018793, abs=1e-6)
 
 
 def test_bracketed_roots_takes_grid_zeros_once_and_refines_sign_changes():

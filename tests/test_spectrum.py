@@ -35,8 +35,6 @@ def test_config_validation():
         CavityConfig(radius_m=0.015, wedge_opening_deg=0.0)
     with pytest.raises(DomainError):
         CavityConfig(radius_m=0.015, cone_half_angle_deg=90.0)
-    assert A15.full_sphere
-    assert not WEDGE90.full_sphere
 
 
 def test_full_sphere_fundamental_tm():
@@ -128,6 +126,27 @@ def test_one_radial_sweep_per_eigenvalue(monkeypatch):
 def test_enumerate_requires_a_limit():
     with pytest.raises(DomainError):
         enumerate_modes(WEDGE90)
+
+
+@pytest.mark.parametrize("count", [-3, 0])
+def test_enumerate_rejects_a_count_below_one(count):
+    # a negative count used to slice modes off the end, 0 to return none
+    with pytest.raises(DomainError, match="max_count"):
+        enumerate_modes(A15, f_max_hz=20e9, max_count=count)
+    with pytest.raises(DomainError, match="max_count"):
+        enumerate_modes(A15, max_count=count)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.015])
+def test_config_rejects_a_radius_that_is_not_positive_and_finite(bad):
+    with pytest.raises(DomainError, match="radius"):
+        CavityConfig(radius_m=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -5e9])
+def test_enumerate_rejects_a_cutoff_that_is_not_positive_and_finite(bad):
+    with pytest.raises(DomainError, match="f_max_hz"):
+        enumerate_modes(A15, f_max_hz=bad)
 
 
 def test_full_sphere_excludes_null_mode():
