@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .errors import ClassificationError, DomainError, RootSearchError
-from .specfun import INT_TOL, bracketed_roots, ln_gamma, polar_solution
+from .specfun import INT_TOL, bracketed_roots, legendre_theta, legendre_theta_deriv, ln_gamma
 
 __all__ = [
     "Family",
@@ -54,16 +54,19 @@ class Family(enum.Enum):
 
 @dataclass(frozen=True)
 class AngularDomain:
-    """Angular extent of the cavity: azimuthal opening and polar cone."""
+    """Angular extent of the cavity, and the one owner of what its constraints admit."""
 
     azimuth_opening_rad: float = 2.0 * math.pi
     cone_half_angle_rad: float = 0.0
+    face_kind: str = "PEC_PEC"  # wedge faces at phi = 0 and Phi: PEC_PEC or PEC_PMC
 
     def __post_init__(self):
         if not (0.0 < self.azimuth_opening_rad <= 2.0 * math.pi):
-            raise DomainError("azimuth opening must lie in (0, 2*pi]")
+            raise DomainError(f"azimuth opening must lie in (0, 2*pi], got {self.azimuth_opening_rad!r} rad")
         if not (0.0 <= self.cone_half_angle_rad < 0.5 * math.pi):
-            raise DomainError("cone half-angle must lie in [0, pi/2)")
+            raise DomainError(f"cone half-angle must lie in [0, pi/2), got {self.cone_half_angle_rad!r} rad")
+        if self.face_kind not in ("PEC_PEC", "PEC_PMC"):
+            raise DomainError(f"unknown wedge face kind {self.face_kind!r}")
 
     @property
     def full_azimuth(self) -> bool:
@@ -72,6 +75,25 @@ class AngularDomain:
     @property
     def has_cone(self) -> bool:
         return self.cone_half_angle_rad > 0.0
+
+    def nearest_index(self, m: float, polarization: str) -> float:
+        """The index of polarization "TM" or "TE" nearest to m.
+
+        On the full azimuth that is m (the sectoral curve is continuous); on a wedge
+        m = q pi/Phi, q an integer between PEC faces (q > 0 for TM: sin(0 phi) = 0) or
+        an odd half-integer between PEC and PMC faces.
+        """
+        if self.full_azimuth:
+            return m
+        q = m * self.azimuth_opening_rad / math.pi
+        if self.face_kind == "PEC_PEC":
+            return max(round(q), int(polarization == "TM")) * math.pi / self.azimuth_opening_rad
+        return (2 * math.floor(q) + 1) * math.pi / (2.0 * self.azimuth_opening_rad)
+
+    def admits(self, m: float, polarization: str) -> bool:
+        """Whether m is an index of the polarization: 2 m Phi/pi within 1e-9 of the nearest one's."""
+        q2, near2 = (2.0 * x * self.azimuth_opening_rad / math.pi for x in (m, self.nearest_index(m, polarization)))
+        return abs(q2 - near2) <= 1e-9 * max(1.0, q2)
 
 
 @dataclass(frozen=True)
@@ -94,7 +116,7 @@ class AngularEigenpair:
             raise DomainError("m must be >= 0")
 
 
-def azimuthal_indices(domain: AngularDomain, count: int, face_kind: str = "PEC_PEC") -> list[float]:
+def azimuthal_indices(domain: AngularDomain, count: int) -> list[float]:
     """First ``count`` admissible azimuthal indices for the domain.
 
     Full azimuth: single-valuedness gives m = 0, 1, 2, ...  A wedge with PEC
@@ -104,12 +126,10 @@ def azimuthal_indices(domain: AngularDomain, count: int, face_kind: str = "PEC_P
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    if face_kind not in ("PEC_PEC", "PEC_PMC"):
-        raise DomainError(f"unknown wedge face kind {face_kind!r}")
     if domain.full_azimuth:
         return [float(n) for n in range(count)]
     phi = domain.azimuth_opening_rad
-    if face_kind == "PEC_PEC":
+    if domain.face_kind == "PEC_PEC":
         return [n * math.pi / phi for n in range(1, count + 1)]
     return [(2 * n - 1) * math.pi / (2.0 * phi) for n in range(1, count + 1)]
 
@@ -200,31 +220,34 @@ def cone_roots(
     """All cone eigenvalues below nu_max, smallest first.
 
     The cone condition is the south-regular polar solution (TM) or its
-    derivative (TE) at the cone, i.e. polar_solution at pi - theta_c, which
-    the connection formulas give in closed form: DLMF 15.8.4 for non-integer
-    m, its logarithmic case 15.8.10 for integer m, and interpolation in m
-    between the two within 4e-3 of an integer.  One vectorized call
+    derivative (TE) at the cone, i.e. legendre_theta or legendre_theta_deriv
+    at pi - theta_c, which the connection formulas give in closed form: DLMF
+    15.8.4 for non-integer m, its logarithmic case 15.8.10 for integer m, and
+    interpolation in m between the two within 4e-3 of an integer.  One vectorized call
     evaluates it on a nu grid from 1e-4 in steps of 0.02 (well below the
     root spacing; the last step ends at nu_max), and Brent's method refines
     each sign change to |delta nu| <= 1e-10 (specfun.bracketed_roots).  A
-    scan value that overflows raises RootSearchError rather than losing roots.
+    scan value that overflows raises RootSearchError rather than losing roots;
+    a nu_max that is not finite raises DomainError.
     """
     if not (0.0 < theta_c < 0.5 * math.pi):
         raise DomainError("cone half-angle must lie strictly inside (0, pi/2)")
     pol = polarization.upper()
     if pol not in ("TM", "TE"):
         raise DomainError(f"polarization must be TM or TE, got {polarization!r}")
+    if not math.isfinite(nu_max):
+        raise DomainError(f"cone scan needs a finite nu_max, got {nu_max}")
 
     target = math.pi - theta_c
-    index = 0 if pol == "TM" else 1
+    condition = legendre_theta if pol == "TM" else legendre_theta_deriv
 
     def g(nu: float) -> float:
-        return polar_solution(nu, m, target)[index]
+        return condition(nu, m, target)
 
     grid = [_NU_FLOOR]
     while grid[-1] < nu_max:
         grid.append(min(grid[-1] + _SCAN_STEP, nu_max))
-    values = polar_solution(grid, m, target)[index]
+    values = condition(grid, m, target)
     # this module's brentq, so that a wrapper around angular.brentq sees each refinement
     what = f"{pol} cone condition for m={m}, theta_c={theta_c:g} rad"
     roots = bracketed_roots(g, grid, values, what, brentq, xtol=1e-10, rtol=1e-14)

@@ -73,10 +73,9 @@ def _parse_mode(text: str) -> tuple[RootKind, float, float, int]:
 def _build_mode(args) -> fld.ModeSpec:
     kind, nu, m, n = args.mode
     config = _config_from(args)
-    pair = AngularEigenpair(
-        nu=nu, m=m, family=classify(nu, m, cone_present=args.cone_deg > 0.0)
-    )
-    return fld.make_mode(kind, pair, n, config.radius_m, domain=config.domain())
+    domain = config.domain()
+    pair = AngularEigenpair(nu=nu, m=m, family=classify(nu, m, cone_present=domain.has_cone))
+    return fld.make_mode(kind, pair, n, config.radius_m, domain=domain)
 
 
 def main(argv: list[str] | None = None) -> int:

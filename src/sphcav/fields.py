@@ -17,9 +17,10 @@ single-curl components carry one factor of i relative to some published
 component tables; the set above satisfies Maxwell's equations identically,
 which the impedance-duality and wall-condition tests rely on.
 
-Azimuthal factor: exp(i m phi) on the full azimuth; between PEC wedge faces
-the standing wave whose tangential E vanishes on both faces: sin(m phi) for
-TM (E_r and E_theta carry Phi) and cos(m phi) for TE (E_theta carries Phi').
+Azimuthal factor, derived from the domain like the regular pole: exp(i m phi)
+on the full azimuth; on a wedge sin(m phi) for TM (E_r, E_theta carry Phi) and
+cos(m phi) for TE (E_theta carries Phi'), so tangential E vanishes on the PEC
+face phi = 0 and, with the domain's m, E (PEC) or H (PMC) on the face phi = Phi.
 
 Each ModeSpec keeps a bounded memo of its radial factors (j_nu, Ric') by r,
 its polar pair (Theta, Theta') with sin(theta) by theta, and its azimuthal
@@ -104,26 +105,35 @@ class _FactorMemo(dict):
 class ModeSpec:
     """Everything needed to evaluate one mode's fields at a point."""
 
-    polarization: RootKind
     eigenpair: AngularEigenpair
     radial: RadialRoot
     radius_m: float
     amplitude: complex = 1.0 + 0.0j
     medium: Medium = VACUUM
     domain: AngularDomain = FULL_SPHERE
-    azimuthal_kind: str = "traveling"  # traveling | sin | cos
-    south_regular: bool = False
     _memo: _FactorMemo = field(default_factory=_FactorMemo, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.radius_m <= 0.0:
-            raise DomainError("cavity radius must be positive")
+        if not 0.0 < self.radius_m < math.inf:
+            raise DomainError(f"cavity radius must be positive and finite, got {self.radius_m}")
         if abs(self.radial.nu - self.eigenpair.nu) > 1e-12 * max(1.0, abs(self.eigenpair.nu)):
             raise DomainError("radial root and angular eigenpair disagree on nu")
-        if self.radial.kind is not self.polarization:
-            raise DomainError("radial root kind does not match the polarization")
-        if self.azimuthal_kind not in ("traveling", "sin", "cos"):
-            raise DomainError(f"unknown azimuthal kind {self.azimuthal_kind!r}")
+
+    @property
+    def polarization(self) -> RootKind:
+        return self.radial.kind
+
+    @property
+    def azimuthal_kind(self) -> str:
+        """traveling (exp(i m phi)) on the full azimuth, else sin for TM and cos for TE."""
+        if self.domain.full_azimuth:
+            return "traveling"
+        return "sin" if self.radial.kind is RootKind.TM_RICCATI_DERIV_ZERO else "cos"
+
+    @property
+    def south_regular(self) -> bool:
+        """Regular at theta = pi: a cone removes the pole theta = 0."""
+        return self.domain.has_cone
 
     @property
     def wavenumber(self) -> float:
@@ -234,33 +244,20 @@ def make_mode(
     medium: Medium = VACUUM,
     domain: AngularDomain = FULL_SPHERE,
 ) -> ModeSpec:
-    """Assemble a ModeSpec: radial root, azimuthal convention, pole choice.
+    """Assemble a ModeSpec with its radial root.
 
-    A wedge admits m = q pi / Phi, q an integer (PEC faces) or an odd half-integer
-    (PEC/PMC faces), and TM needs m > 0 (sin(0 phi) = 0); other m raise DomainError.
+    An m the domain does not admit for the polarization (AngularDomain.admits)
+    raises DomainError naming the nearest index that it does admit.
     """
-    tm = polarization is RootKind.TM_RICCATI_DERIV_ZERO
-    q2 = 2.0 * eigenpair.m * domain.azimuth_opening_rad / math.pi
-    if not domain.full_azimuth and (abs(q2 - round(q2)) > 1e-9 * max(1.0, q2) or (tm and q2 == 0.0)):
-        nearest = (round(q2) or int(tm)) * math.pi / (2.0 * domain.azimuth_opening_rad)
+    pol, m = polarization.value, eigenpair.m
+    if not domain.admits(m, pol):
         raise DomainError(
-            f"m={eigenpair.m!r} is not a {polarization.value} index of a "
-            f"{math.degrees(domain.azimuth_opening_rad):g} deg wedge: m*Phi/pi = {q2 / 2.0:.9g} "
-            f"must be an integer or an odd half-integer (> 0 for TM); the nearest index is m={nearest!r}"
+            f"m={m!r} is not a {pol} index of a {math.degrees(domain.azimuth_opening_rad):g} deg "
+            f"{domain.face_kind} wedge: m*Phi/pi = {m * domain.azimuth_opening_rad / math.pi:.9g}; "
+            f"the nearest index is m={domain.nearest_index(m, pol)!r}"
         )
     root = radial_root(eigenpair.nu, n, polarization)
-    kind = "traveling" if domain.full_azimuth else ("sin" if tm else "cos")
-    return ModeSpec(
-        polarization=polarization,
-        eigenpair=eigenpair,
-        radial=root,
-        radius_m=radius_m,
-        amplitude=amplitude,
-        medium=medium,
-        domain=domain,
-        azimuthal_kind=kind,
-        south_regular=domain.has_cone,
-    )
+    return ModeSpec(eigenpair, root, radius_m, amplitude, medium, domain)
 
 
 def wave_impedances(

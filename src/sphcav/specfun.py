@@ -290,14 +290,8 @@ def _scaled_hyp(nu, m: float, z, w):
     return out
 
 
-def polar_solution(nu, m: float, theta):
-    """(Theta, dTheta/dtheta) of the north-pole-regular polar solution.
-
-    ``nu`` and ``theta`` broadcast against each other and ``m`` is one order
-    >= 0.  Scalar arguments give floats, array arguments arrays of the
-    broadcast shape.  Frobenius normalization: Theta / sin(theta)^m -> 1 as
-    theta -> 0+.
-    """
+def _polar(nu, m: float, theta, with_deriv: bool):
+    """Theta, and dTheta/dtheta if ``with_deriv``, of the north-pole-regular solution."""
     if m < 0.0:
         raise DomainError(f"order m must be >= 0, got m={m}")
     if np.isscalar(nu) and np.isscalar(theta):
@@ -313,6 +307,8 @@ def polar_solution(nu, m: float, theta):
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
     z, w = sin(0.5 * theta) ** 2, cos(0.5 * theta) ** 2
     value = (4.0 * z) ** (0.5 * m) * _scaled_hyp(nu, m, z, w)
+    if not with_deriv:
+        return float(value) if shape is None else value.reshape(shape)
     # product rule with dz/dtheta = sin(theta)/2 and dF/dz = (ab/c) F at order
     # m + 1, whose sin^(m+1) F is (4z)^((m+1)/2) G; ab = 0 (nu = m) drops out
     ab_c = (m - nu) * (m + nu + 1.0) / (m + 1.0)
@@ -324,17 +320,30 @@ def polar_solution(nu, m: float, theta):
     return value.reshape(shape), deriv.reshape(shape)
 
 
-def legendre_theta(nu: float, m: float, theta: float) -> float:
+def polar_solution(nu, m: float, theta):
+    """(Theta, dTheta/dtheta) of the north-pole-regular polar solution.
+
+    ``nu`` and ``theta`` broadcast against each other and ``m`` is one order
+    >= 0.  Scalar arguments give floats, array arguments arrays of the
+    broadcast shape.  Frobenius normalization: Theta / sin(theta)^m -> 1 as
+    theta -> 0+.
+    """
+    return _polar(nu, m, theta, True)
+
+
+def legendre_theta(nu, m: float, theta):
     """North-pole-regular polar solution of the angular equation.
 
     Frobenius normalization: legendre_theta / sin(theta)^m -> 1 as theta -> 0+.
     For nu = m this is exactly sin(theta)^m; for nu = m + k (integer k >= 0)
     it is sin(theta)^m times a degree-k polynomial in sin^2(theta/2); for all
-    other (nu, m) it diverges at theta = pi.
+    other (nu, m) it diverges at theta = pi.  Arguments broadcast as in
+    polar_solution, whose first value this is, without summing the
+    derivative's series.
     """
-    return polar_solution(nu, m, theta)[0]
+    return _polar(nu, m, theta, False)
 
 
-def legendre_theta_deriv(nu: float, m: float, theta: float) -> float:
+def legendre_theta_deriv(nu, m: float, theta):
     """d/dtheta of legendre_theta, by term-wise analytic differentiation."""
     return polar_solution(nu, m, theta)[1]

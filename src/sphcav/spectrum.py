@@ -66,17 +66,13 @@ class CavityConfig:
     def __post_init__(self):
         if not 0.0 < self.radius_m < math.inf:
             raise DomainError(f"radius must be positive and finite, got {self.radius_m}")
-        if not (0.0 < self.wedge_opening_deg <= 360.0):
-            raise DomainError("wedge opening must lie in (0, 360] degrees")
-        if not (0.0 <= self.cone_half_angle_deg < 90.0):
-            raise DomainError("cone half-angle must lie in [0, 90) degrees")
-        if self.wedge_face_kind not in ("PEC_PEC", "PEC_PMC"):
-            raise DomainError(f"unknown wedge face kind {self.wedge_face_kind!r}")
+        self.domain()  # the domain validates the opening, the cone and the face kind
 
     def domain(self) -> AngularDomain:
         return AngularDomain(
             azimuth_opening_rad=math.radians(self.wedge_opening_deg),
             cone_half_angle_rad=math.radians(self.cone_half_angle_deg),
+            face_kind=self.wedge_face_kind,
         )
 
 
@@ -96,35 +92,23 @@ def _sort_key(rec: ModeRecord):
     return (rec.frequency_hz, 0 if rec.polarization == "TM" else 1, rec.m, rec.nu, rec.n)
 
 
-def _azimuthal_values(config: CavityConfig, m_cap: float) -> list[float]:
-    domain = config.domain()
+def _azimuthal_values(domain: AngularDomain, m_cap: float) -> list[float]:
     if domain.full_azimuth:
         count = int(m_cap) + 1
     else:
         # one extra index, filtered below; PEC/PMC values are never larger
         count = max(1, int(m_cap * domain.azimuth_opening_rad / math.pi) + 1)
-    vals = azimuthal_indices(domain, count, config.wedge_face_kind)
-    if not domain.full_azimuth and config.wedge_face_kind == "PEC_PEC":
-        vals = [0.0] + vals  # TE only, see _polarizations
+    vals = azimuthal_indices(domain, count)
+    if vals[0] > 0.0 and domain.admits(0.0, "TE"):
+        vals = [0.0] + vals  # a PEC wedge's m = 0, TE only (sin(0 phi) = 0 leaves no TM)
     return [m for m in vals if m <= m_cap]
 
 
-def _polarizations(config: CavityConfig, m: float) -> tuple[RootKind, ...]:
-    """Polarizations admissible at azimuthal index m.
-
-    Between PEC wedge faces TM needs the standing wave sin(m phi), which is
-    identically zero at m = 0; TE takes cos(m phi), and at m = 0 its E is
-    purely azimuthal, normal to both faces.
-    """
-    if m == 0.0 and config.wedge_opening_deg != 360.0:
-        return (RootKind.TE_JZERO,)
-    return (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO)
-
-
-def _angular_candidates(config: CavityConfig, m: float, nu_cap: float):
+def _angular_candidates(domain: AngularDomain, m: float, nu_cap: float):
     """Yield (nu, k, polarizations) admissible for azimuthal index m."""
-    kinds = _polarizations(config, m)
-    if config.cone_half_angle_deg == 0.0:
+    both = (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO)
+    kinds = tuple(kind for kind in both if domain.admits(m, kind.value))
+    if not domain.has_cone:
         k = 0
         while True:
             nu = nu_regular_both_poles(m, k)
@@ -134,9 +118,8 @@ def _angular_candidates(config: CavityConfig, m: float, nu_cap: float):
                 yield nu, k, kinds
             k += 1
     else:
-        theta_c = math.radians(config.cone_half_angle_deg)
         for kind in kinds:
-            for nu in cone_roots(m, theta_c, kind.value, nu_cap):
+            for nu in cone_roots(m, domain.cone_half_angle_rad, kind.value, nu_cap):
                 yield nu, None, (kind,)
 
 
@@ -150,9 +133,9 @@ def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[Mo
     a = config.radius_m
     x_cap = 2.0 * math.pi * a * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
     records: list[ModeRecord] = []
-    cone = config.cone_half_angle_deg > 0.0
-    for m in _azimuthal_values(config, x_cap):
-        for nu, k, kinds in _angular_candidates(config, m, x_cap):
+    domain = config.domain()
+    for m in _azimuthal_values(domain, x_cap):
+        for nu, k, kinds in _angular_candidates(domain, m, x_cap):
             for kind in kinds:
                 key = (round(nu, 12), kind)
                 sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
@@ -160,7 +143,7 @@ def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[Mo
                     f = frequency_from_root(root.x, a)
                     if f > f_max_hz * (1.0 + _FREQ_SLACK):
                         break
-                    family = classify(nu, m, cone_present=cone).value
+                    family = classify(nu, m, cone_present=domain.has_cone).value
                     records.append(ModeRecord(kind.value, nu, m, k, root.n, root.x, f, family))
     records.sort(key=_sort_key)
     return records
@@ -193,16 +176,15 @@ def enumerate_modes(
 
 def fundamental_tm(config: CavityConfig) -> ModeRecord:
     """Lowest-frequency TM mode of the configuration."""
-    if config.wedge_opening_deg == 360.0:
-        m = 1.0 if config.cone_half_angle_deg == 0.0 else 0.0
+    domain = config.domain()
+    if domain.full_azimuth:
+        m = 0.0 if domain.has_cone else 1.0
     else:
-        phi = math.radians(config.wedge_opening_deg)
-        m = math.pi / phi if config.wedge_face_kind == "PEC_PEC" else math.pi / (2.0 * phi)
-    if config.cone_half_angle_deg == 0.0:
+        m = azimuthal_indices(domain, 1)[0]
+    if domain.has_cone:
+        nu, k = cone_nu(m, domain.cone_half_angle_rad, "TM", 1), None
+    else:
         nu, k = m, 0
-    else:
-        theta_c = math.radians(config.cone_half_angle_deg)
-        nu, k = cone_nu(m, theta_c, "TM", 1), None
     root = riccati_deriv_zero(nu, 1)
     return ModeRecord(
         polarization="TM",
@@ -212,7 +194,7 @@ def fundamental_tm(config: CavityConfig) -> ModeRecord:
         n=1,
         root_x=root.x,
         frequency_hz=frequency_from_root(root.x, config.radius_m),
-        family=classify(nu, m, cone_present=config.cone_half_angle_deg > 0.0).value,
+        family=classify(nu, m, cone_present=domain.has_cone).value,
     )
 
 

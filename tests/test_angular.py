@@ -65,8 +65,8 @@ def test_azimuthal_indices_full_circle_includes_zonal():
 
 def test_azimuthal_indices_pec_pmc():
     # odd quarter-wave family; the 270-degree opening admits m = 1/3
-    d = AngularDomain(azimuth_opening_rad=1.5 * math.pi)
-    got = azimuthal_indices(d, 3, face_kind="PEC_PMC")
+    d = AngularDomain(azimuth_opening_rad=1.5 * math.pi, face_kind="PEC_PMC")
+    got = azimuthal_indices(d, 3)
     assert got == pytest.approx([1.0 / 3.0, 1.0, 5.0 / 3.0], rel=1e-15)
 
 
@@ -74,7 +74,7 @@ def test_azimuthal_indices_errors():
     with pytest.raises(DomainError):
         azimuthal_indices(AngularDomain(), 0)
     with pytest.raises(DomainError):
-        azimuthal_indices(AngularDomain(), 2, face_kind="PMC_PMC")
+        azimuthal_indices(AngularDomain(face_kind="PMC_PMC"), 2)
 
 
 def test_nu_regular_both_poles():
@@ -315,6 +315,29 @@ def test_cone_nu_errors():
         cone_nu(0.0, 0.3, "TEM", 1)
     with pytest.raises(RootSearchError):
         cone_nu(0.0, math.radians(0.38), "TM", 1, nu_max=0.05)
+
+
+@pytest.mark.parametrize("nu_max", [math.nan, math.inf])
+def test_cone_scan_rejects_a_nu_max_that_is_not_finite(nu_max):
+    # nan used to return no roots and inf to grow the scan grid without bound
+    with pytest.raises(DomainError, match="finite nu_max"):
+        cone_roots(1.0, 0.3, "TM", nu_max)
+    with pytest.raises(DomainError, match="finite nu_max"):
+        cone_nu(1.0, 0.3, "TE", 1, nu_max=nu_max)
+
+
+def test_domain_owns_the_wedge_index_rule():
+    pec = AngularDomain(azimuth_opening_rad=1.5 * math.pi)
+    pmc = AngularDomain(azimuth_opening_rad=1.5 * math.pi, face_kind="PEC_PMC")
+    for m in azimuthal_indices(pec, 3):
+        assert pec.admits(m, "TM") and pec.admits(m, "TE") and not pmc.admits(m, "TE")
+    for m in azimuthal_indices(pmc, 3):
+        assert pmc.admits(m, "TM") and pmc.admits(m, "TE") and not pec.admits(m, "TE")
+    # m = 0 between PEC faces is TE only; the full azimuth admits any m >= 0
+    assert pec.admits(0.0, "TE") and not pec.admits(0.0, "TM") and not pmc.admits(0.0, "TE")
+    assert AngularDomain().admits(0.37, "TM")
+    assert pec.nearest_index(1.0 / 3.0, "TM") == azimuthal_indices(pec, 1)[0]
+    assert pmc.nearest_index(0.0, "TE") == azimuthal_indices(pmc, 1)[0]
 
 
 def _oracle_roots(m, theta_c, pol, hi):

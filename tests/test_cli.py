@@ -1,8 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from sphcav.cli import main
+from sphcav.spectrum import validate
 
 
 def run(capsys, *argv):
@@ -218,3 +221,48 @@ def test_readme_modes_examples_print_what_they_printed(capsys):
                 assert abs(float(g) - float(w)) <= 1e-13 * abs(float(w)), (g, w)
             except ValueError:
                 assert g == w
+
+
+PMC_FIELD = ["field", "--wedge-deg", "270", "--mode", "TM,0.3333333333333333,0.3333333333333333,1",
+             "--at", "0.008,1.1,4.71238898038469"]
+
+
+def test_field_and_energy_take_the_wedge_faces(capsys):
+    # m = 1/3 is a quarter-wave index of a 270 deg wedge: PEC/PMC faces admit it, PEC/PEC do not
+    code, out, _ = run(capsys, *PMC_FIELD, "--wedge-faces", "PEC_PMC")
+    assert code == 0
+    # on the PMC face the tangential H_theta vanishes next to H_phi
+    lines = dict(line.split(" = ") for line in out.splitlines())
+    h_theta, h_phi = (abs(complex(lines[c].replace(" ", ""))) for c in ("H_theta", "H_phi"))
+    assert h_theta <= 1e-12 * h_phi
+    code, out, err = run(capsys, *PMC_FIELD)
+    assert code == 1 and out == ""
+    assert "not a TM index" in err and "PEC_PEC" in err and "m=0.6666666666666666" in err
+    energy = ["energy", "--wedge-deg", "270", "--wedge-faces", "PEC_PMC", "--mode"]
+    assert run(capsys, *energy, "TM,0.3333333333333333,0.3333333333333333,1")[0] == 0
+    code, _, err = run(capsys, *energy, "TM,0.6666666666666666,0.6666666666666666,1")
+    assert code == 1 and "PEC_PMC" in err
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_radius_that_is_not_finite_exits_1(capsys, radius):
+    # dispersion used to print 0 GHz for an infinite radius
+    for argv in (["dispersion", "--nu-list", "1"], ["energy", "--mode", "TM,1,1,1"], ["cone-sweep", "--thetas", "20"]):
+        code, out, err = run(capsys, *argv, "--radius-mm", radius)
+        assert code == 1 and out == "" and "finite" in err, argv
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("sphcav ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[:3]))
+def test_readme_command_line_examples_run(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    if argv[0] == "validate":
+        assert code == (0 if validate(argv[argv.index("--fixture") + 1]).passed else 2)
+    else:
+        assert code == 0, err
+    assert out

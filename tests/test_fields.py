@@ -267,6 +267,53 @@ def test_te_zonal_wedge_mode_meets_faces():
         assert abs(s.E[2]) > 0.0
 
 
+WEDGE_270_PMC = AngularDomain(azimuth_opening_rad=1.5 * math.pi, face_kind="PEC_PMC")
+
+
+@pytest.mark.parametrize(
+    "kind, pair",
+    [
+        (RootKind.TM_RICCATI_DERIV_ZERO, sectoral(1.0 / 3.0)),
+        (RootKind.TE_JZERO, AngularEigenpair(4.0 / 3.0, 1.0 / 3.0, Family.TESSERAL, 1)),
+    ],
+)
+def test_pec_pmc_wedge_mode_meets_both_faces(kind, pair):
+    # m = 1/3 of a 270 deg wedge is a quarter wave: tangential E (r, theta) vanishes
+    # on the PEC face phi = 0 and tangential H on the PMC face phi = Phi
+    mode = make_mode(kind, pair, 1, A_RADIUS, domain=WEDGE_270_PMC)
+    opening = WEDGE_270_PMC.azimuth_opening_rad
+    points = [(r, th) for r in (0.004, 0.008, 0.013) for th in (0.5, 1.1, 2.4)]
+    samples = [evaluate(mode, (r, th, phi)) for r, th in points for phi in np.linspace(0.0, opening, 7)]
+    peak_e = max(np.abs(s.E).max() for s in samples)
+    peak_h = max(np.abs(s.H).max() for s in samples)
+    for r, th in points:
+        pec, pmc = evaluate(mode, (r, th, 0.0)), evaluate(mode, (r, th, opening))
+        assert np.abs(pec.E[:2]).max() <= 1e-12 * peak_e
+        assert np.abs(pmc.H[:2]).max() <= 1e-12 * peak_h
+
+
+def test_make_mode_takes_the_index_family_of_the_domain_faces():
+    # m = 1/3 (m Phi/pi = 1/2) belongs to PEC/PMC faces and m = 2/3 (m Phi/pi = 1) to PEC/PEC;
+    # each error names an index of the family the faces admit
+    for m, domain in ((1.0 / 3.0, WEDGE_270), (2.0 / 3.0, WEDGE_270_PMC)):
+        for kind in (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO):
+            with pytest.raises(DomainError, match=f"not a {kind.value} index") as err:
+                make_mode(kind, sectoral(m), 1, A_RADIUS, domain=domain)
+            assert domain.face_kind in str(err.value)
+            named = float(str(err.value).rsplit("m=", 1)[1])
+            spacing = math.pi / domain.azimuth_opening_rad
+            assert domain.admits(named, kind.value) and abs(named - m) <= 0.5 * spacing + 1e-12
+    assert make_mode(RootKind.TM_RICCATI_DERIV_ZERO, sectoral(1.0 / 3.0), 1, A_RADIUS, domain=WEDGE_270_PMC)
+    assert tm_mode(m=2.0 / 3.0, domain=WEDGE_270).polarization is RootKind.TM_RICCATI_DERIV_ZERO
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_make_mode_rejects_a_radius_that_is_not_finite(radius):
+    # nan made mode_energy nan and inf made it inf
+    with pytest.raises(DomainError, match="finite"):
+        make_mode(RootKind.TM_RICCATI_DERIV_ZERO, sectoral(1.0), 1, radius)
+
+
 def test_point_domain_checks():
     mode = tm_mode(m=1.0)
     with pytest.raises(DomainError):
@@ -289,15 +336,9 @@ def test_mode_spec_invariants():
     from sphcav.fields import ModeSpec
     from sphcav.radial import j_zero
 
-    pair = sectoral(1.0)
-    root = j_zero(1.0, 1)
+    # the radial root's nu must be the eigenpair's
     with pytest.raises(DomainError):
-        ModeSpec(
-            polarization=RootKind.TM_RICCATI_DERIV_ZERO,
-            eigenpair=pair,
-            radial=root,
-            radius_m=A_RADIUS,
-        )
+        ModeSpec(eigenpair=sectoral(2.0), radial=j_zero(1.0, 1), radius_m=A_RADIUS)
 
 
 # --- the per-mode factor memo ------------------------------------------------------

@@ -132,6 +132,12 @@ def test_frequency_from_root():
         frequency_from_root(-1.0, 0.015)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_frequency_from_root_rejects_a_radius_that_is_not_finite(radius):
+    with pytest.raises(DomainError, match="finite"):
+        frequency_from_root(math.pi, radius)
+
+
 def test_tm_dispersion_below_te():
     # for equal angular index the TM resonance sits below the TE one
     for nu in (0.5, 1.0, 2.0):

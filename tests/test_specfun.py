@@ -336,6 +336,17 @@ def test_polar_solution_vectorized_matches_scalar():
                 assert derivs[i, j] == pytest.approx(deriv, rel=1e-12, abs=1e-15)
 
 
+def test_legendre_theta_is_the_polar_value_bit_for_bit():
+    # the cone scan evaluates the value alone; it must be the value polar_solution returns
+    nus = np.array([0.3, 1.0, 2.0 + 1.0 / 3.0, 3.7, 7.25])
+    for m in (0.0, 1.0, 2.0 / 3.0, 1.001, 4.0):
+        for theta in (0.4, 1.6, 2.9, math.pi - math.radians(20.0)):
+            assert np.array_equal(legendre_theta(nus, m, theta), polar_solution(nus, m, theta)[0])
+            for nu in nus:
+                assert legendre_theta(float(nu), m, theta) == polar_solution(float(nu), m, theta)[0]
+                assert legendre_theta_deriv(float(nu), m, theta) == polar_solution(float(nu), m, theta)[1]
+
+
 def test_legendre_theta_domain():
     with pytest.raises(DomainError):
         legendre_theta(1.0, -0.1, 1.0)

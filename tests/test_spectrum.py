@@ -235,7 +235,7 @@ def test_angular_candidates_with_wedge_and_cone():
 
     cfg = CavityConfig(radius_m=0.015, wedge_opening_deg=270.0, cone_half_angle_deg=0.38)
     m = 2.0 / 3.0
-    cands = list(_angular_candidates(cfg, m, 0.9))
+    cands = list(_angular_candidates(cfg.domain(), m, 0.9))
     assert all(k is None for _, k, _ in cands)
     by_kind = {kinds[0].value: nu for nu, _, kinds in cands}
     assert set(by_kind) == {"TM", "TE"}
