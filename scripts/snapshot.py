@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Print the results of a fixed set of sphcav cases, one line each, every float as float.hex().
+
+  PYTHONPATH=src python3 scripts/snapshot.py > snapshot.txt
+
+Run it on two source trees and diff the outputs: an empty diff means every
+covered result is identical to the last bit.  The cases cover mode records and
+the fundamental TM mode of ten geometries (full sphere, wedges of both face
+kinds, cones and their combinations), max_count enumeration, the cone and
+wedge sweeps, the dispersion table, the four fixture reports, the fields,
+impedances and energies of thirteen modes, and the stdout and exit code of the
+README's command-line examples.  A call that raises prints the error's type
+and message instead of a value.
+"""
+
+import contextlib
+import dataclasses
+import io
+import math
+
+from sphcav import cli
+from sphcav.angular import AngularEigenpair, classify, cone_nu
+from sphcav.energy import mode_energy
+from sphcav.errors import SphcavError
+from sphcav.fields import evaluate, make_mode, wave_impedances
+from sphcav.radial import RootKind
+from sphcav.spectrum import (
+    CavityConfig,
+    cone_sweep,
+    dispersion_table,
+    enumerate_modes,
+    fundamental_tm,
+    list_fixtures,
+    validate,
+    wedge_sweep,
+)
+
+A = 0.015
+TM, TE = RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO
+PMC = "PEC_PMC"
+
+# (label, config, f_max in GHz, whether max_count=150 is also taken)
+GEOMETRIES = [
+    ("sphere", CavityConfig(A), 80.0, True),
+    ("wedge270", CavityConfig(A, 270.0), 40.0, True),
+    ("wedge355", CavityConfig(A, 355.0), 30.0, False),
+    ("wedge45", CavityConfig(A, 45.0), 40.0, False),
+    ("cone20", CavityConfig(A, 360.0, 20.0), 20.0, True),
+    ("wedge270_cone20", CavityConfig(A, 270.0, 20.0), 20.0, False),
+    ("pmc270", CavityConfig(A, 270.0, 0.0, PMC), 40.0, True),
+    ("pmc270_cone20", CavityConfig(A, 270.0, 20.0, PMC), 20.0, False),
+    ("wedge90_cone10", CavityConfig(A, 90.0, 10.0), 25.0, False),
+    ("pmc120_cone10", CavityConfig(A, 120.0, 10.0, PMC), 25.0, False),
+]
+
+README_CLI = [
+    "modes --radius-mm 15 --wedge-deg 270 --fmax-ghz 13.7 --format table",
+    "modes --wedge-deg 270 --fmax-ghz 13.7 --format csv",
+    "dispersion --nu-list 0,0.5,1,1.5,2,2.5,3",
+    "cone-sweep --thetas 0.38,7.59,14.93,21.80,28.07,33.69",
+    "wedge-sweep --openings 180,210,240,270,300,330",
+    "field --mode TM,1,1,1 --at 0.008,1.1,0.3",
+    "field --wedge-deg 270 --wedge-faces PEC_PMC --mode TM,0.3333333333333333,0.3333333333333333,1"
+    " --at 0.008,1.1,4.71238898038469",
+    "energy --mode TM,0.6666666666666666,0.6666666666666666,1 --wedge-deg 270",
+    "validate --fixture table2_wedge90",
+]
+
+
+def fmt(value) -> str:
+    """Values only: floats in hex, containers and dataclasses element by element."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return str(value)
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return f"({value.real.hex()},{value.imag.hex()})"
+    if isinstance(value, dict):
+        return "{" + " ".join(f"{k}={fmt(v)}" for k, v in value.items()) + "}"
+    if dataclasses.is_dataclass(value):
+        return fmt({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+    if hasattr(value, "tolist"):  # numpy arrays and scalars
+        return fmt(value.tolist())
+    return "[" + " ".join(fmt(v) for v in value) + "]"
+
+
+def show(label: str, compute) -> None:
+    try:
+        text = fmt(compute())
+    except SphcavError as exc:
+        text = f"raises {type(exc).__name__}: {exc}"
+    print(f"{label}: {text}")
+
+
+def geometries() -> None:
+    for label, config, f_ghz, counted in GEOMETRIES:
+        show(f"{label}.fundamental_tm", lambda: fundamental_tm(config))
+        records = enumerate_modes(config, f_max_hz=f_ghz * 1e9)
+        print(f"{label}.modes: {len(records)} below {f_ghz:g} GHz")
+        for i, rec in enumerate(records):
+            print(f"{label}.modes[{i}]: {fmt(rec)}")
+        if counted:
+            show(f"{label}.count150", lambda: [(r.polarization, r.nu, r.m, r.n, r.frequency_hz) for r in
+                                               enumerate_modes(config, max_count=150)])
+
+
+def sweeps() -> None:
+    thetas = [0.38, 5.0, 7.59, 14.93, 21.8, 28.07, 33.69, 45.0]
+    openings = [45.0, 90.0, 180.0, 210.0, 240.0, 270.0, 300.0, 330.0, 355.0, 359.0, 360.0]
+    for faces in ("PEC_PEC", PMC):
+        for opening in (360.0, 270.0, 90.0):
+            config = CavityConfig(A, opening, 0.0, faces)
+            show(f"cone_sweep.{faces}.{opening:g}", lambda: cone_sweep(config, thetas))
+        for cone in (0.0, 10.0, 20.0):
+            config = CavityConfig(A, 360.0, cone, faces)
+            show(f"wedge_sweep.{faces}.cone{cone:g}", lambda: wedge_sweep(config, openings))
+    show("dispersion_table", lambda: dispersion_table([0.0, 1 / 3, 0.5, 2 / 3, 1.0, 1.5, 7 / 3, 3.0, 10.5], A))
+    for name in list_fixtures():
+        show(f"validate.{name}", lambda: validate(name))
+
+
+def modes() -> None:
+    m1, q1 = 2.0 / 3.0, 1.0 / 3.0
+    full, wedge, pmc = CavityConfig(A), CavityConfig(A, 270.0), CavityConfig(A, 270.0, 0.0, PMC)
+    cone, wedge_cone = CavityConfig(A, 360.0, 20.0), CavityConfig(A, 270.0, 20.0)
+    tc = math.radians(20.0)
+    cases = [
+        ("sphere_TM_sectoral", TM, 2.0, 2.0, full),
+        ("sphere_TE_tesseral", TE, 3.0, 1.0, full),
+        ("sphere_TM_zonal", TM, 1.0, 0.0, full),
+        ("sphere_TE_null", TE, 0.0, 0.0, full),
+        ("sphere_TM_fractional", TM, 0.37, 0.37, full),
+        ("wedge_TM_tesseral", TM, m1 + 1.0, m1, wedge),
+        ("wedge_TE_sectoral", TE, 2.0 * m1, 2.0 * m1, wedge),
+        ("wedge_TE_zonal", TE, 1.0, 0.0, wedge),
+        ("pmc_TM_sectoral", TM, q1, q1, pmc),
+        ("pmc_TE_tesseral", TE, q1 + 1.0, q1, pmc),
+        ("cone_TM_zonal", TM, cone_nu(0.0, tc, "TM", 1), 0.0, cone),
+        ("cone_TE_m1", TE, cone_nu(1.0, tc, "TE", 1), 1.0, cone),
+        ("wedge_cone_TM", TM, cone_nu(m1, tc, "TM", 1), m1, wedge_cone),
+    ]
+    for name, kind, nu, m, config in cases:
+        domain = config.domain()
+        pair = AngularEigenpair(nu, m, classify(nu, m, cone_present=domain.has_cone))
+        mode = make_mode(kind, pair, 1, A, domain=domain)
+        lo, hi = domain.cone_half_angle_rad, domain.azimuth_opening_rad
+        points = [(r * A, lo + t * (math.pi - lo), p * hi) for r, t, p in
+                  ((0.3, 0.2, 0.1), (0.55, 0.5, 0.5), (0.8, 0.7, 0.9), (1.0, 0.35, 0.0), (0.9, 0.95, 1.0))]
+        for i, point in enumerate(points):
+            show(f"{name}.evaluate[{i}]", lambda: evaluate(mode, point))
+        for pol in (None, TE, TM):
+            show(f"{name}.wave_impedances.{pol and pol.value}", lambda: wave_impedances(mode, 0.6 * A, 1.2, polarization=pol))
+        show(f"{name}.mode_energy", lambda: mode_energy(mode))
+
+
+def commands() -> None:
+    for line in README_CLI:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(line.split())
+        print(f"sphcav {line}: exit {code}")
+        for text in out.getvalue().splitlines():
+            print(f"  {text}")
+
+
+if __name__ == "__main__":
+    geometries()
+    sweeps()
+    modes()
+    commands()

@@ -10,7 +10,6 @@ from .angular import (
     AngularEigenpair,
     Family,
     angular_ode_residual,
-    azimuthal_indices,
     classify,
     cone_nu,
     cone_roots,

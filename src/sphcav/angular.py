@@ -1,5 +1,8 @@
 """Angular eigenvalue problem: admissible (nu, m) pairs and mode families.
 
+AngularDomain alone holds the azimuthal index lattice of each polarization and
+wedge face kind (indices, nearest_index, admits); no other module computes one.
+
 Geometry conventions:
   * azimuth opening Phi in (0, 2pi]; Phi = 2pi means the full azimuth
   * cone half-angle theta_c in [0, pi/2); the cone removes the polar cap
@@ -34,7 +37,6 @@ __all__ = [
     "Family",
     "AngularDomain",
     "AngularEigenpair",
-    "azimuthal_indices",
     "nu_regular_both_poles",
     "south_singular_coefficient",
     "classify",
@@ -76,6 +78,12 @@ class AngularDomain:
     def has_cone(self) -> bool:
         return self.cone_half_angle_rad > 0.0
 
+    def _index(self, q: int) -> float:
+        """The q-th wedge index: q pi/Phi between PEC faces, (2q+1) pi/(2 Phi) between PEC and PMC."""
+        if self.face_kind == "PEC_PEC":
+            return q * math.pi / self.azimuth_opening_rad
+        return (2 * q + 1) * math.pi / (2.0 * self.azimuth_opening_rad)
+
     def nearest_index(self, m: float, polarization: str) -> float:
         """The index of polarization "TM" or "TE" nearest to m.
 
@@ -87,8 +95,21 @@ class AngularDomain:
             return m
         q = m * self.azimuth_opening_rad / math.pi
         if self.face_kind == "PEC_PEC":
-            return max(round(q), int(polarization == "TM")) * math.pi / self.azimuth_opening_rad
-        return (2 * math.floor(q) + 1) * math.pi / (2.0 * self.azimuth_opening_rad)
+            return self._index(max(round(q), int(polarization == "TM")))
+        return self._index(math.floor(q))
+
+    def indices(self, m_cap: float) -> list[float]:
+        """Every index m <= m_cap of either polarization, ascending: 0, 1, 2, ... on the full
+        azimuth, else the wedge lattice, which between PEC faces starts with the TE-only 0."""
+        if not math.isfinite(m_cap):
+            raise DomainError(f"index cap must be finite, got {m_cap}")
+        if self.full_azimuth:
+            return [float(n) for n in range(math.floor(m_cap) + 1)]
+        out = []
+        for q in itertools.count():
+            if (m := self._index(q)) > m_cap:
+                return out
+            out.append(m)
 
     def admits(self, m: float, polarization: str) -> bool:
         """Whether m is an index of the polarization: 2 m Phi/pi within 1e-9 of the nearest one's."""
@@ -110,28 +131,12 @@ class AngularEigenpair:
     k: int | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.nu) and math.isfinite(self.m)):
+            raise DomainError(f"nu and m must be finite, got nu={self.nu}, m={self.m}")
         if self.nu <= -0.5:
             raise DomainError("energy integrability requires nu > -1/2")
         if self.m < 0.0:
             raise DomainError("m must be >= 0")
-
-
-def azimuthal_indices(domain: AngularDomain, count: int) -> list[float]:
-    """First ``count`` admissible azimuthal indices for the domain.
-
-    Full azimuth: single-valuedness gives m = 0, 1, 2, ...  A wedge with PEC
-    on both faces gives m = n*pi/Phi for n >= 1; n = 0 has no TM standing
-    wave, and spectrum enumeration adds it for TE alone.  The experimental
-    PEC/PMC wedge quantizes at odd quarter-waves, m = (2n - 1)*pi/(2*Phi).
-    """
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    if domain.full_azimuth:
-        return [float(n) for n in range(count)]
-    phi = domain.azimuth_opening_rad
-    if domain.face_kind == "PEC_PEC":
-        return [n * math.pi / phi for n in range(1, count + 1)]
-    return [(2 * n - 1) * math.pi / (2.0 * phi) for n in range(1, count + 1)]
 
 
 def nu_regular_both_poles(m: float, k: int) -> float:
@@ -156,10 +161,6 @@ def south_singular_coefficient(nu: float, m: float) -> float:
         raise DomainError("m must be >= 0")
     if nu + m + 1.0 <= 0.0:
         raise DomainError(f"gamma ratio undefined for nu+m+1 = {nu + m + 1.0} <= 0")
-    if m == 0.0:
-        if abs(nu - round(nu)) <= INT_TOL * max(1.0, abs(nu)) and round(nu) >= 0:
-            return 0.0
-        return math.sin(nu * math.pi) / math.pi
     w = nu - m
     if abs(w - round(w)) <= INT_TOL * max(1.0, abs(w)) and round(w) >= 0:
         return 0.0
@@ -173,7 +174,7 @@ def south_singular_coefficient(nu: float, m: float) -> float:
 
 def classify(nu: float, m: float, cone_present: bool = False) -> Family:
     """Mode family of an admissible (nu, m) pair."""
-    if nu < 0.0 or m < 0.0:
+    if not (0.0 <= nu < math.inf and 0.0 <= m < math.inf):
         raise ClassificationError(f"(nu={nu}, m={m}) outside the physical quadrant")
     if nu == 0.0 and m == 0.0:
         return Family.NULL

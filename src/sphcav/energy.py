@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .angular import Family
 from .errors import DomainError, IntegrationError
 from .fields import ModeSpec
 from .specfun import ln_gamma, spherical_j
@@ -84,14 +83,10 @@ def zonal_norm(ell: int) -> float:
 
 
 def _phi_weight(mode: ModeSpec) -> float:
-    """Azimuthal integral of |Phi|^2 over the opening."""
+    """Azimuthal integral of |Phi|^2 over the opening: the whole opening for exp(i m phi)
+    and for the constant cos(0 phi), half of it for sin(m phi) and cos(m phi) with m > 0."""
     opening = mode.domain.azimuth_opening_rad
-    if mode.azimuthal_kind == "traveling":
-        return opening
-    if mode.eigenpair.m == 0.0:
-        # cos branch reduces to a constant; sin branch is identically zero
-        return opening if mode.azimuthal_kind == "cos" else 0.0
-    return 0.5 * opening
+    return opening if mode.domain.full_azimuth or mode.eigenpair.m == 0.0 else opening / 2
 
 
 def _quad(f, lo: float, hi: float) -> float:
@@ -102,13 +97,14 @@ def _quad(f, lo: float, hi: float) -> float:
 
 
 def _angular_norm(mode: ModeSpec) -> float:
-    """int Theta^2 sin(theta) dtheta over the retained polar interval."""
-    pair = mode.eigenpair
+    """int Theta^2 sin(theta) dtheta over the retained polar interval; without a cone the
+    closed forms are chosen from (nu, m): zonal for m = 0 and integer nu, sectoral for nu = m."""
+    nu, m = mode.eigenpair.nu, mode.eigenpair.m
     if not mode.domain.has_cone:
-        if pair.family is Family.SECTORAL:
-            return sectoral_angular_norm(pair.m)
-        if pair.family in (Family.ZONAL, Family.NULL) and pair.nu == round(pair.nu):
-            return zonal_norm(int(round(pair.nu)))
+        if m == 0.0 and nu == round(nu):  # zonal, and the null pair
+            return zonal_norm(int(round(nu)))
+        if nu == m:
+            return sectoral_angular_norm(m)
     return _quad(
         lambda theta: mode.polar(theta)[0] ** 2 * math.sin(theta),
         mode.domain.cone_half_angle_rad, math.pi,

@@ -21,6 +21,8 @@ Azimuthal factor, derived from the domain like the regular pole: exp(i m phi)
 on the full azimuth; on a wedge sin(m phi) for TM (E_r, E_theta carry Phi) and
 cos(m phi) for TE (E_theta carries Phi'), so tangential E vanishes on the PEC
 face phi = 0 and, with the domain's m, E (PEC) or H (PMC) on the face phi = Phi.
+A ModeSpec refuses an m that is no such index (AngularDomain.admits), however
+it is built: by make_mode, directly or by dataclasses.replace.
 
 Each ModeSpec keeps a bounded memo of its radial factors (j_nu, Ric') by r,
 its polar pair (Theta, Theta') with sin(theta) by theta, and its azimuthal
@@ -103,21 +105,29 @@ class _FactorMemo(dict):
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """Everything needed to evaluate one mode's fields at a point."""
+    """Everything needed to evaluate one mode's fields at a point; an m its domain does not
+    admit for its polarization raises DomainError naming the nearest index that it does."""
 
     eigenpair: AngularEigenpair
     radial: RadialRoot
     radius_m: float
     amplitude: complex = 1.0 + 0.0j
-    medium: Medium = VACUUM
     domain: AngularDomain = FULL_SPHERE
     _memo: _FactorMemo = field(default_factory=_FactorMemo, init=False, repr=False, compare=False)
+    medium = VACUUM  # a class attribute, not a field: every cavity is filled with vacuum
 
     def __post_init__(self):
         if not 0.0 < self.radius_m < math.inf:
             raise DomainError(f"cavity radius must be positive and finite, got {self.radius_m}")
         if abs(self.radial.nu - self.eigenpair.nu) > 1e-12 * max(1.0, abs(self.eigenpair.nu)):
             raise DomainError("radial root and angular eigenpair disagree on nu")
+        pol, m, dom = self.radial.kind.value, self.eigenpair.m, self.domain
+        if not dom.admits(m, pol):
+            raise DomainError(
+                f"m={m!r} is not a {pol} index of a {math.degrees(dom.azimuth_opening_rad):g} deg "
+                f"{dom.face_kind} wedge: m*Phi/pi = {m * dom.azimuth_opening_rad / math.pi:.9g}; "
+                f"the nearest index is m={dom.nearest_index(m, pol)!r}"
+            )
 
     @property
     def polarization(self) -> RootKind:
@@ -131,11 +141,6 @@ class ModeSpec:
         return "sin" if self.radial.kind is RootKind.TM_RICCATI_DERIV_ZERO else "cos"
 
     @property
-    def south_regular(self) -> bool:
-        """Regular at theta = pi: a cone removes the pole theta = 0."""
-        return self.domain.has_cone
-
-    @property
     def wavenumber(self) -> float:
         return self.radial.x / self.radius_m
 
@@ -146,7 +151,7 @@ class ModeSpec:
     def polar(self, theta):
         """(Theta, dTheta/dtheta) regular at the retained pole; vectorized over theta."""
         nu, m = self.eigenpair.nu, self.eigenpair.m
-        if self.south_regular:
+        if self.domain.has_cone:  # a cone removes the pole theta = 0; regular at theta = pi
             value, deriv = polar_solution(nu, m, np.pi - np.asarray(theta))
             return value, -deriv
         return polar_solution(nu, m, theta)
@@ -241,23 +246,10 @@ def make_mode(
     n: int,
     radius_m: float,
     amplitude: complex = 1.0 + 0.0j,
-    medium: Medium = VACUUM,
     domain: AngularDomain = FULL_SPHERE,
 ) -> ModeSpec:
-    """Assemble a ModeSpec with its radial root.
-
-    An m the domain does not admit for the polarization (AngularDomain.admits)
-    raises DomainError naming the nearest index that it does admit.
-    """
-    pol, m = polarization.value, eigenpair.m
-    if not domain.admits(m, pol):
-        raise DomainError(
-            f"m={m!r} is not a {pol} index of a {math.degrees(domain.azimuth_opening_rad):g} deg "
-            f"{domain.face_kind} wedge: m*Phi/pi = {m * domain.azimuth_opening_rad / math.pi:.9g}; "
-            f"the nearest index is m={domain.nearest_index(m, pol)!r}"
-        )
-    root = radial_root(eigenpair.nu, n, polarization)
-    return ModeSpec(eigenpair, root, radius_m, amplitude, medium, domain)
+    """Assemble a ModeSpec with the n-th radial root of the polarization."""
+    return ModeSpec(eigenpair, radial_root(eigenpair.nu, n, polarization), radius_m, amplitude, domain)
 
 
 def wave_impedances(

@@ -18,7 +18,6 @@ from importlib import resources
 
 from .angular import (
     AngularDomain,
-    azimuthal_indices,
     classify,
     cone_nu,
     cone_roots,
@@ -92,18 +91,6 @@ def _sort_key(rec: ModeRecord):
     return (rec.frequency_hz, 0 if rec.polarization == "TM" else 1, rec.m, rec.nu, rec.n)
 
 
-def _azimuthal_values(domain: AngularDomain, m_cap: float) -> list[float]:
-    if domain.full_azimuth:
-        count = int(m_cap) + 1
-    else:
-        # one extra index, filtered below; PEC/PMC values are never larger
-        count = max(1, int(m_cap * domain.azimuth_opening_rad / math.pi) + 1)
-    vals = azimuthal_indices(domain, count)
-    if vals[0] > 0.0 and domain.admits(0.0, "TE"):
-        vals = [0.0] + vals  # a PEC wedge's m = 0, TE only (sin(0 phi) = 0 leaves no TM)
-    return [m for m in vals if m <= m_cap]
-
-
 def _angular_candidates(domain: AngularDomain, m: float, nu_cap: float):
     """Yield (nu, k, polarizations) admissible for azimuthal index m."""
     both = (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO)
@@ -134,7 +121,7 @@ def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[Mo
     x_cap = 2.0 * math.pi * a * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
     records: list[ModeRecord] = []
     domain = config.domain()
-    for m in _azimuthal_values(domain, x_cap):
+    for m in domain.indices(x_cap):
         for nu, k, kinds in _angular_candidates(domain, m, x_cap):
             for kind in kinds:
                 key = (round(nu, 12), kind)
@@ -180,7 +167,7 @@ def fundamental_tm(config: CavityConfig) -> ModeRecord:
     if domain.full_azimuth:
         m = 0.0 if domain.has_cone else 1.0
     else:
-        m = azimuthal_indices(domain, 1)[0]
+        m = domain.nearest_index(0.0, "TM")
     if domain.has_cone:
         nu, k = cone_nu(m, domain.cone_half_angle_rad, "TM", 1), None
     else:
@@ -348,12 +335,11 @@ def _cone_row(fx: dict, row: dict, radius: float):
 
 
 def _combined_row(fx: dict, row: dict, radius: float):
-    m_exact = math.pi / math.radians(row["opening_deg"])
-    nu = cone_nu(m_exact, math.radians(fx["cone_half_angle_deg"]), "TM", 1)
+    rec = fundamental_tm(CavityConfig(radius, row["opening_deg"], fx["cone_half_angle_deg"]))
     head = dict(
-        opening_deg=row["opening_deg"], m_exact=m_exact, m_printed=row["m"], nu=nu, nu_fixture=row["nu"]
+        opening_deg=row["opening_deg"], m_exact=rec.m, m_printed=row["m"], nu=rec.nu, nu_fixture=row["nu"]
     )
-    return _frequency_row(fx, row, radius, head, riccati_deriv_zero(nu, 1).x)
+    return _frequency_row(fx, row, radius, head, rec.root_x)
 
 
 # per fixture kind: (fixture, row, radius) -> (report row, theory deviations, reference deviations)

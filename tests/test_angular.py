@@ -12,7 +12,6 @@ from sphcav.angular import (
     AngularEigenpair,
     Family,
     angular_ode_residual,
-    azimuthal_indices,
     classify,
     cone_nu,
     cone_roots,
@@ -48,33 +47,49 @@ def test_eigenpair_validation():
         AngularEigenpair(nu=1.0, m=-1.0, family=Family.SECTORAL)
 
 
-def test_azimuthal_indices_wedge_270():
+@pytest.mark.parametrize("nu, m", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+def test_non_finite_nu_or_m_is_refused(nu, m):
+    # nan used to reach round(nan) in classify (ValueError) and inf round(inf) (OverflowError)
+    for cone_present in (False, True):
+        with pytest.raises(ClassificationError, match="outside the physical quadrant"):
+            classify(nu, m, cone_present=cone_present)
+    with pytest.raises(DomainError, match="finite"):
+        AngularEigenpair(nu, m, Family.TESSERAL)
+
+
+def test_domain_indices_wedge_270():
     d = AngularDomain(azimuth_opening_rad=1.5 * math.pi)
-    got = azimuthal_indices(d, 4)
-    assert got == pytest.approx([2.0 / 3.0, 4.0 / 3.0, 2.0, 8.0 / 3.0], rel=1e-15)
+    got = d.indices(2.7)
+    assert got == pytest.approx([0.0, 2.0 / 3.0, 4.0 / 3.0, 2.0, 8.0 / 3.0], rel=1e-15)
 
 
-def test_azimuthal_indices_hemisphere():
+def test_domain_indices_hemisphere():
     d = AngularDomain(azimuth_opening_rad=math.pi)
-    assert azimuthal_indices(d, 3) == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
+    assert d.indices(3.5) == pytest.approx([0.0, 1.0, 2.0, 3.0], rel=1e-15)
 
 
-def test_azimuthal_indices_full_circle_includes_zonal():
-    assert azimuthal_indices(AngularDomain(), 3) == [0.0, 1.0, 2.0]
+def test_domain_indices_full_circle_includes_zonal():
+    assert AngularDomain().indices(2.5) == [0.0, 1.0, 2.0]
 
 
-def test_azimuthal_indices_pec_pmc():
+def test_domain_indices_pec_pmc():
     # odd quarter-wave family; the 270-degree opening admits m = 1/3
     d = AngularDomain(azimuth_opening_rad=1.5 * math.pi, face_kind="PEC_PMC")
-    got = azimuthal_indices(d, 3)
+    got = d.indices(1.9)
     assert got == pytest.approx([1.0 / 3.0, 1.0, 5.0 / 3.0], rel=1e-15)
 
 
-def test_azimuthal_indices_errors():
+@pytest.mark.parametrize("m_cap", [math.nan, math.inf])
+@pytest.mark.parametrize("opening", [2.0 * math.pi, 1.5 * math.pi])
+def test_domain_indices_need_a_finite_cap(opening, m_cap):
+    # on a wedge the lattice walk would never pass a nan or infinite cap
+    with pytest.raises(DomainError, match="finite"):
+        AngularDomain(azimuth_opening_rad=opening).indices(m_cap)
+
+
+def test_domain_rejects_an_unknown_face_kind():
     with pytest.raises(DomainError):
-        azimuthal_indices(AngularDomain(), 0)
-    with pytest.raises(DomainError):
-        azimuthal_indices(AngularDomain(face_kind="PMC_PMC"), 2)
+        AngularDomain(face_kind="PMC_PMC")
 
 
 def test_nu_regular_both_poles():
@@ -329,15 +344,15 @@ def test_cone_scan_rejects_a_nu_max_that_is_not_finite(nu_max):
 def test_domain_owns_the_wedge_index_rule():
     pec = AngularDomain(azimuth_opening_rad=1.5 * math.pi)
     pmc = AngularDomain(azimuth_opening_rad=1.5 * math.pi, face_kind="PEC_PMC")
-    for m in azimuthal_indices(pec, 3):
+    for m in pec.indices(2.5)[1:]:
         assert pec.admits(m, "TM") and pec.admits(m, "TE") and not pmc.admits(m, "TE")
-    for m in azimuthal_indices(pmc, 3):
+    for m in pmc.indices(2.5):
         assert pmc.admits(m, "TM") and pmc.admits(m, "TE") and not pec.admits(m, "TE")
     # m = 0 between PEC faces is TE only; the full azimuth admits any m >= 0
     assert pec.admits(0.0, "TE") and not pec.admits(0.0, "TM") and not pmc.admits(0.0, "TE")
     assert AngularDomain().admits(0.37, "TM")
-    assert pec.nearest_index(1.0 / 3.0, "TM") == azimuthal_indices(pec, 1)[0]
-    assert pmc.nearest_index(0.0, "TE") == azimuthal_indices(pmc, 1)[0]
+    assert pec.nearest_index(1.0 / 3.0, "TM") == pec.indices(1.0)[1]
+    assert pmc.nearest_index(0.0, "TE") == pmc.indices(1.0)[0]
 
 
 def _oracle_roots(m, theta_c, pol, hi):

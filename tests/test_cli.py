@@ -156,6 +156,17 @@ def test_non_finite_input_exits_with_a_typed_error(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [("field", "--at", "0.008,1.1,0.3"), ("energy",)])
+@pytest.mark.parametrize("wedge", [(), ("--wedge-deg", "270")])
+@pytest.mark.parametrize("mode", ["TM,nan,1,1", "TM,1,nan,1", "TE,inf,1,1", "TE,1,inf,1"])
+def test_non_finite_mode_index_exits_with_a_typed_error(capsys, command, wedge, mode):
+    # nan used to end in a ValueError traceback from round(nan), inf in an OverflowError
+    code, out, err = run(capsys, command[0], "--mode", mode, *wedge, *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "outside the physical quadrant" in err
+
+
 @pytest.mark.parametrize("at", ["0.01,1", "0.01,1,0.3,2", "0.01,x,0.3", ""])
 def test_field_point_must_be_three_floats(capsys, at):
     with pytest.raises(SystemExit) as exc:

@@ -99,6 +99,17 @@ def test_mode_energy_null_is_zero():
     assert rep.radial_integrable
 
 
+@pytest.mark.parametrize(
+    "kind, nu, m, i_theta",
+    [(RootKind.TM_RICCATI_DERIV_ZERO, 3.0, 1.0, 2.0 / 21.0), (RootKind.TE_JZERO, 2.0, 0.0, 0.4)],
+)
+def test_mode_energy_reads_nu_and_m_not_the_family_label(kind, nu, m, i_theta):
+    # a SECTORAL label used to give I_theta = 4/3 for (3, 1), 14x the mode's energy, and 2.0 for (2, 0)
+    reports = [mode_energy(make_mode(kind, AngularEigenpair(nu, m, family), 1, 0.015)) for family in Family]
+    assert len({(r.angular_norm, r.total_energy) for r in reports}) == 1
+    assert reports[0].angular_norm == pytest.approx(i_theta, rel=1e-9)
+
+
 def test_mode_energy_report_structure():
     mode = sectoral_mode(1.0)
     rep = mode_energy(mode)

@@ -341,6 +341,32 @@ def test_mode_spec_invariants():
         ModeSpec(eigenpair=sectoral(2.0), radial=j_zero(1.0, 1), radius_m=A_RADIUS)
 
 
+def test_mode_spec_refuses_an_m_its_domain_does_not_admit():
+    # built directly or by dataclasses.replace, m = 1/3 between PEC faces used to put
+    # E_r = 34.8 V/m on the face phi = Phi
+    from sphcav.fields import ModeSpec
+    from sphcav.radial import riccati_deriv_zero
+
+    pair = AngularEigenpair(1.0 / 3.0, 1.0 / 3.0, Family.SECTORAL, 0)
+    with pytest.raises(DomainError, match="not a TM index") as made:
+        make_mode(RootKind.TM_RICCATI_DERIV_ZERO, pair, 1, A_RADIUS, domain=WEDGE_270)
+    with pytest.raises(DomainError) as direct:
+        ModeSpec(pair, riccati_deriv_zero(1.0 / 3.0, 1), A_RADIUS, domain=WEDGE_270)
+    with pytest.raises(DomainError) as replaced:
+        replace(tm_mode(m=1.0 / 3.0), domain=WEDGE_270)
+    assert str(direct.value) == str(replaced.value) == str(made.value)
+
+
+def test_mode_spec_fields_are_the_mode_and_its_domain():
+    from dataclasses import fields as dataclass_fields
+
+    from sphcav.fields import ModeSpec
+
+    init = [f.name for f in dataclass_fields(ModeSpec) if f.init]
+    assert init == ["eigenpair", "radial", "radius_m", "amplitude", "domain"]
+    assert tm_mode().medium is VACUUM
+
+
 # --- the per-mode factor memo ------------------------------------------------------
 
 
