@@ -7,7 +7,9 @@ Run it on two source trees and diff the outputs: an empty diff means every
 covered result is identical to the last bit.  The cases cover mode records and
 the fundamental TM mode of ten geometries (full sphere, wedges of both face
 kinds, cones and their combinations), max_count enumeration, the cone and
-wedge sweeps, the dispersion table, the four fixture reports, the fields,
+wedge sweeps, the dispersion table, the four fixture reports, radial roots
+(j_zero and riccati_deriv_zero up to n = 20, and each kind's roots below
+nu + 60 from one RadialSweep) at eight orders, the fields,
 impedances and energies of thirteen modes, and the stdout and exit code of the
 README's command-line examples.  A call that raises prints the error's type
 and message instead of a value.
@@ -15,6 +17,7 @@ and message instead of a value.
 
 import contextlib
 import dataclasses
+import enum
 import io
 import math
 
@@ -23,7 +26,7 @@ from sphcav.angular import AngularEigenpair, classify, cone_nu
 from sphcav.energy import mode_energy
 from sphcav.errors import SphcavError
 from sphcav.fields import evaluate, make_mode, wave_impedances
-from sphcav.radial import RootKind
+from sphcav.radial import RadialSweep, RootKind, j_zero, riccati_deriv_zero
 from sphcav.spectrum import (
     CavityConfig,
     cone_sweep,
@@ -71,6 +74,8 @@ def fmt(value) -> str:
     """Values only: floats in hex, containers and dataclasses element by element."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return str(value)
+    if isinstance(value, enum.Enum):
+        return str(value.value)
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, complex):
@@ -117,6 +122,15 @@ def sweeps() -> None:
     show("dispersion_table", lambda: dispersion_table([0.0, 1 / 3, 0.5, 2 / 3, 1.0, 1.5, 7 / 3, 3.0, 10.5], A))
     for name in list_fixtures():
         show(f"validate.{name}", lambda: validate(name))
+
+
+def roots() -> None:
+    for nu in (0.0, 1e-9, 1 / 3, 0.5, 2 / 3, 7.3, 40.0, 120.0):
+        for name, nth in (("j_zero", j_zero), ("riccati_deriv_zero", riccati_deriv_zero)):
+            for n in (1, 2, 5, 6, 7, 20):
+                show(f"{name}({nu!r}, {n})", lambda: nth(nu, n))
+        for kind in (TE, TM):
+            show(f"RadialSweep({nu!r}, {kind.value}).below", lambda: RadialSweep(nu, kind).below(nu + 60.0))
 
 
 def modes() -> None:
@@ -166,5 +180,6 @@ def commands() -> None:
 if __name__ == "__main__":
     geometries()
     sweeps()
+    roots()
     modes()
     commands()

@@ -89,8 +89,10 @@ class AngularDomain:
 
         On the full azimuth that is m (the sectoral curve is continuous); on a wedge
         m = q pi/Phi, q an integer between PEC faces (q > 0 for TM: sin(0 phi) = 0) or
-        an odd half-integer between PEC and PMC faces.
+        an odd half-integer between PEC and PMC faces.  A nan or infinite m raises DomainError.
         """
+        if not math.isfinite(m):
+            raise DomainError(f"azimuthal index must be finite, got m={m}")
         if self.full_azimuth:
             return m
         q = m * self.azimuth_opening_rad / math.pi

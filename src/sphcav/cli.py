@@ -62,10 +62,7 @@ def _add_geometry_args(p: argparse.ArgumentParser) -> None:
 def _parse_mode(text: str) -> tuple[RootKind, float, float, int]:
     try:
         pol_s, nu_s, m_s, n_s = text.split(",")
-        kind = RootKind.TM_RICCATI_DERIV_ZERO if pol_s.upper() == "TM" else RootKind.TE_JZERO
-        if pol_s.upper() not in ("TM", "TE"):
-            raise ValueError
-        return kind, float(nu_s), float(m_s), int(n_s)
+        return RootKind(pol_s.upper()), float(nu_s), float(m_s), int(n_s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"mode must be pol,nu,m,n; got {text!r}") from exc
 

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 from scipy.special import jv
 
 from .errors import DomainError, RootSearchError
-from .specfun import bracketed_roots, riccati_deriv, spherical_j
+from .specfun import bracketed_roots
 
 __all__ = [
     "RootKind",
@@ -98,16 +98,18 @@ def mcmahon_seed(nu: float, n: int, kind: RootKind) -> float:
 _STEP = 0.05  # the first root exceeds nu, so a scan from nu in these steps skips none
 _COARSE = 20  # scan steps per coarse interval (x-width 1.0)
 _WINDOW = 12.0  # the scan grid is summed window by window, each clamped to its end
-_BLOCK = 64  # grid points per vectorized block past the estimate, about one root spacing
+_BLOCK = 64  # scan steps from one cap of nth to the next, about one root spacing
 
 
 def _wall_condition(nu: float, kind: RootKind, x):
-    """spherical_j (TE) or riccati_deriv (TM) on an array of x, in the arithmetic of
-    their J_{nu+1/2} branch (below x = 0.5 spherical_j sums a series: same sign)."""
-    j = np.sqrt(np.pi / (2.0 * x)) * jv(nu + 0.5, x)
+    """spherical_j (TE) or riccati_deriv (TM) at x, a float or an array, in the arithmetic of
+    their J_{nu+1/2} branch (below x = 0.5 spherical_j sums a series: same sign); the TM order
+    is summed as (nu + 1) + 1/2, as riccati_deriv forms it."""
+    scale = np.sqrt(np.pi / (2.0 * x))
+    j = scale * jv(nu + 0.5, x)
     if kind is RootKind.TE_JZERO:
         return j
-    return (nu + 1.0) * j - x * (np.sqrt(np.pi / (2.0 * x)) * jv(nu + 1.5, x))
+    return (nu + 1.0) * j - x * (scale * jv(nu + 1.0 + 0.5, x))
 
 
 class RadialSweep:
@@ -116,15 +118,17 @@ class RadialSweep:
     The scan starts at max(nu, 1e-3) and steps by 0.05 in windows of 12, each
     window's last step clamped to its end; the condition is evaluated on the
     grid in vectorized blocks, and Brent's method refines each sign change to
-    xtol = 1e-12 as it is reached (specfun.bracketed_roots).  Later requests
-    continue the scan, so no root is bracketed or refined twice.
+    xtol = 1e-12 (specfun.bracketed_roots), each root kept as its block is
+    scanned.  Later requests continue the scan, so no root is bracketed or
+    refined twice.  ``nth`` is ``below`` with a cap at the McMahon estimate,
+    moved up until the n-th root is kept.
 
-    A block is evaluated coarse to fine: first at every 20th grid point (an
-    x-stride of 1.0) and the last, then at every grid point of each coarse
-    interval that changes sign.  Roots are more than 1.0 apart, so a coarse
-    interval holds at most one, and Brent gets the brackets of the dense scan;
-    the roots are those of the dense scan bit for bit.  nth's blocks of at most
-    _BLOCK steps are evaluated densely, which costs less than two passes.
+    A block of more than 2 * 20 grid points is evaluated coarse to fine: first
+    at every 20th grid point (an x-stride of 1.0) and the last, then at every
+    grid point of each coarse interval that changes sign.  Roots are more than
+    1.0 apart, so a coarse interval holds at most one, and Brent gets the
+    brackets of the dense scan; the roots are those of the dense scan bit for
+    bit.  A block of at most two coarse intervals costs less evaluated densely.
     """
 
     def __init__(self, nu: float, kind: RootKind):
@@ -134,14 +138,13 @@ class RadialSweep:
         self._what = f"{kind.value} radial condition for nu={nu}"
         self.lo = self._x = max(nu, 1e-3)
         self._hi = self.lo + _WINDOW
-        self._pending = iter(())
         self.roots: list[RadialRoot] = []
 
     def value(self, x: float) -> float:
-        """The wall condition at one x, as Brent's method evaluates it."""
-        return spherical_j(self.nu, x) if self.kind is RootKind.TE_JZERO else riccati_deriv(self.nu, x)
+        """The wall condition at one x, as the scan and Brent's method evaluate it."""
+        return float(_wall_condition(self.nu, self.kind, x))
 
-    def _scan(self, count: int, stride: int = _COARSE) -> None:
+    def _scan(self, count: int) -> None:
         # grid from the last scanned point on, summed in order as a scalar loop would and cut
         # at the window end; no step is summed more than two past it, as those are cut anyway
         if self._x >= self._hi:
@@ -151,11 +154,11 @@ class RadialSweep:
         grid = grid[grid < self._hi]
         if len(grid) <= count:
             grid = np.append(grid, self._hi)
-        if stride == 1:
+        if len(grid) <= 2 * _COARSE:
             values = _wall_condition(self.nu, self.kind, grid)
-        else:  # every stride-th point and the last, then every point of each coarse interval
-            # that changes sign: a dense scan's brackets (a zero at a coarse point is a root as is)
-            coarse = np.append(np.arange(0, len(grid) - 1, stride), len(grid) - 1)
+        else:  # every coarse point and the last, then every point of each coarse interval that
+            # changes sign: a dense scan's brackets (a zero at a coarse point is a root as is)
+            coarse = np.append(np.arange(0, len(grid) - 1, _COARSE), len(grid) - 1)
             ends = _wall_condition(self.nu, self.kind, grid[coarse])
             keep = np.zeros(len(grid), dtype=bool)
             for i in np.flatnonzero(ends[:-1] * ends[1:] < 0.0):
@@ -165,42 +168,32 @@ class RadialSweep:
             keep[coarse] = True
             grid, values = grid[keep], values[keep]
         # this module's brentq, so that a wrapper around radial.brentq sees each refinement
-        self._pending = bracketed_roots(self.value, grid, values, self._what, brentq, xtol=1e-12)
-        self._x = float(grid[-1])
-
-    def _next_root(self) -> bool:
-        x = next(self._pending, None)
-        if x is not None:
+        for x in bracketed_roots(self.value, grid, values, self._what, brentq, xtol=1e-12):
             self.roots.append(RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, self.value(x)))
-        return x is not None
+        self._x = float(grid[-1])
 
     def below(self, x_cap: float) -> list[RadialRoot]:
         """The roots found so far, once they hold every root <= x_cap (the last may exceed it)."""
-        while not self.roots or self.roots[-1].x <= x_cap:
-            if not self._next_root():
-                if self._x >= x_cap:
-                    break
-                self._scan(int((x_cap - self._x) / _STEP) + 1)
+        if not math.isfinite(x_cap):
+            raise DomainError(f"root cap must be finite, got {x_cap}")
+        while self._x < x_cap:
+            self._scan(int((x_cap - self._x) / _STEP) + 1)
         return list(self.roots)
 
     def nth(self, n: int) -> RadialRoot:
         """The n-th root; RootSearchError once a window ending past lo + 40 + 4n lacks it."""
         if n < 1:
             raise DomainError("radial index n must be >= 1")
-        # the first block ends at the Airy estimate, above roots 1-5 as measured for nu <= 200;
-        # a root it misses is found by the next block
-        guess = mcmahon_seed(max(self.nu, 0.5), min(n, 5), self.kind) + math.pi * max(0, n - 5)
-        block = int((guess - self._x) / _STEP) + 2
-        while len(self.roots) < n:
-            if self._next_root():
-                continue
+        # the first cap is the Airy estimate, above roots 1-5 as measured for nu <= 200; each
+        # later one lies _BLOCK steps on, and every cap stops at the window end, where the
+        # give-up rule is checked
+        cap = mcmahon_seed(max(self.nu, 0.5), min(n, 5), self.kind) + math.pi * max(0, n - 5)
+        while len(self.below(min(cap, self._hi + (_WINDOW if self._x >= self._hi else 0.0)))) < n:
             if self._x >= self._hi and self._hi > self.lo + 40.0 + 4.0 * n:
                 raise RootSearchError(
                     f"failed to bracket root n={n} for nu={self.nu}", window=(self.lo, self._hi)
                 )
-            # a block this short costs less evaluated densely (stride 1) than in two passes
-            self._scan(max(block, 1), _COARSE if block > _BLOCK else 1)
-            block = _BLOCK
+            cap = self._x + _BLOCK * _STEP
         return self.roots[n - 1]
 
 

@@ -30,6 +30,7 @@ from .radial import (
     RootKind,
     frequency_from_root,
     j_zero,
+    radial_root,
     riccati_deriv_zero,
 )
 
@@ -321,17 +322,15 @@ def _frequency_row(fx: dict, row: dict, radius: float, head: dict, x: float, hea
 
 
 def _modes_row(fx: dict, row: dict, radius: float):
-    nu = row["nu"]
-    root = riccati_deriv_zero(nu, 1) if row["pol"] == "TM" else j_zero(nu, 1)
-    head = {"mode": int(row["mode"]), "pol": row["pol"], "nu": nu, "m": row["m"]}
-    return _frequency_row(fx, row, radius, head, root.x)
+    head = {"mode": int(row["mode"]), "pol": row["pol"], "nu": row["nu"], "m": row["m"]}
+    return _frequency_row(fx, row, radius, head, radial_root(row["nu"], 1, RootKind(row["pol"])).x)
 
 
 def _cone_row(fx: dict, row: dict, radius: float):
-    nu = cone_nu(fx["m"], math.radians(row["theta_c_deg"]), "TM", 1)
-    nu_dev = abs(nu - row["nu"])
-    head = {"theta_c_deg": row["theta_c_deg"], "nu": nu, "nu_fixture": row["nu"], "nu_dev": nu_dev}
-    return _frequency_row(fx, row, radius, head, riccati_deriv_zero(nu, 1).x, nu_dev <= fx["nu_atol"])
+    rec = fundamental_tm(CavityConfig(radius, 360.0, row["theta_c_deg"]))
+    nu_dev = abs(rec.nu - row["nu"])
+    head = {"theta_c_deg": row["theta_c_deg"], "nu": rec.nu, "nu_fixture": row["nu"], "nu_dev": nu_dev}
+    return _frequency_row(fx, row, radius, head, rec.root_x, nu_dev <= fx["nu_atol"])
 
 
 def _combined_row(fx: dict, row: dict, radius: float):

@@ -355,6 +355,22 @@ def test_domain_owns_the_wedge_index_rule():
     assert pmc.nearest_index(0.0, "TE") == pmc.indices(1.0)[0]
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("polarization", ["TM", "TE"])
+@pytest.mark.parametrize(
+    "domain",
+    [AngularDomain(), AngularDomain(1.5 * math.pi), AngularDomain(1.5 * math.pi, face_kind="PEC_PMC")],
+    ids=["full", "PEC_PEC", "PEC_PMC"],
+)
+def test_domain_rejects_an_index_that_is_not_finite(domain, polarization, m):
+    # a wedge used to raise ValueError/OverflowError from round or floor; the full
+    # azimuth answered admits(nan) with False and nearest_index(inf) with inf
+    with pytest.raises(DomainError, match="finite"):
+        domain.nearest_index(m, polarization)
+    with pytest.raises(DomainError, match="finite"):
+        domain.admits(m, polarization)
+
+
 def _oracle_roots(m, theta_c, pol, hi):
     """Every cone root below hi, one upward mpmath scan after another."""
     roots, lo = [], 1e-4

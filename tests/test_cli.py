@@ -175,9 +175,15 @@ def test_field_point_must_be_three_floats(capsys, at):
     assert "point must be r,theta,phi" in capsys.readouterr().err
 
 
-def test_bad_mode_argument():
+def test_bad_mode_argument(capsys):
     with pytest.raises(SystemExit):
         main(["field", "--mode", "XX,1,1,1", "--at", "0.008,1.1,0.3"])
+    with pytest.raises(SystemExit):
+        main(["field", "--mode", "TEM,1,1,1", "--at", "0.008,1.1,0.3"])
+    assert "mode must be pol,nu,m,n" in capsys.readouterr().err
+    # the polarization is read case-blind
+    code, out, _ = run(capsys, "field", "--mode", "tm,1,1,1", "--at", "0.008,1.1,0.3")
+    assert code == 0 and out == run(capsys, "field", "--mode", "TM,1,1,1", "--at", "0.008,1.1,0.3")[1]
 
 
 def test_energy_rejects_an_m_the_wedge_does_not_admit(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -216,7 +216,7 @@ def test_sweep_continues_without_refining_twice(monkeypatch):
 class DenseSweep(RadialSweep):
     """The reference scan: the wall condition at every 0.05 step of the same grid."""
 
-    def _scan(self, count, stride=1):  # every grid point, whatever the stride
+    def _scan(self, count):  # every grid point
         if self._x >= self._hi:
             self._hi += 12.0
         grid = np.cumsum(np.concatenate(([self._x], np.full(count, 0.05))))
@@ -225,7 +225,8 @@ class DenseSweep(RadialSweep):
             grid = np.append(grid, self._hi)
         values = radial._wall_condition(self.nu, self.kind, grid)
         what = f"{self.kind.value} radial condition for nu={self.nu}"
-        self._pending = radial.bracketed_roots(self.value, grid, values, what, brentq, xtol=1e-12)
+        for x in radial.bracketed_roots(self.value, grid, values, what, brentq, xtol=1e-12):
+            self.roots.append(radial.RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, self.value(x)))
         self._x = float(grid[-1])
 
 
@@ -289,6 +290,45 @@ def test_te_and_tm_roots_interlace(nu):
     merged = [x for pair in zip(tm[:count], te[:count]) for x in pair]
     assert all(a < b for a, b in zip(merged, merged[1:]))
 
+
+@pytest.mark.parametrize("x_cap", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", list(RootKind))
+def test_below_rejects_a_cap_that_is_not_finite(kind, x_cap):
+    with pytest.raises(DomainError, match="cap"):
+        RadialSweep(1.0, kind).below(x_cap)
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0 / 3.0, 7.3, 120.0])
+@pytest.mark.parametrize("kind", list(RootKind))
+def test_below_and_nth_share_one_sweep(nu, kind):
+    # nth is below with a rising cap: on one sweep, in either order, the bits of a fresh one;
+    # n = 6 and 20 lie beyond the stored Airy zeros
+    fresh = {n: _bits([RadialSweep(nu, kind).nth(n)]) for n in (1, 2, 6, 20)}
+    want = RadialSweep(nu, kind).below(nu + 120.0)
+    assert len(want) >= 21
+    assert [_bits([r]) for r in want[:20]] == [_bits([RadialSweep(nu, kind).nth(n)]) for n in range(1, 21)]
+    sweep = RadialSweep(nu, kind)
+    assert 6 < len(sweep.below(nu + 50.0)) < 20
+    assert _bits([sweep.nth(2)]) == fresh[2] and _bits([sweep.nth(6)]) == fresh[6]
+    assert _bits([sweep.nth(20)]) == fresh[20] and _bits([sweep.nth(1)]) == fresh[1]
+    assert _bits(sweep.below(nu + 120.0)) == _bits(want)
+    sweep = RadialSweep(nu, kind)
+    assert _bits([sweep.nth(6)]) == fresh[6]
+    assert _bits(sweep.below(nu + 120.0)) == _bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nu=st.floats(min_value=-0.5, max_value=200.0, exclude_min=True),
+    x=st.floats(min_value=0.5, max_value=300.0),
+    kind=st.sampled_from([TE, TM]),
+)
+@example(nu=-0.25 + 2.0**-53 + 2.0**-55, x=3.3, kind=TM)  # (nu + 1) + 1/2 != nu + 3/2 here
+def test_sweep_value_is_the_wall_condition_of_the_field(nu, x, kind):
+    # the scan, Brent and the field evaluate one function, so the field's wall condition
+    # vanishes at the root the sweep returns
+    want = spherical_j(nu, x) if kind is TE else riccati_deriv(nu, x)
+    assert RadialSweep(nu, kind).value(x).hex() == want.hex()
 
 X_CAP = 10.5  # no radial root within 1e-3 of it on either domain below
 
