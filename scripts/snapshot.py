@@ -9,7 +9,9 @@ the fundamental TM mode of ten geometries (full sphere, wedges of both face
 kinds, cones and their combinations), max_count enumeration, the cone and
 wedge sweeps, the dispersion table, the four fixture reports, radial roots
 (j_zero and riccati_deriv_zero up to n = 20, and each kind's roots below
-nu + 60 from one RadialSweep) at eight orders, the fields,
+nu + 60 from one RadialSweep) at eight orders and four large-order roots
+(nu = 900 to 1e6), the first four cone_nu branches of both polarizations at
+eleven cone angles and five orders, the fields,
 impedances and energies of thirteen modes, and the stdout and exit code of the
 README's command-line examples.  A call that raises prints the error's type
 and message instead of a value.
@@ -131,6 +133,18 @@ def roots() -> None:
                 show(f"{name}({nu!r}, {n})", lambda: nth(nu, n))
         for kind in (TE, TM):
             show(f"RadialSweep({nu!r}, {kind.value}).below", lambda: RadialSweep(nu, kind).below(nu + 60.0))
+    for nu, n in ((900.0, 12), (17000.0, 1), (1e5, 12), (1e6, 1)):  # roots above nu + 40 + 4n
+        for name, nth in (("j_zero", j_zero), ("riccati_deriv_zero", riccati_deriv_zero)):
+            show(f"{name}({nu!r}, {n})", lambda: nth(nu, n))
+
+
+def cones() -> None:
+    for theta in (0.38, 5.0, 7.59, 14.93, 20.0, 21.8, 28.07, 33.69, 45.0, 60.0, 80.0):
+        for m in (0.0, 2.0 / 3.0, 1.0, 2.5, 7.0):
+            for pol in ("TM", "TE"):
+                for branch in (1, 2, 3, 4):
+                    show(f"cone_nu({m!r}, {theta:g} deg, {pol}, {branch})",
+                         lambda: cone_nu(m, math.radians(theta), pol, branch))
 
 
 def modes() -> None:
@@ -181,5 +195,6 @@ if __name__ == "__main__":
     geometries()
     sweeps()
     roots()
+    cones()
     modes()
     commands()

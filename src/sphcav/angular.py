@@ -159,8 +159,8 @@ def south_singular_coefficient(nu: float, m: float) -> float:
     nu - m in {0, 1, 2, ...}, which is the discreteness mechanism for
     cone-free domains.
     """
-    if m < 0.0:
-        raise DomainError("m must be >= 0")
+    if not (math.isfinite(nu) and 0.0 <= m < math.inf):
+        raise DomainError(f"nu must be finite and m finite and >= 0, got nu={nu}, m={m}")
     if nu + m + 1.0 <= 0.0:
         raise DomainError(f"gamma ratio undefined for nu+m+1 = {nu + m + 1.0} <= 0")
     w = nu - m
@@ -231,8 +231,10 @@ def cone_roots(
     root spacing; the last step ends at nu_max), and Brent's method refines
     each sign change to |delta nu| <= 1e-10 (specfun.bracketed_roots).  A
     scan value that overflows raises RootSearchError rather than losing roots;
-    a nu_max that is not finite raises DomainError.
+    an m or nu_max that is not finite raises DomainError.
     """
+    if not 0.0 <= m < math.inf:
+        raise DomainError(f"order m must be finite and >= 0, got m={m}")
     if not (0.0 < theta_c < 0.5 * math.pi):
         raise DomainError("cone half-angle must lie strictly inside (0, pi/2)")
     pol = polarization.upper()
@@ -257,23 +259,20 @@ def cone_roots(
     return list(itertools.islice(roots, max_branches))
 
 
-def cone_nu(
-    m: float,
-    theta_c: float,
-    polarization: str,
-    branch: int = 1,
-    nu_max: float | None = None,
-) -> float:
+def cone_nu(m: float, theta_c: float, polarization: str, branch: int = 1) -> float:
     """The branch-th smallest nu > 0 satisfying the cone condition.
 
     TM imposes a Dirichlet condition on the polar function at the cone
     surface, TE a Neumann one; both act on the solution regular at the
     retained pole theta = pi, i.e. on legendre_theta evaluated at
-    pi - theta_c.
+    pi - theta_c.  Consecutive branches lie about pi/(pi - theta_c) apart
+    (the polar interval's length), so the scan stops at
+    m + (branch + 1) pi/(pi - theta_c) and raises RootSearchError without
+    the branch there.
     """
     if branch < 1:
         raise DomainError("branch index must be >= 1")
-    hi = nu_max if nu_max is not None else m + branch + 2.0
+    hi = m + (branch + 1) * math.pi / (math.pi - theta_c)
     roots = cone_roots(m, theta_c, polarization, hi, max_branches=branch)
     if len(roots) < branch:
         raise RootSearchError(

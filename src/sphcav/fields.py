@@ -21,8 +21,10 @@ Azimuthal factor, derived from the domain like the regular pole: exp(i m phi)
 on the full azimuth; on a wedge sin(m phi) for TM (E_r, E_theta carry Phi) and
 cos(m phi) for TE (E_theta carries Phi'), so tangential E vanishes on the PEC
 face phi = 0 and, with the domain's m, E (PEC) or H (PMC) on the face phi = Phi.
-A ModeSpec refuses an m that is no such index (AngularDomain.admits), however
-it is built: by make_mode, directly or by dataclasses.replace.
+A ModeSpec refuses an m that is no such index (AngularDomain.admits), and a
+(nu, m) that its domain cannot reach (angular.classify: without a cone, nu - m
+must be a non-negative integer), however it is built: by make_mode, directly
+or by dataclasses.replace.
 
 Each ModeSpec keeps a bounded memo of its radial factors (j_nu, Ric') by r,
 its polar pair (Theta, Theta') with sin(theta) by theta, and its azimuthal
@@ -40,12 +42,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401 -- benchmarks/spans.py wraps it by name
 
-from .angular import AngularDomain, AngularEigenpair
+from .angular import AngularDomain, AngularEigenpair, classify
 from .errors import DomainError, ImpedanceUndefinedError
 from .radial import RadialRoot, RootKind, radial_root
 from .specfun import polar_solution, riccati_deriv, spherical_j
@@ -106,7 +109,8 @@ class _FactorMemo(dict):
 @dataclass(frozen=True)
 class ModeSpec:
     """Everything needed to evaluate one mode's fields at a point; an m its domain does not
-    admit for its polarization raises DomainError naming the nearest index that it does."""
+    admit for its polarization raises DomainError naming the nearest index that it does, and
+    a (nu, m) the domain cannot reach raises ClassificationError."""
 
     eigenpair: AngularEigenpair
     radial: RadialRoot
@@ -128,6 +132,7 @@ class ModeSpec:
                 f"{dom.face_kind} wedge: m*Phi/pi = {m * dom.azimuth_opening_rad / math.pi:.9g}; "
                 f"the nearest index is m={dom.nearest_index(m, pol)!r}"
             )
+        classify(self.eigenpair.nu, m, cone_present=dom.has_cone)
 
     @property
     def polarization(self) -> RootKind:
@@ -186,6 +191,8 @@ def _check_point(mode: ModeSpec, r: float, theta: float, phi: float) -> None:
     lo = mode.domain.cone_half_angle_rad
     if not (lo < theta < math.pi):
         raise DomainError(f"theta={theta} outside the angular domain ({lo}, pi)")
+    if not math.isfinite(phi):
+        raise DomainError(f"phi={phi} is not finite")
     if not mode.domain.full_azimuth and not (
         -1e-12 <= phi <= mode.domain.azimuth_opening_rad + 1e-12
     ):
@@ -195,12 +202,14 @@ def _check_point(mode: ModeSpec, r: float, theta: float, phi: float) -> None:
 def _constants(mode: ModeSpec, polarization: RootKind) -> tuple:
     """What _sample needs of the mode besides the factors: TM or not, nu, A, nu(nu+1),
     c A and -c A (c the single-curl coefficient), k, and the domain bounds of r, theta
-    and phi (the phi bound is None on the full azimuth)."""
+    and phi (on the full azimuth phi's are -+ the largest float, which nan and inf fail)."""
     nu, a, dom = mode.eigenpair.nu, mode.amplitude, mode.domain
     tm = polarization is RootKind.TM_RICCATI_DERIV_ZERO
     c = -1j * mode.omega * mode.medium.epsilon if tm else 1j * mode.omega * mode.medium.mu
-    phi_hi = None if dom.full_azimuth else dom.azimuth_opening_rad + 1e-12
-    bounds = mode.radius_m, dom.cone_half_angle_rad, phi_hi
+    phi_lo, phi_hi = (
+        (-sys.float_info.max, sys.float_info.max) if dom.full_azimuth else (-1e-12, dom.azimuth_opening_rad + 1e-12)
+    )
+    bounds = mode.radius_m, dom.cone_half_angle_rad, phi_lo, phi_hi
     return tm, nu, a, nu * (nu + 1.0), c * a, -c * a, mode.wavenumber, *bounds
 
 
@@ -216,10 +225,10 @@ def _sample(
     r, theta, phi = point
     memo, pol = mode._memo, polarization or mode.polarization
     # a memo hit is one dict lookup; a miss computes and stores through get_or
-    tm, nu, a, nn1, ca, nca, k, r_hi, theta_lo, phi_hi = memo.get(pol) or memo.get_or(
+    tm, nu, a, nn1, ca, nca, k, r_hi, theta_lo, phi_lo, phi_hi = memo.get(pol) or memo.get_or(
         pol, lambda: _constants(mode, pol)
     )
-    if not (0.0 < r <= r_hi and theta_lo < theta < math.pi and (phi_hi is None or -1e-12 <= phi <= phi_hi)):
+    if not (0.0 < r <= r_hi and theta_lo < theta < math.pi and phi_lo <= phi <= phi_hi):
         _check_point(mode, r, theta, phi)  # raises, with the message for the failed bound
     jv, rp = memo.get(("r", r)) or memo.get_or(
         ("r", r), lambda: (spherical_j(nu, k * r), riccati_deriv(nu, k * r))

@@ -181,18 +181,17 @@ class RadialSweep:
         return list(self.roots)
 
     def nth(self, n: int) -> RadialRoot:
-        """The n-th root; RootSearchError once a window ending past lo + 40 + 4n lacks it."""
+        """The n-th root; RootSearchError once a cap's scan passes lo + (40 + 4n) max(1, nu)^(1/3)
+        without it, a stop that grows as root n does, about z_n (nu/2)^(1/3) above nu."""
         if n < 1:
             raise DomainError("radial index n must be >= 1")
+        limit = self.lo + (40.0 + 4.0 * n) * max(1.0, self.nu) ** (1.0 / 3.0)
         # the first cap is the Airy estimate, above roots 1-5 as measured for nu <= 200; each
-        # later one lies _BLOCK steps on, and every cap stops at the window end, where the
-        # give-up rule is checked
+        # later one lies _BLOCK steps past the scan
         cap = mcmahon_seed(max(self.nu, 0.5), min(n, 5), self.kind) + math.pi * max(0, n - 5)
-        while len(self.below(min(cap, self._hi + (_WINDOW if self._x >= self._hi else 0.0)))) < n:
-            if self._x >= self._hi and self._hi > self.lo + 40.0 + 4.0 * n:
-                raise RootSearchError(
-                    f"failed to bracket root n={n} for nu={self.nu}", window=(self.lo, self._hi)
-                )
+        while len(self.below(cap)) < n:
+            if self._x > limit:
+                raise RootSearchError(f"failed to bracket root n={n} for nu={self.nu}", window=(self.lo, self._x))
             cap = self._x + _BLOCK * _STEP
         return self.roots[n - 1]
 

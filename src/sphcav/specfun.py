@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.integrate import solve_ivp  # noqa: F401 -- benchmarks/spans.py wraps it by name
 
-from .errors import ConvergenceError, DomainError, RootSearchError
+from .errors import ConvergenceError, DomainError, RootSearchError, SphcavError
 
 __all__ = [
     "ln_gamma",
@@ -57,6 +57,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """
     if not (0.0 <= z < 1.0):
         raise DomainError(f"hyp2f1 requires 0 <= z < 1, got z={z}")
+    if not all(math.isfinite(x) for x in (a, b, c)):
+        raise DomainError(f"hyp2f1 requires finite parameters, got a={a}, b={b}, c={c}")
     # a non-positive integer a or b, taken exact, makes every term past the polynomial 0;
     # a non-positive integer c is a 1/Gamma(c) pole unless the series stops before it
     a, b = (float(round(x)) if _is_nonpositive_integer(x) else x for x in (a, b))
@@ -123,12 +125,24 @@ def bracketed_roots(f, grid, values, what: str, refine, **tol):
     root; a sign change between neighbours is refined by ``refine(f, lo, hi,
     **tol)`` (Brent's method) when the iterator reaches it.  The last point
     is only a bracket end: a scan continued past it starts there.  A value
-    that is not finite raises RootSearchError at once, naming ``what``.
+    that is not finite raises RootSearchError at once, naming ``what``.  A
+    refinement that fails (f without the scan's sign change at the bracket
+    ends) raises RootSearchError naming ``what`` and the bracket; a
+    SphcavError from f or ``refine`` passes unchanged.
     """
     if not np.all(np.isfinite(values)):
         raise RootSearchError(f"{what} is not finite on the scan", window=(grid[0], grid[-1]))
     at = np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))
-    return (float(grid[i]) if values[i] == 0.0 else float(refine(f, grid[i], grid[i + 1], **tol)) for i in at)
+
+    def refined(lo, hi):
+        try:
+            return float(refine(f, lo, hi, **tol))
+        except SphcavError:
+            raise
+        except (ValueError, RuntimeError) as exc:
+            raise RootSearchError(f"{what} could not be refined: {exc}", window=(lo, hi)) from exc
+
+    return (float(grid[i]) if values[i] == 0.0 else refined(grid[i], grid[i + 1]) for i in at)
 
 
 # --- polar angular solution -------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from sphcav import angular
 from sphcav.angular import (
     AngularDomain,
     AngularEigenpair,
@@ -140,6 +141,15 @@ def test_south_singular_coefficient_reflection_branch():
     nu, m = 0.2, 1.9
     want = float(mp.gamma(nu + m + 1) / mp.gamma(nu - m + 1) * mp.sin((nu - m) * mp.pi) / mp.pi)
     assert south_singular_coefficient(nu, m) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_south_singular_coefficient_rejects_indices_that_are_not_finite(bad):
+    # nan used to end in a ValueError from round(), inf in an OverflowError
+    with pytest.raises(DomainError, match="finite"):
+        south_singular_coefficient(bad, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        south_singular_coefficient(1.0, bad)
 
 
 def test_south_singular_coefficient_domain():
@@ -323,13 +333,14 @@ def test_cone_nu_with_wedge_tends_to_sectoral_from_above():
     assert d_mid == pytest.approx(4.815e-4, rel=1e-2)
 
 
-def test_cone_nu_errors():
+def test_cone_nu_errors(monkeypatch):
     with pytest.raises(DomainError):
         cone_nu(0.0, 0.0, "TM", 1)
     with pytest.raises(DomainError):
         cone_nu(0.0, 0.3, "TEM", 1)
+    monkeypatch.setattr(angular, "cone_roots", lambda m, theta_c, pol, nu_max, max_branches: [])
     with pytest.raises(RootSearchError):
-        cone_nu(0.0, math.radians(0.38), "TM", 1, nu_max=0.05)
+        cone_nu(0.0, math.radians(0.38), "TM", 1)
 
 
 @pytest.mark.parametrize("nu_max", [math.nan, math.inf])
@@ -337,8 +348,29 @@ def test_cone_scan_rejects_a_nu_max_that_is_not_finite(nu_max):
     # nan used to return no roots and inf to grow the scan grid without bound
     with pytest.raises(DomainError, match="finite nu_max"):
         cone_roots(1.0, 0.3, "TM", nu_max)
-    with pytest.raises(DomainError, match="finite nu_max"):
-        cone_nu(1.0, 0.3, "TE", 1, nu_max=nu_max)
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+def test_cone_scan_rejects_an_order_that_is_not_finite(m):
+    with pytest.raises(DomainError, match="order m"):
+        cone_roots(m, 0.3, "TM", 5.0)
+
+
+@pytest.mark.parametrize("theta_deg", [0.38, 5.0, 20.0, 33.69, 45.0, 60.0, 80.0, 89.0, 89.9])
+@pytest.mark.parametrize("pol", ["TM", "TE"])
+def test_cone_nu_is_the_branch_of_cone_roots(theta_deg, pol):
+    # branches lie about pi/(pi - theta_c) apart, 1 for a needle and 2 for a hemisphere;
+    # cone_nu's window m + (b + 1) pi/(pi - theta_c) holds branch b at every angle, and the
+    # root is bit for bit the one of a longer scan
+    tc = math.radians(theta_deg)
+    for m in (0.0, 2.0 / 3.0, 1.0, 2.5, 7.0):
+        want = cone_roots(m, tc, pol, m + 16.0, max_branches=6)
+        assert [cone_nu(m, tc, pol, b).hex() for b in range(1, 7)] == [x.hex() for x in want]
+
+
+def test_cone_nu_fourth_branch_near_a_hemisphere():
+    # a window of m + branch + 2 = 6, used before, ended below this root
+    assert cone_nu(0.0, math.radians(80.0), "TM", 4) == 6.248151323378254
 
 
 def test_domain_owns_the_wedge_index_rule():

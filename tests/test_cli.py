@@ -167,6 +167,34 @@ def test_non_finite_mode_index_exits_with_a_typed_error(capsys, command, wedge, 
     assert err.startswith("error:") and "outside the physical quadrant" in err
 
 
+@pytest.mark.parametrize("wedge", [(), ("--wedge-deg", "270")])
+@pytest.mark.parametrize("at", ["0.008,1.1,nan", "0.008,1.1,inf", "0.008,nan,0.3", "inf,1.1,0.3"])
+def test_non_finite_field_point_exits_with_a_typed_error(capsys, wedge, at):
+    # on the full azimuth a nan or infinite phi used to print six nan components and exit 0
+    mode = "TM,0.6666666666666666,0.6666666666666666,1" if wedge else "TM,1,1,1"
+    code, out, err = run(capsys, "field", "--mode", mode, *wedge, "--at", at)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_field_mode_must_be_reachable(capsys):
+    code, out, err = run(capsys, "field", "--mode", "TM,1.5,1,1", "--at", "0.008,1.1,0.3")
+    assert code == 1
+    assert out == ""
+    assert "unreachable without a cone" in err
+
+
+def test_a_cone_root_the_scan_and_brent_disagree_on_is_a_typed_error(capsys):
+    # near nu = 40 at 45 deg the scan and Brent's method disagree in sign (large-nu
+    # cancellation of the polar series); this used to end in scipy's ValueError traceback
+    code, out, err = run(capsys, "modes", "--cone-deg", "45", "--fmax-ghz", "130")
+    assert code in (0, 1)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error:") and "could not be refined" in err
+
+
 @pytest.mark.parametrize("at", ["0.01,1", "0.01,1,0.3,2", "0.01,x,0.3", ""])
 def test_field_point_must_be_three_floats(capsys, at):
     with pytest.raises(SystemExit) as exc:

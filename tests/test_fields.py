@@ -8,7 +8,7 @@ import pytest
 
 from sphcav import fields
 from sphcav.angular import AngularDomain, AngularEigenpair, Family, cone_nu
-from sphcav.errors import DomainError, ImpedanceUndefinedError
+from sphcav.errors import ClassificationError, DomainError, ImpedanceUndefinedError
 from sphcav.fields import (
     _MEMO_LIMIT,
     FULL_SPHERE,
@@ -355,6 +355,48 @@ def test_mode_spec_refuses_an_m_its_domain_does_not_admit():
     with pytest.raises(DomainError) as replaced:
         replace(tm_mode(m=1.0 / 3.0), domain=WEDGE_270)
     assert str(direct.value) == str(replaced.value) == str(made.value)
+
+
+@pytest.mark.parametrize("nu, m", [(1.5, 1.0), (0.7, 0.0)])
+def test_mode_spec_refuses_a_pair_its_domain_cannot_reach(nu, m):
+    # without a cone nu - m must be a non-negative integer: (1.5, 1) used to give
+    # |E| ~ 9e6 V/m at theta = 3.14, and (0.7, 0) an energy for a log-singular mode
+    from sphcav.fields import ModeSpec
+    from sphcav.radial import riccati_deriv_zero
+
+    pair = AngularEigenpair(nu, m, Family.TESSERAL if m else Family.ZONAL)
+    with pytest.raises(ClassificationError, match="unreachable without a cone"):
+        make_mode(RootKind.TM_RICCATI_DERIV_ZERO, pair, 1, A_RADIUS)
+    with pytest.raises(ClassificationError, match="unreachable without a cone"):
+        ModeSpec(pair, riccati_deriv_zero(nu, 1), A_RADIUS)
+    cone = AngularDomain(cone_half_angle_rad=math.radians(20.0))
+    coned = make_mode(RootKind.TM_RICCATI_DERIV_ZERO, pair, 1, A_RADIUS, domain=cone)  # a cone reaches it
+    with pytest.raises(ClassificationError, match="unreachable without a cone"):
+        replace(coned, domain=FULL_SPHERE)
+    with pytest.raises(ClassificationError, match="unreachable without a cone"):
+        replace(tm_mode(m=m if m else 1.0), eigenpair=pair, radial=riccati_deriv_zero(nu, 1))
+
+
+def test_mode_spec_refuses_a_negative_nu_with_or_without_a_cone():
+    from sphcav.fields import ModeSpec
+    from sphcav.radial import riccati_deriv_zero
+
+    pair = AngularEigenpair(-0.25, 0.0, Family.ZONAL)
+    for domain in (FULL_SPHERE, AngularDomain(cone_half_angle_rad=0.3)):
+        with pytest.raises(ClassificationError, match="physical quadrant"):
+            make_mode(RootKind.TM_RICCATI_DERIV_ZERO, pair, 1, A_RADIUS, domain=domain)
+        with pytest.raises(ClassificationError, match="physical quadrant"):
+            ModeSpec(pair, riccati_deriv_zero(-0.25, 1), A_RADIUS, domain=domain)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("domain", [FULL_SPHERE, WEDGE_270])
+def test_evaluate_rejects_a_point_that_is_not_finite(bad, domain):
+    # on the full azimuth a nan or infinite phi used to give six nan components
+    mode = tm_mode(m=2.0 / 3.0 if domain is WEDGE_270 else 1.0, domain=domain)
+    for point in ((bad, 1.1, 0.3), (0.008, bad, 0.3), (0.008, 1.1, bad)):
+        with pytest.raises(DomainError):
+            evaluate(mode, point)
 
 
 def test_mode_spec_fields_are_the_mode_and_its_domain():

@@ -360,8 +360,38 @@ def test_non_finite_scan_raises(monkeypatch):
 
 
 def test_root_search_window_when_no_root_is_found(monkeypatch):
-    # the scan gives up after the first 12-wide window that ends past nu + 40 + 4n
+    # the scan gives up after the first cap whose scan passes nu + (40 + 4n) max(1, nu)^(1/3)
     monkeypatch.setattr(radial, "jv", lambda v, x: np.ones_like(x))
     with pytest.raises(RootSearchError) as err:
         j_zero(1.0, 2)
-    assert err.value.window == (1.0, 61.0)
+    assert err.value.window == pytest.approx((1.0, 49.95), abs=1e-9)
+
+
+@pytest.mark.parametrize("nu", [1.0, 8.0, 1000.0, 1e5])
+@pytest.mark.parametrize("n", [1, 12])
+def test_root_search_stop_scales_with_the_cube_root_of_the_order(monkeypatch, nu, n):
+    # root n lies about z_n (nu/2)^(1/3) above nu, so the stop does too: it is passed by
+    # less than one cap step (_BLOCK * _STEP = 3.2 plus a grid step)
+    monkeypatch.setattr(radial, "jv", lambda v, x: np.ones_like(x))
+    with pytest.raises(RootSearchError) as err:
+        j_zero(nu, n)
+    limit = nu + (40.0 + 4.0 * n) * nu ** (1.0 / 3.0)
+    assert err.value.window[0] == nu
+    assert limit < err.value.window[1] <= limit + 3.25
+
+
+@pytest.mark.parametrize("nu", [900.0, 5000.0, 17000.0, 1e5, 1e6])
+@pytest.mark.parametrize("kind", list(RootKind))
+def test_nth_is_below_at_large_orders(nu, kind):
+    # the stop grows with nu^(1/3), so no root that below finds is given up on; the
+    # fixed stop lo + 40 + 4n used to give up on j_zero(900, 12) and j_zero(17000, 1)
+    ns = (1, 2, 5, 6, 12, 20)
+    got = [RadialSweep(nu, kind).nth(n) for n in ns]
+    want = RadialSweep(nu, kind).below(got[-1].x)
+    assert [_bits([r]) for r in got] == [_bits([want[n - 1]]) for n in ns]
+
+
+def test_large_order_roots():
+    assert j_zero(900.0, 12).x == 1015.9729119641535
+    assert j_zero(17000.0, 1).x == 17048.257387738555
+    assert riccati_deriv_zero(1e6, 1).x == 1000081.3654818123

@@ -114,6 +114,16 @@ def test_hyp2f1_z_domain():
         hyp2f1(0.5, 0.5, 1.5, -0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_hyp2f1_rejects_a_parameter_that_is_not_finite(bad, at):
+    # -inf used to end in an OverflowError from round()
+    params = [0.5, 1.5, 2.5]
+    params[at] = bad
+    with pytest.raises(DomainError, match="finite parameters"):
+        hyp2f1(*params, 0.5)
+
+
 # --- spherical Bessel ----------------------------------------------------------
 
 
@@ -380,3 +390,22 @@ def test_bracketed_roots_takes_grid_zeros_once_and_refines_sign_changes():
     assert roots == [1.0, pytest.approx(2.3, abs=1e-13)]
     with pytest.raises(RootSearchError, match="f is not finite"):
         bracketed_roots(f, grid, np.append(values[:-1], np.inf), "f", brentq)
+
+
+def test_bracketed_roots_names_a_bracket_that_refinement_rejects():
+    # a scan that disagrees in sign with f (as the cone scan and Brent's method do near
+    # nu = 40 at 45 deg) used to end in scipy's ValueError
+    def f(x):
+        return x - 1.0
+
+    grid = [0.0, 0.5, 1.5, 2.0]
+    values = np.array([-1.0, 1.0, 1.0, 1.0])  # a sign change on [0, 0.5], where f has none
+    with pytest.raises(RootSearchError, match="f could not be refined") as err:
+        list(bracketed_roots(f, grid, values, "f", brentq))
+    assert err.value.window == (0.0, 0.5)
+
+    def refuse(f, lo, hi):
+        raise DomainError("f is undefined here")
+
+    with pytest.raises(DomainError, match="undefined"):  # passes unchanged
+        list(bracketed_roots(f, grid, values, "f", refuse))
