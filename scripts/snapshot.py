@@ -12,7 +12,7 @@ wedge sweeps, the dispersion table, the four fixture reports, radial roots
 nu + 60 from one RadialSweep) at eight orders and four large-order roots
 (nu = 900 to 1e6), the first four cone_nu branches of both polarizations at
 eleven cone angles and five orders, the fields,
-impedances and energies of thirteen modes, and the stdout and exit code of the
+impedances and energies of seventeen modes, and the stdout and exit code of the
 README's command-line examples.  A call that raises prints the error's type
 and message instead of a value.
 """
@@ -151,7 +151,9 @@ def modes() -> None:
     m1, q1 = 2.0 / 3.0, 1.0 / 3.0
     full, wedge, pmc = CavityConfig(A), CavityConfig(A, 270.0), CavityConfig(A, 270.0, 0.0, PMC)
     cone, wedge_cone = CavityConfig(A, 360.0, 20.0), CavityConfig(A, 270.0, 20.0)
+    cone5, cone45, wedge355 = CavityConfig(A, 360.0, 5.0), CavityConfig(A, 360.0, 45.0), CavityConfig(A, 355.0)
     tc = math.radians(20.0)
+    m355 = math.pi / wedge355.domain().azimuth_opening_rad
     cases = [
         ("sphere_TM_sectoral", TM, 2.0, 2.0, full),
         ("sphere_TE_tesseral", TE, 3.0, 1.0, full),
@@ -166,6 +168,10 @@ def modes() -> None:
         ("cone_TM_zonal", TM, cone_nu(0.0, tc, "TM", 1), 0.0, cone),
         ("cone_TE_m1", TE, cone_nu(1.0, tc, "TE", 1), 1.0, cone),
         ("wedge_cone_TM", TM, cone_nu(m1, tc, "TM", 1), m1, wedge_cone),
+        ("sphere_TE_tesseral_7_3", TE, 7.0, 3.0, full),
+        ("wedge355_TM_tesseral", TM, m355 + 2.0, m355, wedge355),
+        ("cone5_TE_m1", TE, cone_nu(1.0, math.radians(5.0), "TE", 1), 1.0, cone5),
+        ("cone45_TE_m1", TE, cone_nu(1.0, math.radians(45.0), "TE", 1), 1.0, cone45),
     ]
     for name, kind, nu, m, config in cases:
         domain = config.domain()

@@ -14,7 +14,6 @@ from .angular import (
     cone_nu,
     cone_roots,
     nu_regular_both_poles,
-    sectoral_theta,
     south_singular_coefficient,
 )
 from .energy import (

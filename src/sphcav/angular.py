@@ -42,7 +42,6 @@ __all__ = [
     "classify",
     "cone_roots",
     "cone_nu",
-    "sectoral_theta",
     "angular_ode_residual",
 ]
 
@@ -192,13 +191,6 @@ def classify(nu: float, m: float, cone_present: bool = False) -> Family:
     if nu == m:
         return Family.SECTORAL
     return Family.TESSERAL
-
-
-def sectoral_theta(m: float, theta: float) -> float:
-    """Exact sectoral polar solution sin(theta)^m for nu = m > 0."""
-    if m <= 0.0:
-        raise DomainError("sectoral solution requires m > 0")
-    return math.sin(theta) ** m
 
 
 def angular_ode_residual(

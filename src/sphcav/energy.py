@@ -8,8 +8,10 @@ with the 1/4 from time-averaging.  For an eigenmode it factorizes:
 
 with I_r = int_0^1 j_nu(x u)^2 u^2 du (x = k a), I_theta = int Theta^2
 sin(theta) dtheta over the retained polar interval and I_phi = int |Phi|^2
-dphi over the opening.  Three identities reduce the field integrals to these
-factors:
+dphi over the opening.  Without a cone I_theta is the closed-form Ferrers
+norm of Theta = 2^m Gamma(m+1) P_nu^{-m}(cos theta); across a cone it is a
+1-D quadrature of Theta^2 alone.  Three identities reduce the field
+integrals to these factors:
 
   * radial Green identity: nu(nu+1) int j^2 dr + int Ric'^2 dr =
     k^2 int r^2 j^2 dr + a beta, with beta = j_nu(x) Ric'(x);
@@ -27,10 +29,10 @@ separated field:
     U = 1/4 |A|^2 w a I_phi [(nu(nu+1) I_theta - b)(2 x^2 I_r + beta)
                              + b nu(nu+1) J],   J = int_0^1 j_nu(x u)^2 du,
 
-where J is one 1-D quadrature, taken for cone modes only.  I_r is Lommel's
-integral (DLMF 10.22.5) with j_{nu-1} eliminated by the recurrence:
-I_r = [j_nu^2 + j_{nu+1}^2 - (2nu+1)/x j_nu j_{nu+1}] / 2, so no order below
--1/2 is evaluated.
+where J, like I_theta across a cone, is one 1-D quadrature, taken for cone
+modes only.  I_r is Lommel's integral (DLMF 10.22.5) with j_{nu-1}
+eliminated by the recurrence: I_r = [j_nu^2 + j_{nu+1}^2 - (2nu+1)/x j_nu
+j_{nu+1}] / 2, so no order below -1/2 is evaluated.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, IntegrationError
 from .fields import ModeSpec
-from .specfun import ln_gamma, spherical_j
+from .specfun import legendre_theta, ln_gamma, spherical_j
 
 __all__ = [
     "EnergyReport",
@@ -52,7 +54,7 @@ __all__ = [
     "mode_energy",
 ]
 
-_QUAD_REL = 1e-9  # relative tolerance of the 1-D quadratures where no closed form applies
+_QUAD_REL = 1e-9  # relative tolerance of the two 1-D quadratures of a cone mode
 
 
 @dataclass(frozen=True)
@@ -97,16 +99,16 @@ def _quad(f, lo: float, hi: float) -> float:
 
 
 def _angular_norm(mode: ModeSpec) -> float:
-    """int Theta^2 sin(theta) dtheta over the retained polar interval; without a cone the
-    closed forms are chosen from (nu, m): zonal for m = 0 and integer nu, sectoral for nu = m."""
+    """int Theta^2 sin(theta) dtheta over the retained polar interval.  Without a cone
+    Theta = 2^m Gamma(m+1) P_nu^{-m}(cos theta) with nu - m = k in N, whose Ferrers norm
+    (DLMF 14.17(iii)) is S(m) (2m+1)/(2nu+1) k! Gamma(2m+1)/Gamma(nu+m+1), S the sectoral
+    norm; across a cone Theta alone, regular at theta = pi, is integrated up to pi."""
     nu, m = mode.eigenpair.nu, mode.eigenpair.m
     if not mode.domain.has_cone:
-        if m == 0.0 and nu == round(nu):  # zonal, and the null pair
-            return zonal_norm(int(round(nu)))
-        if nu == m:
-            return sectoral_angular_norm(m)
+        gammas = ln_gamma(nu - m + 1.0) + ln_gamma(2.0 * m + 1.0) - ln_gamma(nu + m + 1.0)
+        return sectoral_angular_norm(m) * ((2.0 * m + 1.0) / (2.0 * nu + 1.0)) * math.exp(gammas)
     return _quad(
-        lambda theta: mode.polar(theta)[0] ** 2 * math.sin(theta),
+        lambda theta: legendre_theta(nu, m, math.pi - theta) ** 2 * math.sin(theta),
         mode.domain.cone_half_angle_rad, math.pi,
     )
 
@@ -117,8 +119,8 @@ def mode_energy(mode: ModeSpec) -> EnergyReport:
     For an eigenmode total_energy = 1/2 |A|^2 w nu(nu+1) k^2 a^3 I_r I_theta
     I_phi; off the wall or cone root the boundary terms of the module
     docstring are added.  I_r and I_theta are the dimensionless profile norms
-    and I_phi the azimuthal weight of |Phi|^2.  Where no closed form applies
-    they come from 1-D quadratures to a relative tolerance of 1e-9.
+    and I_phi the azimuthal weight of |Phi|^2, all closed forms without a cone;
+    across one I_theta and J are 1-D quadratures to a relative tolerance of 1e-9.
     """
     nu, x = mode.eigenpair.nu, mode.radial.x
     lam = nu * (nu + 1.0)

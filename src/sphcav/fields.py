@@ -110,7 +110,9 @@ class _FactorMemo(dict):
 class ModeSpec:
     """Everything needed to evaluate one mode's fields at a point; an m its domain does not
     admit for its polarization raises DomainError naming the nearest index that it does, and
-    a (nu, m) the domain cannot reach raises ClassificationError."""
+    a (nu, m) whose field is singular (without a cone, nu - m not a non-negative integer)
+    raises ClassificationError.  A separated field that misses a cone root or a wall root
+    is accepted: mode_energy gives its exact energy through its boundary terms."""
 
     eigenpair: AngularEigenpair
     radial: RadialRoot

@@ -17,7 +17,6 @@ from sphcav.angular import (
     cone_nu,
     cone_roots,
     nu_regular_both_poles,
-    sectoral_theta,
     south_singular_coefficient,
 )
 from sphcav.errors import ClassificationError, DomainError, RootSearchError
@@ -178,14 +177,6 @@ def test_classify_unreachable_without_cone():
         classify(-0.2, 0.0)
     with pytest.raises(ClassificationError):
         classify(0.3, 0.0)  # log-singular at theta = pi without a cone
-
-
-def test_sectoral_theta():
-    assert sectoral_theta(1.0, math.pi / 2.0) == 1.0
-    assert sectoral_theta(2.0 / 3.0, math.pi / 6.0) == pytest.approx(0.5 ** (2.0 / 3.0), rel=1e-15)
-    assert sectoral_theta(3.0, math.pi / 4.0) == pytest.approx((math.sqrt(2.0) / 2.0) ** 3, rel=1e-14)
-    with pytest.raises(DomainError):
-        sectoral_theta(0.0, 1.0)
 
 
 # --- ODE residual ----------------------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sphcav.angular import AngularDomain, AngularEigenpair, Family
+from sphcav import energy
+from sphcav.angular import AngularDomain, AngularEigenpair, Family, classify, cone_nu
 from sphcav.energy import (
     mode_energy,
     radial_integrable,
@@ -15,6 +16,7 @@ from sphcav.energy import (
 from sphcav.errors import DomainError
 from sphcav.fields import evaluate, make_mode
 from sphcav.radial import RootKind
+from sphcav.specfun import legendre_theta
 
 A_RADIUS = 0.015
 
@@ -122,7 +124,7 @@ def test_mode_energy_report_structure():
 
 
 def test_mode_energy_closed_form_vs_quadrature():
-    # force the quadrature path via a cone-free tesseral with non-integer m
+    # the closed forms of a cone-free sectoral and tesseral mode with non-integer m vs quadrature
     m = 2.0 / 3.0
     rep = mode_energy(sectoral_mode(m))
     assert rep.angular_norm == pytest.approx(quad_sin_power(2.0 * m + 1.0), rel=1e-8)
@@ -329,3 +331,74 @@ def test_total_energy_is_the_product_of_its_factors(build, rel):
     want = 0.5 * abs(mode.amplitude) ** 2 * w * nu * (nu + 1.0) * k * k * A_RADIUS**3
     want *= math.prod(rep.factorization.values())
     assert rep.total_energy == pytest.approx(want, rel=rel)
+
+
+# --- the polar norm: closed form without a cone, Theta alone across one -----------------
+
+WEDGE_270 = AngularDomain(azimuth_opening_rad=1.5 * math.pi)
+WEDGE_355 = AngularDomain(azimuth_opening_rad=math.radians(355.0))
+PMC_270 = AngularDomain(azimuth_opening_rad=1.5 * math.pi, face_kind="PEC_PMC")
+CONE_FREE_ORDERS = [
+    (0.0, AngularDomain()),
+    (1.0 / 3.0, PMC_270),
+    (math.pi / WEDGE_355.azimuth_opening_rad, WEDGE_355),
+    (2.0 / 3.0, WEDGE_270),
+    (1.0, AngularDomain()),
+    (4.0 / 3.0, WEDGE_270),
+    (2.5, AngularDomain()),
+    (7.3, AngularDomain()),
+]
+
+
+def cone_free_mode(nu, m, domain):
+    pair = AngularEigenpair(nu, m, classify(nu, m))
+    return make_mode(RootKind.TM_RICCATI_DERIV_ZERO, pair, 1, A_RADIUS, domain=domain)
+
+
+@pytest.mark.parametrize(
+    "m, domain",
+    CONE_FREE_ORDERS,
+    ids=["sphere_m0", "pmc270_m1_3", "wedge355_m_pi_Phi", "wedge270_m2_3", "sphere_m1", "wedge270_m4_3",
+         "sphere_m2.5", "sphere_m7.3"],
+)
+def test_cone_free_angular_norm_vs_mpmath(m, domain):
+    """I_theta = 4^m Gamma(m+1)^2 2/(2nu+1) k!/Gamma(nu+m+1) for nu = m + k, to 30 digits."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        mm = mp.mpf(m)
+        for k in range(13):
+            got = mode_energy(cone_free_mode(m + k, m, domain)).angular_norm
+            nu = mm + k
+            want = 4**mm * mp.gamma(mm + 1) ** 2 * 2 / (2 * nu + 1) * mp.factorial(k) / mp.gamma(nu + mm + 1)
+            assert abs(got - want) <= 1e-13 * want, (m, k)
+
+
+@pytest.mark.parametrize(
+    "nu, m, domain", [(3.0, 1.0, AngularDomain()), (5.0 / 3.0, 2.0 / 3.0, WEDGE_270)], ids=["sphere", "wedge270"]
+)
+def test_cone_free_mode_energy_runs_no_quadrature(monkeypatch, nu, m, domain):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad called without a cone")
+
+    monkeypatch.setattr(energy, "quad", refuse)
+    assert mode_energy(cone_free_mode(nu, m, domain)).total_energy > 0.0
+
+
+@pytest.mark.parametrize("cone_deg", [5.0, 20.0, 45.0])
+@pytest.mark.parametrize(
+    "m, pol, opening",
+    [(0.0, "TM", 2.0 * math.pi), (1.0, "TE", 2.0 * math.pi), (2.0 / 3.0, "TM", 1.5 * math.pi)],
+    ids=["TM_m0", "TE_m1", "wedge270_TM_m2_3"],
+)
+def test_cone_norm_integrates_the_polar_value_alone(cone_deg, m, pol, opening):
+    """ModeSpec.polar's value is legendre_theta at pi - theta, and I_theta integrates it."""
+    tc = math.radians(cone_deg)
+    domain = AngularDomain(azimuth_opening_rad=opening, cone_half_angle_rad=tc)
+    nu = cone_nu(m, tc, pol, 1)
+    kind = RootKind.TM_RICCATI_DERIV_ZERO if pol == "TM" else RootKind.TE_JZERO
+    mode = make_mode(kind, AngularEigenpair(nu, m, classify(nu, m, cone_present=True)), 1, A_RADIUS, domain=domain)
+    for theta in np.linspace(tc, math.pi, 41)[:-1].tolist():  # legendre_theta takes theta inside (0, pi)
+        assert mode.polar(theta)[0] == legendre_theta(nu, m, math.pi - theta)
+    via_polar = energy._quad(lambda t: mode.polar(t)[0] ** 2 * math.sin(t), tc, math.pi)
+    assert mode_energy(mode).angular_norm == via_polar
