@@ -12,9 +12,11 @@ wedge sweeps, the dispersion table, the four fixture reports, radial roots
 nu + 60 from one RadialSweep) at eight orders and four large-order roots
 (nu = 900 to 1e6), the first four cone_nu branches of both polarizations at
 eleven cone angles and five orders, the fields,
-impedances and energies of seventeen modes, and the stdout and exit code of the
-README's command-line examples.  A call that raises prints the error's type
-and message instead of a value.
+impedances and energies of seventeen modes, the reachability test of nu - m in N
+just off the integer (classify, make_mode and evaluate at (5 + delta, 3), and
+legendre_theta at two such points), the energy of a high-order cone mode, and
+the stdout and exit code of the README's command-line examples.  A call that
+raises prints the error's type and message instead of a value.
 """
 
 import contextlib
@@ -24,11 +26,12 @@ import io
 import math
 
 from sphcav import cli
-from sphcav.angular import AngularEigenpair, classify, cone_nu
+from sphcav.angular import AngularEigenpair, Family, classify, cone_nu
 from sphcav.energy import mode_energy
 from sphcav.errors import SphcavError
 from sphcav.fields import evaluate, make_mode, wave_impedances
 from sphcav.radial import RadialSweep, RootKind, j_zero, riccati_deriv_zero
+from sphcav.specfun import legendre_theta
 from sphcav.spectrum import (
     CavityConfig,
     cone_sweep,
@@ -187,6 +190,20 @@ def modes() -> None:
         show(f"{name}.mode_energy", lambda: mode_energy(mode))
 
 
+def reachability() -> None:
+    for delta in (1e-13, 1.9e-12, 5e-12):  # about the absolute 1e-12 of specfun.terminates
+        nu = 5.0 + delta
+        pair = AngularEigenpair(nu, 3.0, Family.TESSERAL)
+        show(f"classify({nu!r}, 3.0)", lambda: classify(nu, 3.0))
+        show(f"make_mode(TE, {nu!r}, 3.0).radial", lambda: make_mode(TE, pair, 1, A).radial)
+        show(f"evaluate(TE, {nu!r}, 3.0)", lambda: evaluate(make_mode(TE, pair, 1, A), (0.008, math.pi - 1e-4, 0.3)))
+    for nu, m, theta in ((5.999999999997616, 2.0, math.pi - 3.3e-3), (4.0 + 1.5e-12, 0.0, 3.0)):
+        show(f"legendre_theta({nu!r}, {m!r}, {theta!r})", lambda: legendre_theta(nu, m, theta))
+    domain = CavityConfig(A, 360.0, 20.0).domain()
+    pair = AngularEigenpair(cone_nu(12.0, domain.cone_half_angle_rad, "TM", 8), 12.0, Family.TESSERAL)
+    show("cone20_TM_m12_branch8.mode_energy", lambda: mode_energy(make_mode(TM, pair, 1, A, domain=domain)))
+
+
 def commands() -> None:
     for line in README_CLI:
         out = io.StringIO()
@@ -203,4 +220,5 @@ if __name__ == "__main__":
     roots()
     cones()
     modes()
+    reachability()
     commands()

@@ -13,7 +13,6 @@ from .angular import (
     classify,
     cone_nu,
     cone_roots,
-    nu_regular_both_poles,
     south_singular_coefficient,
 )
 from .energy import (

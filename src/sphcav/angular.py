@@ -1,7 +1,10 @@
 """Angular eigenvalue problem: admissible (nu, m) pairs and mode families.
 
-AngularDomain alone holds the azimuthal index lattice of each polarization and
-wedge face kind (indices, nearest_index, admits); no other module computes one.
+AngularDomain owns both constraints that make the indices discrete; no other module computes
+either.  Single-valuedness in phi: the index lattice of each polarization and wedge face kind
+(indices, nearest_index, admits).  Regularity at the retained poles: polar and polar_value (the
+one reflection theta -> pi - theta) and eigenvalues, which are nu = m + k without a cone
+(specfun.terminates tests nu - m in N) and continuous families of cone roots with one.
 
 Geometry conventions:
   * azimuth opening Phi in (0, 2pi]; Phi = 2pi means the full azimuth
@@ -28,16 +31,16 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ClassificationError, DomainError, RootSearchError
-from .specfun import INT_TOL, bracketed_roots, legendre_theta, legendre_theta_deriv, ln_gamma
+from .specfun import bracketed_roots, legendre_theta, ln_gamma, polar_solution, terminates
 
 __all__ = [
     "Family",
     "AngularDomain",
     "AngularEigenpair",
-    "nu_regular_both_poles",
     "south_singular_coefficient",
     "classify",
     "cone_roots",
@@ -117,6 +120,33 @@ class AngularDomain:
         q2, near2 = (2.0 * x * self.azimuth_opening_rad / math.pi for x in (m, self.nearest_index(m, polarization)))
         return abs(q2 - near2) <= 1e-9 * max(1.0, q2)
 
+    def _retained(self, theta):
+        """theta seen from the pole the solution is regular at: pi - theta across a cone."""
+        if not self.has_cone:
+            return theta
+        return math.pi - theta if isinstance(theta, float) else np.pi - np.asarray(theta)
+
+    def polar(self, nu, m: float, theta):
+        """(Theta, dTheta/dtheta) regular at theta = 0, or at theta = pi across a cone;
+        nu and theta broadcast as in specfun.polar_solution."""
+        value, deriv = polar_solution(nu, m, self._retained(theta))
+        return (value, -deriv) if self.has_cone else (value, deriv)
+
+    def polar_value(self, nu, m: float, theta):
+        """Theta of polar alone, without summing the derivative's series."""
+        return legendre_theta(nu, m, self._retained(theta))
+
+    def eigenvalues(self, m: float, polarization: str, nu_cap: float) -> list[float]:
+        """Every nu <= nu_cap of order m, ascending: m + k (k = 0, 1, ...) regular at both
+        poles, without the field-free (0, 0); across a cone the roots of the polarization's
+        condition (cone_roots)."""
+        if self.has_cone:
+            return cone_roots(m, self.cone_half_angle_rad, polarization, nu_cap)
+        if not math.isfinite(nu_cap):
+            raise DomainError(f"eigenvalue cap must be finite, got {nu_cap}")
+        nus = itertools.takewhile(lambda nu: nu <= nu_cap, (m + k for k in itertools.count()))
+        return [nu for nu in nus if nu > 0.0]
+
 
 @dataclass(frozen=True)
 class AngularEigenpair:
@@ -140,31 +170,22 @@ class AngularEigenpair:
             raise DomainError("m must be >= 0")
 
 
-def nu_regular_both_poles(m: float, k: int) -> float:
-    """Degree regular at both poles for order m: nu = m + k, integer k >= 0."""
-    if m < 0.0:
-        raise DomainError("m must be >= 0")
-    if k < 0:
-        raise DomainError("k must be >= 0")
-    return m + k
-
-
 def south_singular_coefficient(nu: float, m: float) -> float:
     """Coefficient of the singular branch at theta = pi of the north-regular solution.
 
     For m > 0 this is [Gamma(nu+m+1)/Gamma(nu-m+1)] * sin((nu-m)*pi)/pi,
     multiplying the (pi-theta)^(-m) divergence; for m = 0 it is sin(nu*pi)/pi,
-    multiplying the logarithmic divergence.  It vanishes exactly on
-    nu - m in {0, 1, 2, ...}, which is the discreteness mechanism for
-    cone-free domains.
+    multiplying the logarithmic divergence.  It is exactly 0 where nu - m is a
+    non-negative integer within an absolute 1e-12 (specfun.terminates), which is
+    the discreteness mechanism for cone-free domains.
     """
     if not (math.isfinite(nu) and 0.0 <= m < math.inf):
         raise DomainError(f"nu must be finite and m finite and >= 0, got nu={nu}, m={m}")
     if nu + m + 1.0 <= 0.0:
         raise DomainError(f"gamma ratio undefined for nu+m+1 = {nu + m + 1.0} <= 0")
-    w = nu - m
-    if abs(w - round(w)) <= INT_TOL * max(1.0, abs(w)) and round(w) >= 0:
+    if terminates(nu, m):
         return 0.0
+    w = nu - m
     if w + 1.0 > 0.0:
         ratio = math.exp(ln_gamma(nu + m + 1.0) - ln_gamma(w + 1.0))
         return ratio * math.sin(w * math.pi) / math.pi
@@ -174,18 +195,16 @@ def south_singular_coefficient(nu: float, m: float) -> float:
 
 
 def classify(nu: float, m: float, cone_present: bool = False) -> Family:
-    """Mode family of an admissible (nu, m) pair."""
+    """Mode family of an admissible (nu, m) pair.  Without a cone nu - m must be a non-negative
+    integer to an absolute 1e-12 (specfun.terminates): any other nu is singular at theta = pi."""
     if not (0.0 <= nu < math.inf and 0.0 <= m < math.inf):
         raise ClassificationError(f"(nu={nu}, m={m}) outside the physical quadrant")
     if nu == 0.0 and m == 0.0:
         return Family.NULL
-    if not cone_present:
-        # regularity at both poles; for m = 0 a non-integer nu is log-singular at theta = pi
-        d = nu - m
-        if d < -INT_TOL or abs(d - round(d)) > 1e-9 * max(1.0, abs(d)):
-            raise ClassificationError(
-                f"(nu={nu}, m={m}) is unreachable without a cone: nu - m must be a non-negative integer"
-            )
+    if not cone_present and not terminates(nu, m):
+        raise ClassificationError(
+            f"(nu={nu}, m={m}) is unreachable without a cone: nu - m must be a non-negative integer"
+        )
     if m == 0.0:
         return Family.ZONAL
     if nu == m:
@@ -215,8 +234,8 @@ def cone_roots(
     """All cone eigenvalues below nu_max, smallest first.
 
     The cone condition is the south-regular polar solution (TM) or its
-    derivative (TE) at the cone, i.e. legendre_theta or legendre_theta_deriv
-    at pi - theta_c, which the connection formulas give in closed form: DLMF
+    derivative (TE) at the cone, AngularDomain.polar_value or polar at theta_c,
+    which the connection formulas give in closed form: DLMF
     15.8.4 for non-integer m, its logarithmic case 15.8.10 for integer m, and
     interpolation in m between the two within 4e-3 of an integer.  One vectorized call
     evaluates it on a nu grid from 1e-4 in steps of 0.02 (well below the
@@ -235,16 +254,15 @@ def cone_roots(
     if not math.isfinite(nu_max):
         raise DomainError(f"cone scan needs a finite nu_max, got {nu_max}")
 
-    target = math.pi - theta_c
-    condition = legendre_theta if pol == "TM" else legendre_theta_deriv
+    domain = AngularDomain(cone_half_angle_rad=theta_c)
 
-    def g(nu: float) -> float:
-        return condition(nu, m, target)
+    def g(nu):  # one function for the scan (an array of nu) and each Brent step (a float)
+        return domain.polar_value(nu, m, theta_c) if pol == "TM" else domain.polar(nu, m, theta_c)[1]
 
     grid = [_NU_FLOOR]
     while grid[-1] < nu_max:
         grid.append(min(grid[-1] + _SCAN_STEP, nu_max))
-    values = condition(grid, m, target)
+    values = g(grid)
     # this module's brentq, so that a wrapper around angular.brentq sees each refinement
     what = f"{pol} cone condition for m={m}, theta_c={theta_c:g} rad"
     roots = bracketed_roots(g, grid, values, what, brentq, xtol=1e-10, rtol=1e-14)
@@ -256,9 +274,8 @@ def cone_nu(m: float, theta_c: float, polarization: str, branch: int = 1) -> flo
 
     TM imposes a Dirichlet condition on the polar function at the cone
     surface, TE a Neumann one; both act on the solution regular at the
-    retained pole theta = pi, i.e. on legendre_theta evaluated at
-    pi - theta_c.  Consecutive branches lie about pi/(pi - theta_c) apart
-    (the polar interval's length), so the scan stops at
+    retained pole theta = pi (AngularDomain.polar).  Consecutive branches lie
+    about pi/(pi - theta_c) apart (the polar interval's length), so the scan stops at
     m + (branch + 1) pi/(pi - theta_c) and raises RootSearchError without
     the branch there.
     """

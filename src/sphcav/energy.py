@@ -44,7 +44,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, IntegrationError
 from .fields import ModeSpec
-from .specfun import legendre_theta, ln_gamma, spherical_j
+from .specfun import ln_gamma, spherical_j
 
 __all__ = [
     "EnergyReport",
@@ -54,7 +54,7 @@ __all__ = [
     "mode_energy",
 ]
 
-_QUAD_REL = 1e-9  # relative tolerance of the two 1-D quadratures of a cone mode
+_QUAD_REL = 1e-9  # tolerance of the two 1-D quadratures of a cone mode, purely relative
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,8 @@ def _phi_weight(mode: ModeSpec) -> float:
 
 
 def _quad(f, lo: float, hi: float) -> float:
-    val, err = quad(f, lo, hi, epsabs=1e-14, epsrel=_QUAD_REL, limit=400)
+    # no absolute floor: I_theta of a high order and branch lies far below any fixed one
+    val, err = quad(f, lo, hi, epsabs=0.0, epsrel=_QUAD_REL, limit=400)
     if abs(val) > 0.0 and err > 10.0 * _QUAD_REL * abs(val):
         raise IntegrationError(f"energy quadrature error {err:g} too large")
     return val
@@ -107,10 +108,8 @@ def _angular_norm(mode: ModeSpec) -> float:
     if not mode.domain.has_cone:
         gammas = ln_gamma(nu - m + 1.0) + ln_gamma(2.0 * m + 1.0) - ln_gamma(nu + m + 1.0)
         return sectoral_angular_norm(m) * ((2.0 * m + 1.0) / (2.0 * nu + 1.0)) * math.exp(gammas)
-    return _quad(
-        lambda theta: legendre_theta(nu, m, math.pi - theta) ** 2 * math.sin(theta),
-        mode.domain.cone_half_angle_rad, math.pi,
-    )
+    polar_value, theta_c = mode.domain.polar_value, mode.domain.cone_half_angle_rad
+    return _quad(lambda theta: polar_value(nu, m, theta) ** 2 * math.sin(theta), theta_c, math.pi)
 
 
 def mode_energy(mode: ModeSpec) -> EnergyReport:

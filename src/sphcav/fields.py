@@ -23,8 +23,8 @@ cos(m phi) for TE (E_theta carries Phi'), so tangential E vanishes on the PEC
 face phi = 0 and, with the domain's m, E (PEC) or H (PMC) on the face phi = Phi.
 A ModeSpec refuses an m that is no such index (AngularDomain.admits), and a
 (nu, m) that its domain cannot reach (angular.classify: without a cone, nu - m
-must be a non-negative integer), however it is built: by make_mode, directly
-or by dataclasses.replace.
+must be a non-negative integer to an absolute 1e-12), however it is built: by
+make_mode, directly or by dataclasses.replace.
 
 Each ModeSpec keeps a bounded memo of its radial factors (j_nu, Ric') by r,
 its polar pair (Theta, Theta') with sin(theta) by theta, and its azimuthal
@@ -51,7 +51,7 @@ from scipy.integrate import quad  # noqa: F401 -- benchmarks/spans.py wraps it b
 from .angular import AngularDomain, AngularEigenpair, classify
 from .errors import DomainError, ImpedanceUndefinedError
 from .radial import RadialRoot, RootKind, radial_root
-from .specfun import polar_solution, riccati_deriv, spherical_j
+from .specfun import riccati_deriv, spherical_j
 
 __all__ = [
     "EPSILON_0",
@@ -110,9 +110,9 @@ class _FactorMemo(dict):
 class ModeSpec:
     """Everything needed to evaluate one mode's fields at a point; an m its domain does not
     admit for its polarization raises DomainError naming the nearest index that it does, and
-    a (nu, m) whose field is singular (without a cone, nu - m not a non-negative integer)
-    raises ClassificationError.  A separated field that misses a cone root or a wall root
-    is accepted: mode_energy gives its exact energy through its boundary terms."""
+    a (nu, m) whose field is singular (angular.classify: without a cone, nu - m not a
+    non-negative integer to an absolute 1e-12) raises ClassificationError.  A separated field
+    that misses a cone root or a wall root is accepted: mode_energy gives its exact energy."""
 
     eigenpair: AngularEigenpair
     radial: RadialRoot
@@ -156,12 +156,8 @@ class ModeSpec:
         return self.wavenumber * self.medium.speed
 
     def polar(self, theta):
-        """(Theta, dTheta/dtheta) regular at the retained pole; vectorized over theta."""
-        nu, m = self.eigenpair.nu, self.eigenpair.m
-        if self.domain.has_cone:  # a cone removes the pole theta = 0; regular at theta = pi
-            value, deriv = polar_solution(nu, m, np.pi - np.asarray(theta))
-            return value, -deriv
-        return polar_solution(nu, m, theta)
+        """(Theta, dTheta/dtheta) regular at the domain's retained pole; vectorized over theta."""
+        return self.domain.polar(self.eigenpair.nu, self.eigenpair.m, theta)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ __all__ = [
     "polar_solution",
     "legendre_theta",
     "legendre_theta_deriv",
+    "terminates",
     "INT_TOL",
 ]
 
@@ -191,11 +192,13 @@ def _not_converged(what: str, total, term) -> ConvergenceError:
     )
 
 
-def _terminates(nu, m: float):
+def terminates(nu, m: float):
+    """Whether nu - m is a non-negative integer to an absolute 1e-12 (INT_TOL): the one test of
+    nu - m in N, for the polar series, angular.classify and south_singular_coefficient."""
     d = nu - m
     if isinstance(d, float):  # the scalar path, without numpy's per-call overhead
-        return math.isfinite(d) and d >= -INT_TOL and abs(d - round(d)) <= INT_TOL * max(1.0, abs(d))
-    return (d >= -INT_TOL) & (abs(d - np.round(d)) <= INT_TOL * np.maximum(1.0, abs(d)))
+        return math.isfinite(d) and d >= -INT_TOL and abs(d - round(d)) <= INT_TOL
+    return (d >= -INT_TOL) & (abs(d - np.round(d)) <= INT_TOL)
 
 
 def _gauss_series(a, b, c, x):
@@ -282,17 +285,17 @@ def _reflected(nu, m: float, w):
     return sign * w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, w)
 
 
-def _scaled_hyp(nu, m: float, z, w):
-    """G = w^(m/2) 2F1(m - nu, m + nu + 1; m + 1; z), with w = 1 - z passed exactly."""
+def _scaled_hyp(nu, m: float, z, w, poly):
+    """G = w^(m/2) 2F1(m - nu, m + nu + 1; m + 1; z), w = 1 - z exact; ``poly``: nu - m in N."""
     if isinstance(nu, float):
         if z <= _CONNECT_Z:
             return w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, z)
-        if _terminates(nu, m):
+        if poly:
             return _reflected(nu, m, w)
         return _connect(nu, m, w)
     out = np.empty(nu.shape)
     near = z <= _CONNECT_Z
-    poly = ~near & _terminates(nu, m)
+    poly = ~near & poly
     far = ~(near | poly)
     if near.any():
         a, b = m - nu[near], m + nu[near] + 1.0
@@ -320,7 +323,8 @@ def _polar(nu, m: float, theta, with_deriv: bool):
     if not inside:
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
     z, w = sin(0.5 * theta) ** 2, cos(0.5 * theta) ** 2
-    value = (4.0 * z) ** (0.5 * m) * _scaled_hyp(nu, m, z, w)
+    poly = terminates(nu, m)  # decided once, for the value and the derivative's series alike
+    value = (4.0 * z) ** (0.5 * m) * _scaled_hyp(nu, m, z, w, poly)
     if not with_deriv:
         return float(value) if shape is None else value.reshape(shape)
     # product rule with dz/dtheta = sin(theta)/2 and dF/dz = (ab/c) F at order
@@ -328,7 +332,7 @@ def _polar(nu, m: float, theta, with_deriv: bool):
     ab_c = (m - nu) * (m + nu + 1.0) / (m + 1.0)
     deriv = m * cos(theta) / sin(theta) * value
     if shape is not None or ab_c != 0.0:
-        deriv = deriv + 0.5 * ab_c * (4.0 * z) ** (0.5 * m + 0.5) * _scaled_hyp(nu, m + 1.0, z, w)
+        deriv = deriv + 0.5 * ab_c * (4.0 * z) ** (0.5 * m + 0.5) * _scaled_hyp(nu, m + 1.0, z, w, poly)
     if shape is None:
         return float(value), float(deriv)
     return value.reshape(shape), deriv.reshape(shape)

@@ -2,10 +2,10 @@
 
 A cavity is described by its radius, an azimuthal opening (360 deg = full
 sphere), and an optional polar cone.  Enumeration walks the admissible
-azimuthal indices, derives the angular eigenvalues for each (termination
-family nu = m + k without a cone, cone branches otherwise), quantizes
-radially for both polarizations, and sorts by frequency with a deterministic
-tie-break (TM before TE, then smaller m).
+azimuthal indices, takes the angular eigenvalues of each from the domain
+(AngularDomain.eigenvalues: nu = m + k without a cone, cone branches otherwise),
+quantizes radially for both polarizations, and sorts by frequency with a
+deterministic tie-break (TM before TE, then smaller m).
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ import statistics
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .angular import (
-    AngularDomain,
-    classify,
-    cone_nu,
-    cone_roots,
-    nu_regular_both_poles,
-)
+from .angular import AngularDomain, classify, cone_nu
 from .errors import DomainError, FixtureLookupError
 from .radial import (
     SPEED_OF_LIGHT,
@@ -93,22 +87,12 @@ def _sort_key(rec: ModeRecord):
 
 
 def _angular_candidates(domain: AngularDomain, m: float, nu_cap: float):
-    """Yield (nu, k, polarizations) admissible for azimuthal index m."""
-    both = (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO)
-    kinds = tuple(kind for kind in both if domain.admits(m, kind.value))
-    if not domain.has_cone:
-        k = 0
-        while True:
-            nu = nu_regular_both_poles(m, k)
-            if nu > nu_cap:
-                return
-            if not (nu == 0.0 and m == 0.0):  # (0,0) generates no field
-                yield nu, k, kinds
-            k += 1
-    else:
-        for kind in kinds:
-            for nu in cone_roots(m, domain.cone_half_angle_rad, kind.value, nu_cap):
-                yield nu, None, (kind,)
+    """Yield (nu, k, polarizations) admissible for azimuthal index m, one polarization at a
+    time; k is the offset nu - m without a cone, None with one."""
+    for kind in (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO):
+        if domain.admits(m, kind.value):
+            for nu in domain.eigenvalues(m, kind.value, nu_cap):
+                yield nu, None if domain.has_cone else round(nu - m), (kind,)
 
 
 def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[ModeRecord]:
@@ -169,16 +153,13 @@ def fundamental_tm(config: CavityConfig) -> ModeRecord:
         m = 0.0 if domain.has_cone else 1.0
     else:
         m = domain.nearest_index(0.0, "TM")
-    if domain.has_cone:
-        nu, k = cone_nu(m, domain.cone_half_angle_rad, "TM", 1), None
-    else:
-        nu, k = m, 0
+    nu = cone_nu(m, domain.cone_half_angle_rad, "TM", 1) if domain.has_cone else m
     root = riccati_deriv_zero(nu, 1)
     return ModeRecord(
         polarization="TM",
         nu=nu,
         m=m,
-        k=k,
+        k=None if domain.has_cone else 0,
         n=1,
         root_x=root.x,
         frequency_hz=frequency_from_root(root.x, config.radius_m),

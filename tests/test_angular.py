@@ -16,10 +16,10 @@ from sphcav.angular import (
     classify,
     cone_nu,
     cone_roots,
-    nu_regular_both_poles,
     south_singular_coefficient,
 )
 from sphcav.errors import ClassificationError, DomainError, RootSearchError
+from sphcav.specfun import legendre_theta, legendre_theta_deriv, polar_solution, terminates
 
 from oracles import mp_cone_root, mp_cone_root_tm, mp_cone_sign_changes
 
@@ -90,14 +90,6 @@ def test_domain_indices_need_a_finite_cap(opening, m_cap):
 def test_domain_rejects_an_unknown_face_kind():
     with pytest.raises(DomainError):
         AngularDomain(face_kind="PMC_PMC")
-
-
-def test_nu_regular_both_poles():
-    assert nu_regular_both_poles(2.0 / 3.0, 0) == pytest.approx(2.0 / 3.0)
-    assert nu_regular_both_poles(2.0 / 3.0, 1) == pytest.approx(5.0 / 3.0)
-    assert nu_regular_both_poles(0.0, 2) == 2.0
-    with pytest.raises(DomainError):
-        nu_regular_both_poles(1.0, -1)
 
 
 # --- the discreteness mechanism -----------------------------------------------
@@ -468,3 +460,79 @@ def test_second_solution_divergence_exponent():
             math.log(hi) - math.log(lo)
         )
         assert slope == pytest.approx(-m, rel=0.02)
+
+
+# --- pole regularity: AngularDomain.polar, polar_value and eigenvalues ----------
+
+
+def _accepted(nu, m):
+    try:
+        classify(nu, m)
+    except ClassificationError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    m=st.sampled_from([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0, 2.5, 3.0, 7.3]) | st.floats(0.0, 50.0),
+    k=st.integers(-2, 60),
+    delta=st.sampled_from([0.0, 5e-13, -5e-13, 9e-13, -9e-13, 1.1e-12, -1.1e-12, 2e-12, 0.5])
+    | st.floats(-3e-12, 3e-12)
+    | st.floats(-1.0, 1.0),
+)
+def test_reachability_is_one_predicate(m, k, delta):
+    # without a cone classify, terminates and the exact zero of the singular coefficient agree
+    nu = m + k + delta
+    assume(nu >= 0.0)
+    accepted = _accepted(nu, m)
+    assert accepted == bool(terminates(nu, m))
+    assert accepted == (south_singular_coefficient(nu, m) == 0.0)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, 2.0 / 3.0, 2.5])
+def test_domain_polar_is_the_retained_pole_solution_bit_for_bit(m):
+    sphere = AngularDomain()
+    cone = AngularDomain(azimuth_opening_rad=1.5 * math.pi, cone_half_angle_rad=math.radians(20.0))
+    nus = np.array([0.3, m + 1.0, 2.7, 7.25])
+    thetas = np.array([0.4, 1.6, 2.9, math.pi - 1e-3])
+    cases = [(float(nu), float(theta)) for nu in nus for theta in thetas]
+    cases += [(float(nu), thetas) for nu in nus] + [(nus, float(theta)) for theta in thetas]
+    for nu, theta in cases:
+        reflected = math.pi - theta if isinstance(theta, float) else np.pi - theta
+        south = (legendre_theta(nu, m, reflected), -legendre_theta_deriv(nu, m, reflected))
+        for domain, want in ((sphere, polar_solution(nu, m, theta)), (cone, south)):
+            got = domain.polar(nu, m, theta)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(domain.polar_value(nu, m, theta), want[0])
+    # a scalar (one Brent step, one field point) stays on plain floats
+    assert all(type(x) is float for x in (*cone.polar(2.0, m, 0.5), cone.polar_value(2.0, m, 0.5)))
+
+
+@pytest.mark.parametrize(
+    "domain, m",
+    [
+        (AngularDomain(), 0.0),
+        (AngularDomain(), 2.0),
+        (AngularDomain(1.5 * math.pi), 2.0 / 3.0),
+        (AngularDomain(1.5 * math.pi, face_kind="PEC_PMC"), 1.0 / 3.0),
+    ],
+    ids=["sphere_m0", "sphere_m2", "PEC_PEC_270", "PEC_PMC_270"],
+)
+def test_domain_eigenvalues_without_a_cone(domain, m):
+    for pol in ("TM", "TE"):
+        assert domain.eigenvalues(m, pol, 9.5) == [m + k for k in range(12) if 0.0 < m + k <= 9.5]
+        assert domain.eigenvalues(m, pol, m - 0.1) == []
+        assert domain.eigenvalues(m, pol, m) == ([] if m == 0.0 else [m])  # no field-free (0, 0)
+        with pytest.raises(DomainError, match="finite"):
+            domain.eigenvalues(m, pol, math.inf)
+
+
+@pytest.mark.parametrize("m, opening", [(0.0, 2.0 * math.pi), (1.0, 2.0 * math.pi), (2.0 / 3.0, 1.5 * math.pi)])
+def test_domain_eigenvalues_with_a_cone_are_its_roots(m, opening):
+    tc = math.radians(20.0)
+    domain = AngularDomain(azimuth_opening_rad=opening, cone_half_angle_rad=tc)
+    for pol in ("TM", "TE"):
+        got = domain.eigenvalues(m, pol, 9.0)
+        assert got and got == cone_roots(m, tc, pol, 9.0)
+        assert domain.eigenvalues(m, pol, m - 0.1) == []

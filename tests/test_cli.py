@@ -185,6 +185,15 @@ def test_field_mode_must_be_reachable(capsys):
     assert "unreachable without a cone" in err
 
 
+def test_field_mode_just_off_the_integer_is_unreachable(capsys):
+    # nu - m = 2 + 5e-12 lies outside the absolute 1e-12 of nu - m in N; its field blows up
+    # at the far pole (|E| ~ 1e8 V/m at theta = pi - 1e-4) instead of being the nu = 5 field
+    code, out, err = run(capsys, "field", "--mode", "TE,5.000000000005,3,1", "--at", "0.008,3.1415,0.3")
+    assert code == 1
+    assert out == ""
+    assert "unreachable without a cone" in err
+
+
 def test_a_cone_root_the_scan_and_brent_disagree_on_is_a_typed_error(capsys):
     # near nu = 40 at 45 deg the scan and Brent's method disagree in sign (large-nu
     # cancellation of the polar series); this used to end in scipy's ValueError traceback

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -402,3 +403,21 @@ def test_cone_norm_integrates_the_polar_value_alone(cone_deg, m, pol, opening):
         assert mode.polar(theta)[0] == legendre_theta(nu, m, math.pi - theta)
     via_polar = energy._quad(lambda t: mode.polar(t)[0] ** 2 * math.sin(t), tc, math.pi)
     assert mode_energy(mode).angular_norm == via_polar
+
+
+def test_high_order_cone_norm_vs_mpmath():
+    # I_theta ~ 1.2e-7 lies far below any absolute quadrature floor: the tolerance is relative
+    tc = math.radians(20.0)
+    nu, m = cone_nu(12.0, tc, "TM", 8), 12.0
+    domain = AngularDomain(cone_half_angle_rad=tc)
+    pair = AngularEigenpair(nu, m, Family.TESSERAL)
+    got = mode_energy(make_mode(RootKind.TM_RICCATI_DERIV_ZERO, pair, 1, A_RADIUS, domain=domain)).angular_norm
+    with mp.workdps(30):
+        mm, v = mp.mpf(m), mp.mpf(nu)
+
+        def integrand(t):  # t = pi - theta, measured from the retained pole
+            return mp.sin(t) ** (2 * mm + 1) * mp.hyp2f1(mm - v, mm + v + 1, mm + 1, mp.sin(t / 2) ** 2) ** 2
+
+        end = mp.pi - mp.mpf(tc)
+        want = float(mp.quad(integrand, [0, end / 4, end / 2, 3 * end / 4, end]))
+    assert got == pytest.approx(want, rel=1e-11)

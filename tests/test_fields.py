@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sphcav import fields
-from sphcav.angular import AngularDomain, AngularEigenpair, Family, cone_nu
+from sphcav.angular import AngularDomain, AngularEigenpair, Family, classify, cone_nu
 from sphcav.errors import ClassificationError, DomainError, ImpedanceUndefinedError
 from sphcav.fields import (
     _MEMO_LIMIT,
@@ -19,7 +19,7 @@ from sphcav.fields import (
     poynting,
     wave_impedances,
 )
-from sphcav.radial import RootKind
+from sphcav.radial import RootKind, radial_root
 from sphcav.specfun import riccati_deriv, spherical_j
 
 A_RADIUS = 0.015
@@ -537,3 +537,34 @@ def test_memo_stays_bounded():
         evaluate(mode, point)
         largest = max(largest, len(mode._memo))
     assert 0 < len(mode._memo) <= largest <= _MEMO_LIMIT
+
+
+_OFF_INTEGER = [sign * f * 1e-12 for f in (0.5, 0.9, 1.1, 2.0, 5e3) for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("m, domain", [(0.0, FULL_SPHERE), (2.0 / 3.0, WEDGE_270), (1.0, FULL_SPHERE), (3.0, FULL_SPHERE)])
+@pytest.mark.parametrize("k", [1, 2, 7, 40])
+def test_reachability_threshold_is_an_absolute_1e_12(m, domain, k):
+    # every way of building a cone-free mode accepts nu = m + k + delta iff |delta| <= 1e-12,
+    # and an accepted mode's polar pair near the far pole is the one of nu = m + k
+    kind, theta = RootKind.TE_JZERO, math.pi - 1e-4
+    exact = make_mode(kind, AngularEigenpair(m + k, m, classify(m + k, m)), 1, A_RADIUS, domain=domain)
+    want = exact.polar(theta)
+    for delta in _OFF_INTEGER:
+        nu = m + k + delta
+        pair = AngularEigenpair(nu, m, Family.TESSERAL)
+        radial = radial_root(nu, 1, kind)
+        builds = [
+            lambda: classify(nu, m),
+            lambda: make_mode(kind, pair, 1, A_RADIUS, domain=domain),
+            lambda: fields.ModeSpec(pair, radial, A_RADIUS, domain=domain),
+            lambda: replace(exact, eigenpair=pair, radial=radial),
+        ]
+        if abs(delta) <= 1e-12:
+            built = [build() for build in builds]
+            for mode in built[1:]:
+                assert mode.polar(theta) == pytest.approx(want, rel=1e-6)
+        else:
+            for build in builds:
+                with pytest.raises(ClassificationError, match="unreachable without a cone"):
+                    build()

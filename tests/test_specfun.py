@@ -322,7 +322,7 @@ def test_polar_solution_past_half_matches_mpmath(m):
 
 
 def test_terminates_scalar_path_matches_array_path():
-    from sphcav.specfun import INT_TOL, _terminates
+    from sphcav.specfun import INT_TOL, terminates as _terminates
 
     offsets = (0.0, 0.5, 1.5, 2.5, -INT_TOL, -2.0 * INT_TOL, 3.0 + INT_TOL, 3.0 - 3.0 * INT_TOL, 7.3, 1e300)
     for m in (0.0, 2.0 / 3.0, 1.0, 4.0):
