@@ -15,8 +15,11 @@ eleven cone angles and five orders, the fields,
 impedances and energies of seventeen modes, the reachability test of nu - m in N
 just off the integer (classify, make_mode and evaluate at (5 + delta, 3), and
 legendre_theta at two such points), the energy of a high-order cone mode, and
-the stdout and exit code of the README's command-line examples.  A call that
-raises prints the error's type and message instead of a value.
+the stdout and exit code of the README's command-line examples, and
+spherical_j and riccati_deriv at small arguments (seven orders up to 500, five
+x from 1e-310 to 0.49, each also as one array), hyp2f1 at a parameter 5e-12 off
+an integer, and two field samples with k r < 0.5.  A call that raises prints the
+error's type and message instead of a value.
 """
 
 import contextlib
@@ -25,13 +28,14 @@ import enum
 import io
 import math
 
+import numpy as np
+
 from sphcav import cli
 from sphcav.angular import AngularEigenpair, Family, classify, cone_nu
 from sphcav.energy import mode_energy
-from sphcav.errors import SphcavError
 from sphcav.fields import evaluate, make_mode, wave_impedances
 from sphcav.radial import RadialSweep, RootKind, j_zero, riccati_deriv_zero
-from sphcav.specfun import legendre_theta
+from sphcav.specfun import hyp2f1, legendre_theta, riccati_deriv, spherical_j
 from sphcav.spectrum import (
     CavityConfig,
     cone_sweep,
@@ -97,7 +101,7 @@ def fmt(value) -> str:
 def show(label: str, compute) -> None:
     try:
         text = fmt(compute())
-    except SphcavError as exc:
+    except Exception as exc:
         text = f"raises {type(exc).__name__}: {exc}"
     print(f"{label}: {text}")
 
@@ -204,6 +208,19 @@ def reachability() -> None:
     show("cone20_TM_m12_branch8.mode_energy", lambda: mode_energy(make_mode(TM, pair, 1, A, domain=domain)))
 
 
+def small_arguments() -> None:
+    xs = [1e-310, 1e-200, 1e-3, 0.3, 0.49]
+    for nu in (0.0, 0.3, 2.4, 149.7, 150.0, 200.0, 500.0):
+        for name, f in (("spherical_j", spherical_j), ("riccati_deriv", riccati_deriv)):
+            for x in xs:
+                show(f"{name}({nu!r}, {x!r})", lambda: f(nu, x))
+            show(f"{name}({nu!r}, array)", lambda: f(nu, np.array(xs)))
+    show("hyp2f1(-7 + 5e-12, 1.5, 1.7, 0.6)", lambda: hyp2f1(-7.0 + 5e-12, 1.5, 1.7, 0.6))
+    for nu, r in ((1.0, 0.05 * A), (200.0, 1e-6)):  # k r = 0.14 and 2.1e-4
+        pair = AngularEigenpair(nu, nu, Family.SECTORAL)
+        show(f"evaluate(TM, {nu!r}, {nu!r}, r={r!r})", lambda: evaluate(make_mode(TM, pair, 1, A), (r, 1.5, 0.3)))
+
+
 def commands() -> None:
     for line in README_CLI:
         out = io.StringIO()
@@ -222,3 +239,4 @@ if __name__ == "__main__":
     modes()
     reachability()
     commands()
+    small_arguments()

@@ -44,7 +44,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, IntegrationError
 from .fields import ModeSpec
-from .specfun import ln_gamma, spherical_j
+from .specfun import ln_gamma, riccati_deriv, spherical_j
 
 __all__ = [
     "EnergyReport",
@@ -127,7 +127,7 @@ def mode_energy(mode: ModeSpec) -> EnergyReport:
     j0, j1 = spherical_j(nu, x), spherical_j(nu + 1.0, x)
     i_r = 0.5 * (j0 * j0 + j1 * j1 - (2.0 * nu + 1.0) / x * j0 * j1)
     i_phi = _phi_weight(mode)
-    beta = j0 * ((nu + 1.0) * j0 - x * j1)  # j_nu(x) Ric'(x)
+    beta = j0 * riccati_deriv(nu, x)
     b = j_sq = 0.0
     if mode.domain.has_cone:
         theta_c = mode.domain.cone_half_angle_rad

@@ -1,8 +1,9 @@
 """Radial quantization: certified roots of j_nu and of d/dx [x j_nu(x)].
 
 TE resonances sit at zeros of j_nu (x_{nu,n}); TM resonances at zeros of the
-Riccati derivative d/dx [x j_nu(x)] (x'_{nu,n}).  Frequencies follow from
-f = c * x / (2 pi a).
+Riccati derivative d/dx [x j_nu(x)] (x'_{nu,n}).  Both conditions are
+specfun.spherical_j and specfun.riccati_deriv, called on arrays for the scan
+and on floats for Brent's method.  Frequencies follow from f = c * x / (2 pi a).
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import jv
 
 from .errors import DomainError, RootSearchError
-from .specfun import bracketed_roots
+from .specfun import bracketed_roots, riccati_deriv, spherical_j
 
 __all__ = [
     "RootKind",
@@ -101,17 +101,6 @@ _WINDOW = 12.0  # the scan grid is summed window by window, each clamped to its 
 _BLOCK = 64  # scan steps from one cap of nth to the next, about one root spacing
 
 
-def _wall_condition(nu: float, kind: RootKind, x):
-    """spherical_j (TE) or riccati_deriv (TM) at x, a float or an array, in the arithmetic of
-    their J_{nu+1/2} branch (below x = 0.5 spherical_j sums a series: same sign); the TM order
-    is summed as (nu + 1) + 1/2, as riccati_deriv forms it."""
-    scale = np.sqrt(np.pi / (2.0 * x))
-    j = scale * jv(nu + 0.5, x)
-    if kind is RootKind.TE_JZERO:
-        return j
-    return (nu + 1.0) * j - x * (scale * jv(nu + 1.0 + 0.5, x))
-
-
 class RadialSweep:
     """Every root of one radial condition, found in increasing order and kept.
 
@@ -135,14 +124,16 @@ class RadialSweep:
         if not -0.5 < nu < math.inf:
             raise DomainError(f"radial roots require a finite nu > -1/2, got nu={nu}")
         self.nu, self.kind = nu, kind
+        self._te = kind is RootKind.TE_JZERO  # read once: an enum member lookup costs 0.1 us a call
         self._what = f"{kind.value} radial condition for nu={nu}"
         self.lo = self._x = max(nu, 1e-3)
         self._hi = self.lo + _WINDOW
         self.roots: list[RadialRoot] = []
 
-    def value(self, x: float) -> float:
-        """The wall condition at one x, as the scan and Brent's method evaluate it."""
-        return float(_wall_condition(self.nu, self.kind, x))
+    def value(self, x):
+        """The wall condition at x, a float or an array: spherical_j (TE) or riccati_deriv (TM),
+        looked up at each call, as the scan and Brent's method evaluate it."""
+        return (spherical_j if self._te else riccati_deriv)(self.nu, x)
 
     def _scan(self, count: int) -> None:
         # grid from the last scanned point on, summed in order as a scalar loop would and cut
@@ -155,16 +146,16 @@ class RadialSweep:
         if len(grid) <= count:
             grid = np.append(grid, self._hi)
         if len(grid) <= 2 * _COARSE:
-            values = _wall_condition(self.nu, self.kind, grid)
+            values = self.value(grid)
         else:  # every coarse point and the last, then every point of each coarse interval that
             # changes sign: a dense scan's brackets (a zero at a coarse point is a root as is)
             coarse = np.append(np.arange(0, len(grid) - 1, _COARSE), len(grid) - 1)
-            ends = _wall_condition(self.nu, self.kind, grid[coarse])
+            ends = self.value(grid[coarse])
             keep = np.zeros(len(grid), dtype=bool)
             for i in np.flatnonzero(ends[:-1] * ends[1:] < 0.0):
                 keep[coarse[i] + 1 : coarse[i + 1]] = True
             values = np.empty(len(grid))
-            values[coarse], values[keep] = ends, _wall_condition(self.nu, self.kind, grid[keep])
+            values[coarse], values[keep] = ends, self.value(grid[keep])
             keep[coarse] = True
             grid, values = grid[keep], values[keep]
         # this module's brentq, so that a wrapper around radial.brentq sees each refinement

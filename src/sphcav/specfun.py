@@ -2,7 +2,10 @@
 
 Conventions:
   * spherical Bessel j_nu(x) = sqrt(pi/(2x)) J_{nu+1/2}(x), real order nu > -1/2
-  * Riccati derivative means d/dx [x j_nu(x)], evaluated analytically
+  * Riccati derivative means d/dx [x j_nu(x)] = (nu+1) j_nu(x) - x j_{nu+1}(x)
+  * spherical_j and riccati_deriv are the only evaluators of these two: the
+    radial scan and its refinement, the fields and the energy all call them,
+    with x a float or an array
   * Theta(theta) is the polar solution regular at theta = 0, normalized so
     Theta / sin(theta)^m -> 1 as theta -> 0+
 
@@ -16,6 +19,7 @@ import math
 import numpy as np
 from scipy import special as sp
 from scipy.integrate import solve_ivp  # noqa: F401 -- benchmarks/spans.py wraps it by name
+from scipy.special import jv
 
 from .errors import ConvergenceError, DomainError, RootSearchError, SphcavError
 
@@ -35,6 +39,7 @@ __all__ = [
 INT_TOL = 1e-12  # how close a float must be to an integer to count as one
 _MAX_TERMS = 500  # a series that needs more raises ConvergenceError
 _TOLERANCE = 1e-15  # a series stops at the first term this small relative to its size
+_EPS = float(np.finfo(float).eps)
 
 
 def ln_gamma(x: float) -> float:
@@ -44,17 +49,14 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= INT_TOL and abs(x - round(x)) <= INT_TOL * max(1.0, abs(x))
-
-
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric sum 2F1(a, b; c; z) for real z in [0, 1).
 
     Terms are summed until one falls to 1e-15 of the sum; a series that needs
     more than 500 terms raises ConvergenceError with the partial sum attached.
-    When a or b is a non-positive integer every term past the polynomial's
-    last is exactly 0, so the sum stops there at the latest.
+    When a or b is a non-positive integer (to the absolute 1e-12 of
+    ``terminates``) every term past the polynomial's last is exactly 0, so the
+    sum stops there at the latest.
     """
     if not (0.0 <= z < 1.0):
         raise DomainError(f"hyp2f1 requires 0 <= z < 1, got z={z}")
@@ -62,61 +64,59 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         raise DomainError(f"hyp2f1 requires finite parameters, got a={a}, b={b}, c={c}")
     # a non-positive integer a or b, taken exact, makes every term past the polynomial 0;
     # a non-positive integer c is a 1/Gamma(c) pole unless the series stops before it
-    a, b = (float(round(x)) if _is_nonpositive_integer(x) else x for x in (a, b))
-    degrees = [-x for x in (a, b) if _is_nonpositive_integer(x)]
-    if _is_nonpositive_integer(c) and (not degrees or -round(c) <= min(degrees)):
+    a, b = (float(round(x)) if terminates(0.0, x) else x for x in (a, b))
+    degrees = [-x for x in (a, b) if terminates(0.0, x)]
+    if terminates(0.0, c) and (not degrees or -round(c) <= min(degrees)):
         raise DomainError(f"hyp2f1 parameter c={c} is a non-positive integer the series reaches")
     return _gauss_series(a, b, c, z)
 
 
-def _double_factorial_odd(nu: float) -> float:
-    # (2 nu + 1)!! extended to real nu through the gamma function
-    return math.exp((nu + 1.0) * math.log(2.0) + math.lgamma(nu + 1.5) - 0.5 * math.log(math.pi))
+def _bessel(nu: float, x, riccati: bool):
+    """spherical_j(nu, x), or riccati_deriv(nu, x) if ``riccati``: the domain checks, then
+    one scale sqrt(pi/(2x)) times J_{nu+1/2} and, for the Riccati derivative
+    (nu + 1) j_nu - x j_{nu+1}, J at the order (nu + 1) + 1/2."""
+    array = isinstance(x, np.ndarray)
+    # the least x (nan if x holds one): one argmin serves the domain check and the choice
+    # of form, at a fifth of the cost of a min() or of a mask and its any()
+    least = (x.item(x.argmin()) if x.size else math.inf) if array else x
+    if nu <= -0.5 or least < 0.0 or riccati and least == 0.0:
+        name, bound = ("riccati_deriv", ">") if riccati else ("spherical_j", ">=")
+        raise DomainError(f"{name} requires nu > -1/2 and x {bound} 0, got nu={nu}, x={least}")
+    if least * least < 0.25 * _EPS:
+        return _near_zero(nu, x, riccati)
+    scale = (np.sqrt if array else math.sqrt)(0.5 * math.pi / x)  # = pi/(2x) to the bit: pi/2 is exact
+    out = scale * jv(nu + 0.5, x)
+    if riccati:
+        out = (nu + 1.0) * out - x * (scale * jv(nu + 1.0 + 0.5, x))
+    return out if array else float(out)
 
 
-def _spherical_j_series(nu: float, x: float) -> float:
-    # ascending series, adequate for small |x|; leading behavior x^nu/(2nu+1)!!
-    log_pref = nu * math.log(x) - math.log(_double_factorial_odd(nu))
-    if log_pref < -700.0:
-        return 0.0
-    q = -0.5 * x * x
-    term = 1.0
-    total = 1.0
-    for k in range(60):
-        term *= q / ((k + 1.0) * (2.0 * nu + 2.0 * k + 3.0))
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return math.exp(log_pref) * total
+def _near_zero(nu: float, x, riccati: bool):
+    """_bessel where some x^2 < eps/4.  There the leading term x^nu/(2nu+1)!! (times nu + 1
+    for the derivative) is exact, as the next is at most 5x^2/4 of it, and is taken instead
+    of J_{nu+1/2}(x), which may underflow where j_nu does not (pi/(2x) overflows below
+    x = 1e-308); (2nu+1)!! = 2^(nu+1) Gamma(nu+3/2)/sqrt(pi) in logarithms.  j_nu(0) is 1
+    for nu = 0, else 0."""
+    if not isinstance(x, np.ndarray):
+        return _near_zero(nu, np.array([x]), riccati).item()
+    tiny, zero = x * x < 0.25 * _EPS, x == 0.0
+    log_dfact = (nu + 1.0) * math.log(2.0) + math.lgamma(nu + 1.5) - 0.5 * math.log(math.pi)
+    lead = (nu + 1.0 if riccati else 1.0) * math.exp(-log_dfact) * np.where(tiny & ~zero, x, 1.0) ** nu
+    lead = np.where(zero, 1.0 if nu == 0.0 else 0.0, lead)
+    return np.where(tiny, lead, _bessel(nu, np.where(tiny, 1.0, x), riccati))
 
 
-_SERIES_X_CUTOFF = 0.5
+def spherical_j(nu: float, x):
+    """Spherical Bessel function j_nu(x) = sqrt(pi/(2x)) J_{nu+1/2}(x) for nu > -1/2 and
+    x >= 0; j_nu(0) is 1 for nu = 0, else 0.  ``x`` is a float, giving a float, or an
+    array, giving an array of its shape."""
+    return _bessel(nu, x, False)
 
 
-def spherical_j(nu: float, x: float) -> float:
-    """Spherical Bessel function j_nu(x) for nu > -1/2 and x >= 0.
-
-    Small arguments go through the ascending power series; elsewhere the
-    half-integer relation to the cylindrical Bessel function is used.
-    """
-    if nu <= -0.5:
-        raise DomainError(f"spherical_j requires nu > -1/2, got nu={nu}")
-    if x < 0.0:
-        raise DomainError(f"spherical_j requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if x < _SERIES_X_CUTOFF:
-        return _spherical_j_series(nu, x)
-    return math.sqrt(math.pi / (2.0 * x)) * float(sp.jv(nu + 0.5, x))
-
-
-def riccati_deriv(nu: float, x: float) -> float:
-    """d/dx [x j_nu(x)], via the recurrence (nu+1) j_nu(x) - x j_{nu+1}(x)."""
-    if nu <= -0.5:
-        raise DomainError(f"riccati_deriv requires nu > -1/2, got nu={nu}")
-    if x <= 0.0:
-        raise DomainError(f"riccati_deriv requires x > 0, got x={x}")
-    return (nu + 1.0) * spherical_j(nu, x) - x * spherical_j(nu + 1.0, x)
+def riccati_deriv(nu: float, x):
+    """d/dx [x j_nu(x)] = (nu+1) j_nu(x) - x j_{nu+1}(x) for nu > -1/2 and x > 0, ``x`` a
+    float or an array as in spherical_j."""
+    return _bessel(nu, x, True)
 
 
 def bracketed_roots(f, grid, values, what: str, refine, **tol):
@@ -173,7 +173,6 @@ def bracketed_roots(f, grid, values, what: str, refine, **tol):
 _CONNECT_Z = 0.5  # past this z the series is taken about the opposite pole
 _BAND_NODES = (-4e-3, -2e-3, 0.0, 2e-3, 4e-3)  # offsets from round(m)
 _BAND = _BAND_NODES[-1]
-_EPS = float(np.finfo(float).eps)
 
 # The helpers below take either floats or 1-D arrays of one length: a scalar
 # evaluation (one field point, one Brent step) then runs on plain floats.

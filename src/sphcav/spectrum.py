@@ -87,12 +87,12 @@ def _sort_key(rec: ModeRecord):
 
 
 def _angular_candidates(domain: AngularDomain, m: float, nu_cap: float):
-    """Yield (nu, k, polarizations) admissible for azimuthal index m, one polarization at a
-    time; k is the offset nu - m without a cone, None with one."""
+    """Yield (nu, k, kind) admissible for azimuthal index m, kind the radial condition of
+    the polarization; k is the offset nu - m without a cone, None with one."""
     for kind in (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO):
         if domain.admits(m, kind.value):
             for nu in domain.eigenvalues(m, kind.value, nu_cap):
-                yield nu, None if domain.has_cone else round(nu - m), (kind,)
+                yield nu, None if domain.has_cone else round(nu - m), kind
 
 
 def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[ModeRecord]:
@@ -107,16 +107,15 @@ def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[Mo
     records: list[ModeRecord] = []
     domain = config.domain()
     for m in domain.indices(x_cap):
-        for nu, k, kinds in _angular_candidates(domain, m, x_cap):
-            for kind in kinds:
-                key = (round(nu, 12), kind)
-                sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
-                for root in sweep.below(x_cap):
-                    f = frequency_from_root(root.x, a)
-                    if f > f_max_hz * (1.0 + _FREQ_SLACK):
-                        break
-                    family = classify(nu, m, cone_present=domain.has_cone).value
-                    records.append(ModeRecord(kind.value, nu, m, k, root.n, root.x, f, family))
+        for nu, k, kind in _angular_candidates(domain, m, x_cap):
+            key = (round(nu, 12), kind)
+            sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
+            for root in sweep.below(x_cap):
+                f = frequency_from_root(root.x, a)
+                if f > f_max_hz * (1.0 + _FREQ_SLACK):
+                    break
+                family = classify(nu, m, cone_present=domain.has_cone).value
+                records.append(ModeRecord(kind.value, nu, m, k, root.n, root.x, f, family))
     records.sort(key=_sort_key)
     return records
 

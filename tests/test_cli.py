@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -192,6 +193,16 @@ def test_field_mode_just_off_the_integer_is_unreachable(capsys):
     assert code == 1
     assert out == ""
     assert "unreachable without a cone" in err
+
+
+def test_field_of_a_high_order_mode_near_the_origin(capsys):
+    # k r = 2.1e-4 at nu = 200: the small-x series of j_nu used to overflow in its double
+    # factorial (nu >= 149.68) and end in an OverflowError traceback
+    code, out, err = run(capsys, "field", "--mode", "TM,200,200,1", "--at", "0.000001,1.5,0.3")
+    assert code == 0 and err == ""
+    rows = dict(line.split(" = ") for line in out.splitlines())
+    parts = [complex(rows[name].replace(" ", "")) for name in ("E_r", "E_theta", "E_phi", "H_r", "H_theta", "H_phi")]
+    assert all(math.isfinite(abs(z)) for z in parts)
 
 
 def test_a_cone_root_the_scan_and_brent_disagree_on_is_a_typed_error(capsys):

@@ -86,6 +86,14 @@ def test_hyp2f1_matches_mpmath():
         assert hyp2f1(a, b, c, z) == pytest.approx(want, rel=1e-13)
 
 
+def test_hyp2f1_near_integer_parameter_is_summed_as_given():
+    # a = -7 + 5e-12 lies outside the absolute 1e-12 of specfun.terminates, so the series
+    # is not cut to the degree-7 polynomial (which is 1.3e-12 off)
+    a, b, c, z = -7.0 + 5e-12, 1.5, 1.7, 0.6
+    want = float(mp.hyp2f1(a, b, c, z))
+    assert hyp2f1(a, b, c, z) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_hyp2f1_convergence_error_carries_diagnostics():
     with pytest.raises(ConvergenceError) as err:
         hyp2f1(0.5, 0.7, 1.3, 0.99)  # terms fall as 0.99^k k^-1.1: 5e-6 at the 500th
@@ -176,6 +184,47 @@ def test_spherical_j_branch_crossover_consistent():
 def test_spherical_j_matches_mpmath(nu, x):
     want = float(mp.sqrt(mp.pi / (2 * x)) * mp.besselj(nu + 0.5, x))
     assert spherical_j(nu, x) == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+
+def _mp_spherical_j(nu, x):
+    with mp.workdps(40):
+        return mp.sqrt(mp.pi / (2 * mp.mpf(x))) * mp.besselj(mp.mpf(nu) + 0.5, x)
+
+
+def _mp_riccati_deriv(nu, x):
+    with mp.workdps(40):
+        return (nu + 1) * _mp_spherical_j(nu, x) - x * _mp_spherical_j(nu + 1.0, x)
+
+
+SMALL_X = [1e-310, 1e-200, 1e-3, 0.3, 0.49]
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 2.4, 149.7, 150.0, 200.0, 500.0])
+def test_small_argument_values_match_mpmath(nu):
+    # the ascending series overflowed in its double factorial for nu >= 149.68; a value
+    # below the smallest double is 0 on both sides
+    for x in SMALL_X:
+        assert spherical_j(nu, x) == pytest.approx(float(_mp_spherical_j(nu, x)), rel=1e-13, abs=0.0)
+        assert riccati_deriv(nu, x) == pytest.approx(float(_mp_riccati_deriv(nu, x)), rel=1e-13, abs=0.0)
+    xs = np.array(SMALL_X + [0.7, 3.0, 250.0])
+    assert spherical_j(nu, xs).tolist() == [spherical_j(nu, x) for x in xs.tolist()]
+    assert riccati_deriv(nu, xs).tolist() == [riccati_deriv(nu, x) for x in xs.tolist()]
+
+
+@pytest.mark.parametrize("nu, x", [(0.6, 1e-305), (1.2, 1e-250), (1.1, 1e-280)])
+def test_values_where_the_cylindrical_bessel_function_underflows(nu, x):
+    # J_{nu+1/2}(x) is below the smallest double here while j_nu(x) is not
+    assert spherical_j(nu, x) == pytest.approx(float(_mp_spherical_j(nu, x)), rel=1e-13)
+    assert riccati_deriv(nu, x) == pytest.approx(float(_mp_riccati_deriv(nu, x)), rel=1e-13)
+
+
+def test_array_argument_keeps_the_values_at_zero():
+    assert spherical_j(0.0, np.array([0.0, 1.0])).tolist() == [1.0, spherical_j(0.0, 1.0)]
+    assert spherical_j(2.4, np.array([0.0, 1.0])).tolist() == [0.0, spherical_j(2.4, 1.0)]
+    with pytest.raises(DomainError):
+        spherical_j(1.0, np.array([1.0, -1.0]))
+    with pytest.raises(DomainError):
+        riccati_deriv(1.0, np.array([1.0, 0.0]))
 
 
 def test_spherical_j_domain():

@@ -237,7 +237,7 @@ def test_angular_candidates_with_wedge_and_cone():
     m = 2.0 / 3.0
     cands = list(_angular_candidates(cfg.domain(), m, 0.9))
     assert all(k is None for _, k, _ in cands)
-    by_kind = {kinds[0].value: nu for nu, _, kinds in cands}
+    by_kind = {kind.value: nu for nu, _, kind in cands}
     assert set(by_kind) == {"TM", "TE"}
     assert by_kind["TM"] == pytest.approx(0.667148, abs=1e-5)
     assert by_kind["TM"] > m
