@@ -5,20 +5,22 @@
 
 Run it on two source trees and diff the outputs: an empty diff means every
 covered result is identical to the last bit.  The cases cover mode records and
-the fundamental TM mode of ten geometries (full sphere, wedges of both face
-kinds, cones and their combinations), max_count enumeration, the cone and
-wedge sweeps, the dispersion table, the four fixture reports, radial roots
-(j_zero and riccati_deriv_zero up to n = 20, and each kind's roots below
-nu + 60 from one RadialSweep) at eight orders and four large-order roots
-(nu = 900 to 1e6), the first four cone_nu branches of both polarizations at
-eleven cone angles and five orders, the fields,
-impedances and energies of seventeen modes, the reachability test of nu - m in N
-just off the integer (classify, make_mode and evaluate at (5 + delta, 3), and
-legendre_theta at two such points), the energy of a high-order cone mode, and
-the stdout and exit code of the README's command-line examples, and
-spherical_j and riccati_deriv at small arguments (seven orders up to 500, five
-x from 1e-310 to 0.49, each also as one array), hyp2f1 at a parameter 5e-12 off
-an integer, and two field samples with k r < 0.5.  A call that raises prints the
+the fundamental TM mode of eleven geometries (full sphere, wedges of both face
+kinds, cones and their combinations, and a 270.6 deg wedge where every nu has its
+own radial sweep), max_count enumeration, the cone and wedge sweeps, the
+dispersion table, the four fixture reports, radial roots (j_zero and
+riccati_deriv_zero up to n = 20, and each kind's roots below nu + 60 from one
+RadialSweep) at eight orders and four large-order roots (nu = 900 to 1e6), the
+first four cone_nu branches of both polarizations at eleven cone angles and
+five orders, the fields, impedances and energies of seventeen modes, a
+6 x 4 x 12 field grid of two wedge modes walked row by row in phi with the dual
+wave's impedance after each sample, the reachability test of nu - m in N just
+off the integer (classify, make_mode and evaluate at (5 + delta, 3), and
+legendre_theta at two such points), the energy of a high-order cone mode, the
+stdout and exit code of the README's command-line examples, and spherical_j and
+riccati_deriv at small arguments (seven orders up to 500, five x from 1e-310 to
+0.49, each also as one array), hyp2f1 at a parameter 5e-12 off an integer, and
+two field samples with k r < 0.5.  A call that raises prints the
 error's type and message instead of a value.
 """
 
@@ -63,6 +65,7 @@ GEOMETRIES = [
     ("pmc270_cone20", CavityConfig(A, 270.0, 20.0, PMC), 20.0, False),
     ("wedge90_cone10", CavityConfig(A, 90.0, 10.0), 25.0, False),
     ("pmc120_cone10", CavityConfig(A, 120.0, 10.0, PMC), 25.0, False),
+    ("wedge270.6", CavityConfig(A, 270.6), 40.0, False),  # every nu its own radial sweep
 ]
 
 README_CLI = [
@@ -194,6 +197,22 @@ def modes() -> None:
         show(f"{name}.mode_energy", lambda: mode_energy(mode))
 
 
+def field_rows() -> None:
+    # a 6 x 4 x 12 grid walked row by row in phi, each sample followed by the dual wave's
+    # impedance at the same point
+    domain = CavityConfig(A, 270.0).domain()
+    m1 = 2.0 / 3.0
+    for name, kind, dual, nu, m in (("wedge_TM_tesseral", TM, TE, m1 + 1.0, m1), ("wedge_TE_sectoral", TE, TM, 2 * m1, 2 * m1)):
+        pair = AngularEigenpair(nu, m, classify(nu, m))
+        mode = make_mode(kind, pair, 1, A, domain=domain)
+        for r in np.linspace(0.1, 1.0, 6).tolist():
+            for theta in np.linspace(0.2, 2.9, 4).tolist():
+                for phi in np.linspace(0.05, 0.95, 12).tolist():
+                    point = (r * A, theta, phi * domain.azimuth_opening_rad)
+                    show(f"{name}.row({r!r}, {theta!r}, {phi!r})", lambda: evaluate(mode, point))
+                    show(f"{name}.row({r!r}, {theta!r}, {phi!r}).dual", lambda: wave_impedances(mode, *point, polarization=dual))
+
+
 def reachability() -> None:
     for delta in (1e-13, 1.9e-12, 5e-12):  # about the absolute 1e-12 of specfun.terminates
         nu = 5.0 + delta
@@ -237,6 +256,7 @@ if __name__ == "__main__":
     roots()
     cones()
     modes()
+    field_rows()
     reachability()
     commands()
     small_arguments()

@@ -26,16 +26,22 @@ A ModeSpec refuses an m that is no such index (AngularDomain.admits), and a
 must be a non-negative integer to an absolute 1e-12), however it is built: by
 make_mode, directly or by dataclasses.replace.
 
-Each ModeSpec keeps a bounded memo of its radial factors (j_nu, Ric') by r,
-its polar pair (Theta, Theta') with sin(theta) by theta, and its azimuthal
-factor arrays by phi, so a sample reuses the factors of the samples before it:
-on an n_r x n_theta x n_phi tensor grid the mode computes n_r radial, n_theta
-polar and n_phi azimuthal factors instead of one of each per point.  The memo
-also holds, by polarization, the per-mode constants of a sample (nu, A,
-nu(nu+1), the single-curl coefficient, k and the domain bounds), so a sample
-reads them once instead of through the mode's properties.  A cloud of
-distinct points misses every time and costs what it did without the memo.
-The memo starts over past _MEMO_LIMIT entries and pickles empty.
+Each ModeSpec keeps a memo of three factor tables, keyed by the float r,
+theta and phi: its radial factors (j_nu, Ric'), its polar pair (Theta,
+Theta') with sin(theta), and its azimuthal factors as a (2, 3) array (the
+double-curl row and the single-curl row), so a sample reuses the factors of
+the samples before it: on an n_r x n_theta x n_phi tensor grid the mode
+computes n_r radial, n_theta polar and n_phi azimuthal factors instead of one
+of each per point.  The memo also holds, per polarization asked for (the
+mode's own under None), the constants of a sample (nu, A, nu(nu+1), the
+single-curl coefficient, k and the domain bounds) and a one-entry row cache:
+the (2, 3) complex coefficients of the double and the single curl at the last
+(r, theta).  A point of that row then costs one complex product with its
+azimuthal factors, whose two rows are E and H, and one FieldSample; each
+component is the same expression, in the same order, as when it is computed
+alone.  A cloud of distinct points misses every time and costs what it did
+without the memo.  Each table starts over past _MEMO_LIMIT entries, and the
+memo pickles empty.
 """
 
 from __future__ import annotations
@@ -169,9 +175,9 @@ class FieldSample:
     H: np.ndarray  # (H_r, H_theta, H_phi) in A/m
 
 
-def _azimuthal_arrays(mode: ModeSpec, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Phi(phi) or Phi'(phi) per component, for the mode's azimuthal convention:
-    (Phi, Phi, Phi') for the double curl and (Phi, Phi', Phi) for the single curl."""
+def _azimuthal(mode: ModeSpec, phi: float) -> np.ndarray:
+    """Phi(phi) or Phi'(phi) per component, for the mode's azimuthal convention, as a (2, 3)
+    array: (Phi, Phi, Phi') for the double curl and (Phi, Phi', Phi) for the single curl."""
     m = mode.eigenpair.m
     if mode.azimuthal_kind == "traveling":
         f0 = cmath.exp(1j * m * phi)
@@ -180,7 +186,7 @@ def _azimuthal_arrays(mode: ModeSpec, phi: float) -> tuple[np.ndarray, np.ndarra
         f0, f1 = complex(math.sin(m * phi)), complex(m * math.cos(m * phi))
     else:
         f0, f1 = complex(math.cos(m * phi)), complex(-m * math.sin(m * phi))
-    return np.array((f0, f0, f1)), np.array((f0, f1, f0))
+    return np.array(((f0, f0, f1), (f0, f1, f0)))
 
 
 def _check_point(mode: ModeSpec, r: float, theta: float, phi: float) -> None:
@@ -197,18 +203,41 @@ def _check_point(mode: ModeSpec, r: float, theta: float, phi: float) -> None:
         raise DomainError(f"phi={phi} outside the wedge opening")
 
 
-def _constants(mode: ModeSpec, polarization: RootKind) -> tuple:
-    """What _sample needs of the mode besides the factors: TM or not, nu, A, nu(nu+1),
-    c A and -c A (c the single-curl coefficient), k, and the domain bounds of r, theta
-    and phi (on the full azimuth phi's are -+ the largest float, which nan and inf fail)."""
-    nu, a, dom = mode.eigenpair.nu, mode.amplitude, mode.domain
-    tm = polarization is RootKind.TM_RICCATI_DERIV_ZERO
-    c = -1j * mode.omega * mode.medium.epsilon if tm else 1j * mode.omega * mode.medium.mu
-    phi_lo, phi_hi = (
-        (-sys.float_info.max, sys.float_info.max) if dom.full_azimuth else (-1e-12, dom.azimuth_opening_rad + 1e-12)
-    )
-    bounds = mode.radius_m, dom.cone_half_angle_rad, phi_lo, phi_hi
-    return tm, nu, a, nu * (nu + 1.0), c * a, -c * a, mode.wavenumber, *bounds
+class _Polarized:
+    """What _sample needs of a mode for one polarization: TM or not, the domain bounds of r,
+    theta and phi (on the full azimuth phi's are -+ the largest float, which nan and inf
+    fail), the constants of a sample (nu, A, nu(nu+1), c A and -c A with c the single-curl
+    coefficient, and k), the mode's three factor tables, and the row cache: the (2, 3)
+    coefficients of the double and the single curl at the last (r, theta)."""
+
+    __slots__ = (
+        "tm", "r_hi", "theta_lo", "phi_lo", "phi_hi", "nu", "a", "nn1", "ca", "nca", "k",
+        "radial", "polar", "azimuthal", "r", "theta", "row",
+    )  # fmt: skip
+
+    def __init__(self, mode: ModeSpec, polarization: RootKind):
+        dom = mode.domain
+        self.tm = polarization is RootKind.TM_RICCATI_DERIV_ZERO
+        self.r_hi, self.theta_lo = mode.radius_m, dom.cone_half_angle_rad
+        self.phi_lo, self.phi_hi = (
+            (-sys.float_info.max, sys.float_info.max) if dom.full_azimuth else (-1e-12, dom.azimuth_opening_rad + 1e-12)
+        )
+        nu, a = mode.eigenpair.nu, mode.amplitude
+        c = -1j * mode.omega * mode.medium.epsilon if self.tm else 1j * mode.omega * mode.medium.mu
+        self.nu, self.a, self.nn1, self.ca, self.nca, self.k = nu, a, nu * (nu + 1.0), c * a, -c * a, mode.wavenumber
+        # by the float r, theta and phi: (j_nu, Ric'), (Theta, Theta', sin theta) and _azimuthal
+        self.radial, self.polar, self.azimuthal = (mode._memo.get_or(key, _FactorMemo) for key in ("r", "theta", "phi"))
+        self.r = self.theta = None
+
+    def fill(self, mode: ModeSpec, r: float, theta: float) -> None:
+        """The row cache at (r, theta), from the factor tables."""
+        nu, a, nn1, k = self.nu, self.a, self.nn1, self.k
+        jv, rp = self.radial.get(r) or self.radial.get_or(r, lambda: (spherical_j(nu, k * r), riccati_deriv(nu, k * r)))
+        th, dth, s = self.polar.get(theta) or self.polar.get_or(theta, lambda: (*mode.polar(theta), math.sin(theta)))
+        double = (nn1 / r * a * jv * th, a / r * rp * dth, a / (r * s) * rp * th)
+        single = (0.0, self.ca / s * jv * th, self.nca * jv * dth)
+        self.row = np.array((double, single), dtype=complex)
+        self.r, self.theta = r, theta
 
 
 def _sample(
@@ -221,25 +250,24 @@ def _sample(
     compare TE and TM at a common frequency.
     """
     r, theta, phi = point
-    memo, pol = mode._memo, polarization or mode.polarization
-    # a memo hit is one dict lookup; a miss computes and stores through get_or
-    tm, nu, a, nn1, ca, nca, k, r_hi, theta_lo, phi_lo, phi_hi = memo.get(pol) or memo.get_or(
-        pol, lambda: _constants(mode, pol)
+    memo = mode._memo
+    # keyed by the polarization asked for, None for the mode's own: a hit is one dict lookup,
+    # a miss computes and stores through get_or
+    p = memo.get(polarization) or memo.get_or(
+        polarization, lambda: _Polarized(mode, polarization or mode.polarization)
     )
-    if not (0.0 < r <= r_hi and theta_lo < theta < math.pi and phi_lo <= phi <= phi_hi):
+    if not (0.0 < r <= p.r_hi and p.theta_lo < theta < math.pi and p.phi_lo <= phi <= p.phi_hi):
         _check_point(mode, r, theta, phi)  # raises, with the message for the failed bound
-    jv, rp = memo.get(("r", r)) or memo.get_or(
-        ("r", r), lambda: (spherical_j(nu, k * r), riccati_deriv(nu, k * r))
-    )
-    th, dth, s = memo.get(("theta", theta)) or memo.get_or(
-        ("theta", theta), lambda: (*mode.polar(theta), math.sin(theta))
-    )
-    f2, f1 = memo.get(("phi", phi)) or memo.get_or(("phi", phi), lambda: _azimuthal_arrays(mode, phi))
-    # the double curl is E for TM, H for TE
-    curl2 = [nn1 / r * a * jv * th, a / r * rp * dth, a / (r * s) * rp * th]
-    curl1 = [0.0, ca / s * jv * th, nca * jv * dth]
-    (e, fe), (h, fh) = ((curl2, f2), (curl1, f1)) if tm else ((curl1, f1), (curl2, f2))
-    return FieldSample(point=point, E=np.array(e, dtype=complex) * fe, H=np.array(h, dtype=complex) * fh)
+    if r != p.r or theta != p.theta:
+        p.fill(mode, r, theta)
+    f = p.azimuthal.get(phi)
+    if f is None:
+        f = p.azimuthal.get_or(phi, lambda: _azimuthal(mode, phi))
+    # one product per point, its rows the double curl (E for TM, H for TE) and the single
+    curls = p.row * f
+    if p.tm:
+        return FieldSample(point=point, E=curls[0], H=curls[1])
+    return FieldSample(point=point, E=curls[1], H=curls[0])
 
 
 def evaluate(mode: ModeSpec, point: tuple[float, float, float]) -> FieldSample:

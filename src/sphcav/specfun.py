@@ -5,7 +5,8 @@ Conventions:
   * Riccati derivative means d/dx [x j_nu(x)] = (nu+1) j_nu(x) - x j_{nu+1}(x)
   * spherical_j and riccati_deriv are the only evaluators of these two: the
     radial scan and its refinement, the fields and the energy all call them,
-    with x a float or an array
+    with nu and x floats or arrays that broadcast against each other (a radial
+    round passes one nu per sweep), every array element the bits of a float call
   * Theta(theta) is the polar solution regular at theta = 0, normalized so
     Theta / sin(theta)^m -> 1 as theta -> 0+
 
@@ -29,6 +30,7 @@ __all__ = [
     "spherical_j",
     "riccati_deriv",
     "bracketed_roots",
+    "refined_root",
     "polar_solution",
     "legendre_theta",
     "legendre_theta_deriv",
@@ -71,51 +73,61 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     return _gauss_series(a, b, c, z)
 
 
-def _bessel(nu: float, x, riccati: bool):
+def _bessel(nu, x, riccati: bool):
     """spherical_j(nu, x), or riccati_deriv(nu, x) if ``riccati``: the domain checks, then
     one scale sqrt(pi/(2x)) times J_{nu+1/2} and, for the Riccati derivative
-    (nu + 1) j_nu - x j_{nu+1}, J at the order (nu + 1) + 1/2."""
-    array = isinstance(x, np.ndarray)
-    # the least x (nan if x holds one): one argmin serves the domain check and the choice
-    # of form, at a fifth of the cost of a min() or of a mask and its any()
-    least = (x.item(x.argmin()) if x.size else math.inf) if array else x
-    if nu <= -0.5 or least < 0.0 or riccati and least == 0.0:
+    (nu + 1) j_nu - x j_{nu+1}, J at the order (nu + 1) + 1/2.  Every step is elementwise,
+    so an array nu broadcast against x gives, element by element, the bits of float calls."""
+    x_array, nu_array = isinstance(x, np.ndarray), isinstance(nu, np.ndarray)
+    # the least x and nu (nan if one holds one): one argmin serves the domain check and the
+    # choice of form, at a fifth of the cost of a min() or of a mask and its any()
+    least = (x.item(x.argmin()) if x.size else math.inf) if x_array else x
+    lowest = (nu.item(nu.argmin()) if nu.size else math.inf) if nu_array else nu
+    if lowest <= -0.5 or least < 0.0 or riccati and least == 0.0:
         name, bound = ("riccati_deriv", ">") if riccati else ("spherical_j", ">=")
-        raise DomainError(f"{name} requires nu > -1/2 and x {bound} 0, got nu={nu}, x={least}")
+        raise DomainError(f"{name} requires nu > -1/2 and x {bound} 0, got nu={lowest}, x={least}")
     if least * least < 0.25 * _EPS:
         return _near_zero(nu, x, riccati)
-    scale = (np.sqrt if array else math.sqrt)(0.5 * math.pi / x)  # = pi/(2x) to the bit: pi/2 is exact
+    scale = (np.sqrt if x_array else math.sqrt)(0.5 * math.pi / x)  # = pi/(2x) to the bit: pi/2 is exact
     out = scale * jv(nu + 0.5, x)
     if riccati:
         out = (nu + 1.0) * out - x * (scale * jv(nu + 1.0 + 0.5, x))
-    return out if array else float(out)
+    return out if x_array or nu_array else float(out)
 
 
-def _near_zero(nu: float, x, riccati: bool):
+def _near_zero(nu, x, riccati: bool):
     """_bessel where some x^2 < eps/4.  There the leading term x^nu/(2nu+1)!! (times nu + 1
     for the derivative) is exact, as the next is at most 5x^2/4 of it, and is taken instead
     of J_{nu+1/2}(x), which may underflow where j_nu does not (pi/(2x) overflows below
-    x = 1e-308); (2nu+1)!! = 2^(nu+1) Gamma(nu+3/2)/sqrt(pi) in logarithms.  j_nu(0) is 1
-    for nu = 0, else 0."""
-    if not isinstance(x, np.ndarray):
+    x = 1e-308).  ln (2nu+1)!! = nu ln 2 + ln Gamma(nu + 3/2) - ln Gamma(3/2) is exactly 0
+    at nu = 0, so j_0 and Ric'_0 are exactly 1 there; it is taken in math, once per
+    distinct nu, and float arguments run as one-element arrays, so that float and array
+    calls agree to the bit.  j_nu(0) is 1 for nu = 0, else 0."""
+    if not isinstance(x, np.ndarray) and not isinstance(nu, np.ndarray):
         return _near_zero(nu, np.array([x]), riccati).item()
+    nu, x = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(x, dtype=float))
     tiny, zero = x * x < 0.25 * _EPS, x == 0.0
-    log_dfact = (nu + 1.0) * math.log(2.0) + math.lgamma(nu + 1.5) - 0.5 * math.log(math.pi)
-    lead = (nu + 1.0 if riccati else 1.0) * math.exp(-log_dfact) * np.where(tiny & ~zero, x, 1.0) ** nu
-    lead = np.where(zero, 1.0 if nu == 0.0 else 0.0, lead)
+    orders, at = np.unique(nu, return_inverse=True)
+    scale = [
+        (v + 1.0 if riccati else 1.0) * math.exp(-(v * math.log(2.0) + math.lgamma(v + 1.5) - math.lgamma(1.5)))
+        for v in orders.tolist()
+    ]
+    lead = np.array(scale)[at].reshape(x.shape) * np.power(np.where(tiny & ~zero, x, 1.0), nu)
+    lead = np.where(zero, np.where(nu == 0.0, 1.0, 0.0), lead)
     return np.where(tiny, lead, _bessel(nu, np.where(tiny, 1.0, x), riccati))
 
 
-def spherical_j(nu: float, x):
+def spherical_j(nu, x):
     """Spherical Bessel function j_nu(x) = sqrt(pi/(2x)) J_{nu+1/2}(x) for nu > -1/2 and
-    x >= 0; j_nu(0) is 1 for nu = 0, else 0.  ``x`` is a float, giving a float, or an
-    array, giving an array of its shape."""
+    x >= 0; j_nu(0) is 1 for nu = 0, else 0.  ``nu`` and ``x`` are floats, giving a float,
+    or arrays that broadcast against each other, giving an array of their broadcast
+    shape whose every element has the bits of the float call."""
     return _bessel(nu, x, False)
 
 
-def riccati_deriv(nu: float, x):
-    """d/dx [x j_nu(x)] = (nu+1) j_nu(x) - x j_{nu+1}(x) for nu > -1/2 and x > 0, ``x`` a
-    float or an array as in spherical_j."""
+def riccati_deriv(nu, x):
+    """d/dx [x j_nu(x)] = (nu+1) j_nu(x) - x j_{nu+1}(x) for nu > -1/2 and x > 0, ``nu``
+    and ``x`` floats or arrays as in spherical_j."""
     return _bessel(nu, x, True)
 
 
@@ -127,23 +139,28 @@ def bracketed_roots(f, grid, values, what: str, refine, **tol):
     **tol)`` (Brent's method) when the iterator reaches it.  The last point
     is only a bracket end: a scan continued past it starts there.  A value
     that is not finite raises RootSearchError at once, naming ``what``.  A
-    refinement that fails (f without the scan's sign change at the bracket
-    ends) raises RootSearchError naming ``what`` and the bracket; a
-    SphcavError from f or ``refine`` passes unchanged.
+    refinement fails as refined_root says.
     """
     if not np.all(np.isfinite(values)):
         raise RootSearchError(f"{what} is not finite on the scan", window=(grid[0], grid[-1]))
     at = np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))
+    return (
+        float(grid[i]) if values[i] == 0.0 else refined_root(f, grid[i], grid[i + 1], what, refine, **tol)
+        for i in at
+    )
 
-    def refined(lo, hi):
-        try:
-            return float(refine(f, lo, hi, **tol))
-        except SphcavError:
-            raise
-        except (ValueError, RuntimeError) as exc:
-            raise RootSearchError(f"{what} could not be refined: {exc}", window=(lo, hi)) from exc
 
-    return (float(grid[i]) if values[i] == 0.0 else refined(grid[i], grid[i + 1]) for i in at)
+def refined_root(f, lo, hi, what: str, refine, **tol) -> float:
+    """``refine(f, lo, hi, **tol)`` as a float, the root of f in a bracket that changes sign.  A
+    refinement that fails (f without the scan's sign change at the bracket ends) raises
+    RootSearchError naming ``what`` and the bracket; a SphcavError from f or ``refine``
+    passes unchanged."""
+    try:
+        return float(refine(f, lo, hi, **tol))
+    except SphcavError:
+        raise
+    except (ValueError, RuntimeError) as exc:
+        raise RootSearchError(f"{what} could not be refined: {exc}", window=(lo, hi)) from exc
 
 
 # --- polar angular solution -------------------------------------------------

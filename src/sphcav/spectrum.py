@@ -22,6 +22,7 @@ from .radial import (
     SPEED_OF_LIGHT,
     RadialSweep,
     RootKind,
+    advance,
     frequency_from_root,
     j_zero,
     radial_root,
@@ -100,22 +101,29 @@ def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[Mo
 
     nu = m + k is formed in floating point, so one eigenvalue can arrive as floats an
     ulp apart (13/3 = 4/3 + 3 = 10/3 + 1); keyed to 12 decimals they share one sweep,
-    and each record keeps its own nu.
+    and each record keeps its own nu.  Every sweep of the candidates advances in one
+    radial.advance call, in shared rounds, before the records are built.
     """
     a = config.radius_m
+    f_cap = f_max_hz * (1.0 + _FREQ_SLACK)
     x_cap = 2.0 * math.pi * a * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
-    records: list[ModeRecord] = []
     domain = config.domain()
+    candidates = []
     for m in domain.indices(x_cap):
         for nu, k, kind in _angular_candidates(domain, m, x_cap):
             key = (round(nu, 12), kind)
             sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
-            for root in sweep.below(x_cap):
-                f = frequency_from_root(root.x, a)
-                if f > f_max_hz * (1.0 + _FREQ_SLACK):
-                    break
-                family = classify(nu, m, cone_present=domain.has_cone).value
-                records.append(ModeRecord(kind.value, nu, m, k, root.n, root.x, f, family))
+            candidates.append((m, nu, k, kind, sweep))
+    advance([sweep for *_, sweep in candidates], x_cap)
+    records: list[ModeRecord] = []
+    for m, nu, k, kind, sweep in candidates:
+        pol, family = kind.value, None  # classified once per candidate with a mode below the cap
+        for root in sweep.roots:
+            f = frequency_from_root(root.x, a)
+            if f > f_cap:
+                break
+            family = family or classify(nu, m, cone_present=domain.has_cone).value
+            records.append(ModeRecord(pol, nu, m, k, root.n, root.x, f, family))
     records.sort(key=_sort_key)
     return records
 

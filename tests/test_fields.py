@@ -492,6 +492,29 @@ def test_memo_keeps_the_dual_polarization_apart(memo_modes, name, monkeypatch):
     assert _impedance_bits(mode, points, (own, dual)) == [z for pair in zip(fresh[1::2], fresh[::2]) for z in pair]
 
 
+@pytest.mark.parametrize("name", MEMO_MODES)
+def test_row_cache_serves_shuffled_rows_interleaved_with_the_dual_wave(memo_modes, name):
+    # the (r, theta) rows of a tensor grid in shuffled order, each walked in phi; after every
+    # sample the dual wave and the mode's own, named explicitly, are evaluated at the same
+    # (r, theta), so a row cache that kept the wrong polarization or row would show
+    mode = replace(memo_modes[name])
+    pols = (RootKind.TE_JZERO, RootKind.TM_RICCATI_DERIV_ZERO)
+    waves = (pols[0] if mode.polarization is pols[1] else pols[1], mode.polarization)
+    lo, opening = mode.domain.cone_half_angle_rad, mode.domain.azimuth_opening_rad
+    radii, thetas = np.linspace(0.1, 1.0, 5) * A_RADIUS, np.linspace(lo + 0.05, math.pi - 0.05, 6)
+    rows = [(r, t) for r in radii.tolist() for t in thetas.tolist()]
+    rows = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+    phis = (np.linspace(0.1, 0.9, 4) * opening).tolist()
+    for r, theta in rows:
+        for i, phi in enumerate(phis):
+            got = evaluate(mode, (r, theta, phi))
+            z = [wave_impedances(mode, r, theta, phis[-1 - i], polarization=pol) for pol in waves]
+            want = evaluate(replace(mode), (r, theta, phi))  # a fresh memo
+            assert got.E.tobytes() == want.E.tobytes() and got.H.tobytes() == want.H.tobytes()
+            want_z = [wave_impedances(replace(mode), r, theta, phis[-1 - i], polarization=pol) for pol in waves]
+            assert np.array(z).tobytes() == np.array(want_z).tobytes()
+
+
 def test_domain_errors_after_a_memo_hit(memo_modes):
     wedge, cone = replace(memo_modes["wedge_TM_tesseral"]), replace(memo_modes["cone20_TM_zonal"])
     inside = (0.008, 1.1, 0.3)

@@ -12,6 +12,7 @@ from sphcav.radial import (
     RadialSweep,
     RootKind,
     SPEED_OF_LIGHT,
+    advance,
     frequency_from_root,
     j_zero,
     mcmahon_seed,
@@ -216,18 +217,21 @@ def test_sweep_continues_without_refining_twice(monkeypatch):
 class DenseSweep(RadialSweep):
     """The reference scan: the wall condition at every 0.05 step of the same grid."""
 
-    def _scan(self, count):  # every grid point
-        if self._x >= self._hi:
-            self._hi += 12.0
-        grid = np.cumsum(np.concatenate(([self._x], np.full(count, 0.05))))
-        grid = grid[grid < self._hi]
-        if len(grid) <= count:
-            grid = np.append(grid, self._hi)
-        values = self.value(grid)
-        what = f"{self.kind.value} radial condition for nu={self.nu}"
-        for x in radial.bracketed_roots(self.value, grid, values, what, brentq, xtol=1e-12):
-            self.roots.append(radial.RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, self.value(x)))
-        self._x = float(grid[-1])
+    def below(self, x_cap):  # every grid point, one block per pass of the loop
+        while self._x < x_cap:
+            count = int((x_cap - self._x) / 0.05) + 1
+            if self._x >= self._hi:
+                self._hi += 12.0
+            grid = np.cumsum(np.concatenate(([self._x], np.full(count, 0.05))))
+            grid = grid[grid < self._hi]
+            if len(grid) <= count:
+                grid = np.append(grid, self._hi)
+            values = self.value(grid)
+            what = f"{self.kind.value} radial condition for nu={self.nu}"
+            for x in specfun.bracketed_roots(self.value, grid, values, what, brentq, xtol=1e-12):
+                self.roots.append(radial.RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, self.value(x)))
+            self._x = float(grid[-1])
+        return list(self.roots)
 
 
 def _bits(roots):
@@ -268,6 +272,69 @@ def test_an_exact_zero_on_the_grid_is_the_root(monkeypatch, at):
     want = DenseSweep(1.0, TE).below(5.0)
     assert [r.x for r in want] == [zero]
     assert _bits(RadialSweep(1.0, TE).below(5.0)) == _bits(want)
+
+
+@pytest.mark.parametrize("at", [20, 23, 25, 39])  # a coarse point, points bisection reaches
+def test_an_exact_zero_on_the_grid_is_the_root_in_a_shared_round(monkeypatch, at):
+    # beside another sweep, the coarse interval around the zero is bisected rather than
+    # scanned densely; the zero is still the root, and nothing is refined
+    zero = np.cumsum([1.0] + [0.05] * at)[-1]
+    monkeypatch.setattr(specfun, "jv", lambda v, x: np.asarray(x) - zero)
+    monkeypatch.setattr(radial, "brentq", lambda *args, **tol: pytest.fail("a grid zero was refined"))
+    sweeps = [RadialSweep(1.0, TE), RadialSweep(3.0, TE)]  # the second scan starts past the zero
+    advance(sweeps, 5.0)
+    assert [r.x for r in sweeps[0].roots] == [zero] and sweeps[1].roots == []
+    assert _bits(sweeps[0].roots) == _bits(DenseSweep(1.0, TE).below(5.0))
+
+
+def _sweep_state(sweeps):
+    return [(_bits(s.roots), s._x.hex(), s._hi.hex()) for s in sweeps]
+
+
+SWEEP_SPEC = st.tuples(
+    st.floats(min_value=-0.5, max_value=60.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([TE, TM]),
+    st.booleans(),  # a twin an ulp above
+    st.floats(min_value=0.0, max_value=30.0),  # how far this sweep is advanced alone beforehand
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(SWEEP_SPEC, min_size=1, max_size=40), x_cap=st.floats(min_value=0.0, max_value=70.0))
+def test_sweeps_advanced_together_match_each_alone_and_the_dense_scan(specs, x_cap):
+    # rounds of up to 40 sweeps at staggered points of their scans, orders an ulp apart
+    # among them: every root, its n and residual, and where each scan stands, to the bit
+    orders = []
+    for nu, kind, twin, head in specs:
+        orders.append((nu, kind, head))
+        if twin:
+            orders.append((math.nextafter(nu, math.inf), kind, head))
+
+    def made(cls):
+        sweeps = [cls(nu, kind) for nu, kind, _ in orders]
+        for sweep, (nu, _, head) in zip(sweeps, orders):
+            sweep.below(nu + head)
+        return sweeps
+
+    together, alone, dense = made(RadialSweep), made(RadialSweep), made(DenseSweep)
+    advance(together, x_cap)
+    for sweep in alone + dense:
+        sweep.below(x_cap)
+    assert _sweep_state(together) == _sweep_state(alone) == _sweep_state(dense)
+    for sweep in together:
+        assert sweep._x >= x_cap and (not sweep.roots or sweep.roots[-1].n == len(sweep.roots))
+
+
+def test_advance_takes_a_sweep_listed_twice_once():
+    sweep = RadialSweep(2.0, TM)
+    advance([sweep, RadialSweep(3.0, TE), sweep], 30.0)
+    assert _bits(sweep.roots) == _bits(RadialSweep(2.0, TM).below(30.0))
+
+
+@pytest.mark.parametrize("x_cap", [math.nan, math.inf])
+def test_advance_rejects_a_cap_that_is_not_finite(x_cap):
+    with pytest.raises(DomainError, match="cap"):
+        advance([RadialSweep(1.0, TE), RadialSweep(2.0, TM)], x_cap)
 
 
 @settings(max_examples=25, deadline=None)

@@ -28,8 +28,8 @@ mp.mp.dps = 30
 
 def test_ln_gamma_values():
     assert ln_gamma(1.0) == 0.0
-    assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15)
-    assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
+    assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15, abs=0.0)
+    assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15, abs=0.0)
 
 
 def test_ln_gamma_domain():
@@ -49,12 +49,12 @@ def test_hyp2f1_empty_series():
 def test_hyp2f1_one_term_polynomial():
     # a = -1 gives 1 + (a b / c) z; with b = 10/3, c = 5/3 that is 1 - 2z
     for z in (0.0, 0.2, 0.77, 0.97):
-        assert hyp2f1(-1.0, 10.0 / 3.0, 5.0 / 3.0, z) == pytest.approx(1.0 - 2.0 * z, rel=1e-15)
+        assert hyp2f1(-1.0, 10.0 / 3.0, 5.0 / 3.0, z) == pytest.approx(1.0 - 2.0 * z, rel=1e-15, abs=0.0)
 
 
 def test_hyp2f1_binomial_identity():
     # 2F1(1, b; b; z) = (1 - z)^(-1)
-    assert hyp2f1(1.0, 2.3, 2.3, 0.5) == pytest.approx(2.0, rel=1e-14)
+    assert hyp2f1(1.0, 2.3, 2.3, 0.5) == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,7 +83,7 @@ def test_hyp2f1_matches_mpmath():
     cases = [(0.4, 1.9, 1.1, 0.3), (-0.7, 2.5, 0.8, 0.64), (1.2, 1.2, 3.4, 0.7)]
     for a, b, c, z in cases:
         want = float(mp.hyp2f1(a, b, c, z))
-        assert hyp2f1(a, b, c, z) == pytest.approx(want, rel=1e-13)
+        assert hyp2f1(a, b, c, z) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_hyp2f1_near_integer_parameter_is_summed_as_given():
@@ -105,7 +105,7 @@ def test_hyp2f1_c_pole_rules():
     # terminating before the 1/Gamma(c) pole is fine
     assert hyp2f1(-2.0, 1.5, -3.0, 0.3) == pytest.approx(
         1.0 + (-2.0) * 1.5 / (-3.0) * 0.3 + ((-2.0) * (-1.0) * 1.5 * 2.5 / ((-3.0) * (-2.0) * 2.0)) * 0.09,
-        rel=1e-14,
+        rel=1e-14, abs=0.0,
     )
     with pytest.raises(DomainError):
         hyp2f1(-5.0, 1.5, -3.0, 0.3)
@@ -168,12 +168,12 @@ def test_spherical_j_small_argument_normalization():
         assert ratio == pytest.approx(1.0, abs=2.0 * x * x)
 
 
-def test_spherical_j_branch_crossover_consistent():
-    # the series branch and the cylindrical-relation branch agree near the cutoff
+def test_spherical_j_matches_mpmath_on_either_side_of_one_half():
+    # spherical_j against mpmath at x = 0.49 and 0.51
     for nu in (0.0, 0.7, 3.2):
         for x in (0.49, 0.51):
             want = math.sqrt(math.pi / (2 * x)) * float(mp.besselj(nu + 0.5, x))
-            assert spherical_j(nu, x) == pytest.approx(want, rel=1e-13)
+            assert spherical_j(nu, x) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -214,8 +214,53 @@ def test_small_argument_values_match_mpmath(nu):
 @pytest.mark.parametrize("nu, x", [(0.6, 1e-305), (1.2, 1e-250), (1.1, 1e-280)])
 def test_values_where_the_cylindrical_bessel_function_underflows(nu, x):
     # J_{nu+1/2}(x) is below the smallest double here while j_nu(x) is not
-    assert spherical_j(nu, x) == pytest.approx(float(_mp_spherical_j(nu, x)), rel=1e-13)
-    assert riccati_deriv(nu, x) == pytest.approx(float(_mp_riccati_deriv(nu, x)), rel=1e-13)
+    assert spherical_j(nu, x) == pytest.approx(float(_mp_spherical_j(nu, x)), rel=1e-13, abs=0.0)
+    assert riccati_deriv(nu, x) == pytest.approx(float(_mp_riccati_deriv(nu, x)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("f", [spherical_j, riccati_deriv])
+def test_order_zero_is_exactly_one_at_small_arguments(f):
+    # j_0(x) = 1 - x^2/6 + ..., and so is Ric'_0(x) = cos x to first order: below x^2 = eps/4
+    # the leading term, exactly 1, is the value
+    xs = [1e-310, 1e-200, 1e-10]
+    assert [f(0.0, x) for x in xs] == [1.0, 1.0, 1.0]
+    assert f(0.0, np.array(xs)).tolist() == [1.0, 1.0, 1.0]
+
+
+ARRAY_NUS = [-0.49, -1e-9, 0.0, 1e-9, 0.3, 0.5, 1.0, 2.0, 2.0 / 3.0, 7.3, 40.0, 149.7, 500.0]
+ARRAY_XS = [1e-310, 1e-200, 1e-10, 1e-3, 0.3, 0.49, 0.7, 3.0, 12.05, 57.3, 250.0]
+
+
+@pytest.mark.parametrize("f", [spherical_j, riccati_deriv])
+def test_an_array_order_gives_the_float_calls_element_by_element(f):
+    # one nu per row, broadcast against x, as a radial round calls it; a row holding small
+    # arguments takes the near-zero form for all of its elements
+    nus, xs = np.array(ARRAY_NUS), np.array(ARRAY_XS)
+    want = [[f(nu, x) for x in ARRAY_XS] for nu in ARRAY_NUS]
+    assert f(nus[:, None], xs).tolist() == want
+    assert f(nus[:, None], np.tile(xs, (len(nus), 1))).tolist() == want
+    assert f(nus, 3.0).tolist() == [f(nu, 3.0) for nu in ARRAY_NUS]
+    assert f(nus, 1e-200).tolist() == [f(nu, 1e-200) for nu in ARRAY_NUS]
+    pairs = np.array([(nu, x) for nu in ARRAY_NUS for x in ARRAY_XS[3:]])
+    assert f(pairs[:, 0], pairs[:, 1]).tolist() == [f(nu, x) for nu, x in pairs.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nus=st.lists(st.floats(min_value=-0.5, max_value=300.0, exclude_min=True), min_size=1, max_size=6),
+    xs=st.lists(st.floats(min_value=1e-6, max_value=400.0), min_size=1, max_size=6),
+)
+def test_an_array_order_gives_the_float_calls_anywhere(nus, xs):
+    for f in (spherical_j, riccati_deriv):
+        want = [[f(nu, x) for x in xs] for nu in nus]
+        assert np.array(f(np.array(nus)[:, None], np.array(xs))).tolist() == want
+
+
+def test_an_array_order_is_checked_like_a_float():
+    with pytest.raises(DomainError):
+        spherical_j(np.array([1.0, -0.5]), 1.0)
+    with pytest.raises(DomainError):
+        riccati_deriv(np.array([[1.0], [-0.7]]), np.array([1.0, 2.0]))
 
 
 def test_array_argument_keeps_the_values_at_zero():
@@ -239,7 +284,7 @@ def test_spherical_j_domain():
 
 def test_riccati_deriv_order_zero_is_cosine():
     assert abs(riccati_deriv(0.0, math.pi / 2.0)) < 1e-15
-    assert riccati_deriv(0.0, 0.1) == pytest.approx(math.cos(0.1), rel=1e-14)
+    assert riccati_deriv(0.0, 0.1) == pytest.approx(math.cos(0.1), rel=1e-14, abs=0.0)
     xs = np.linspace(0.1, 30.0, 97)
     mine = np.array([riccati_deriv(0.0, x) for x in xs])
     assert np.allclose(mine, np.cos(xs), rtol=1e-12, atol=1e-14)
@@ -265,14 +310,14 @@ def test_riccati_deriv_domain():
 
 
 def test_legendre_theta_sectoral_is_sin_power():
-    assert legendre_theta(2.0 / 3.0, 2.0 / 3.0, math.pi / 2.0) == pytest.approx(1.0, rel=1e-15)
+    assert legendre_theta(2.0 / 3.0, 2.0 / 3.0, math.pi / 2.0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(m=st.floats(min_value=1e-3, max_value=5.0))
 def test_legendre_theta_sectoral_property(m):
     for theta in np.linspace(0.05, math.pi - 0.05, 23):
-        assert legendre_theta(m, m, theta) == pytest.approx(math.sin(theta) ** m, rel=1e-12)
+        assert legendre_theta(m, m, theta) == pytest.approx(math.sin(theta) ** m, rel=1e-12, abs=0.0)
 
 
 def test_legendre_theta_first_tesseral():
@@ -284,10 +329,10 @@ def test_legendre_theta_first_tesseral():
 
 
 def test_legendre_theta_is_legendre_polynomial_for_integers():
-    assert legendre_theta(1.0, 0.0, math.pi / 3.0) == pytest.approx(0.5, rel=1e-14)
+    assert legendre_theta(1.0, 0.0, math.pi / 3.0) == pytest.approx(0.5, rel=1e-14, abs=0.0)
     theta = 1.234
     p2 = 0.5 * (3.0 * math.cos(theta) ** 2 - 1.0)
-    assert legendre_theta(2.0, 0.0, theta) == pytest.approx(p2, rel=1e-13)
+    assert legendre_theta(2.0, 0.0, theta) == pytest.approx(p2, rel=1e-13, abs=0.0)
 
 
 def test_legendre_theta_deriv_sectoral():
@@ -295,12 +340,12 @@ def test_legendre_theta_deriv_sectoral():
     assert abs(legendre_theta_deriv(m, m, math.pi / 2.0)) < 1e-14
     theta = 0.8
     want = m * math.sin(theta) ** (m - 1.0) * math.cos(theta)
-    assert legendre_theta_deriv(m, m, theta) == pytest.approx(want, rel=1e-13)
+    assert legendre_theta_deriv(m, m, theta) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_legendre_theta_deriv_p1():
-    assert legendre_theta_deriv(1.0, 0.0, math.pi / 2.0) == pytest.approx(-1.0, rel=1e-14)
-    assert legendre_theta_deriv(1.0, 0.0, 0.7) == pytest.approx(-math.sin(0.7), rel=1e-13)
+    assert legendre_theta_deriv(1.0, 0.0, math.pi / 2.0) == pytest.approx(-1.0, rel=1e-14, abs=0.0)
+    assert legendre_theta_deriv(1.0, 0.0, 0.7) == pytest.approx(-math.sin(0.7), rel=1e-13, abs=0.0)
 
 
 def test_legendre_theta_deriv_p2_oracle():
@@ -310,8 +355,8 @@ def test_legendre_theta_deriv_p2_oracle():
     theta = math.acos(1.0 / math.sqrt(3.0))
     assert abs(legendre_theta(2.0, 0.0, theta)) < 1e-14
     want = -3.0 * math.cos(theta) * math.sin(theta)
-    assert want == pytest.approx(-math.sqrt(2.0), rel=1e-15)
-    assert legendre_theta_deriv(2.0, 0.0, theta) == pytest.approx(want, rel=1e-12)
+    assert want == pytest.approx(-math.sqrt(2.0), rel=1e-15, abs=0.0)
+    assert legendre_theta_deriv(2.0, 0.0, theta) == pytest.approx(want, rel=1e-12, abs=0.0)
     assert abs(legendre_theta_deriv(2.0, 0.0, math.pi / 2.0)) < 1e-13
 
 
@@ -331,7 +376,7 @@ def test_legendre_theta_deriv_ode_path_matches_mpmath():
     for theta in (2.3, 2.9):
         f = lambda t: mp.sin(t) ** m * mp.hyp2f1(m - nu, m + nu + 1.0, m + 1.0, mp.sin(t / 2) ** 2)
         want = float(mp.diff(f, theta))
-        assert legendre_theta_deriv(nu, m, theta) == pytest.approx(want, rel=1e-8)
+        assert legendre_theta_deriv(nu, m, theta) == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def test_legendre_theta_value_deriv_consistency():
