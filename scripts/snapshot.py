@@ -250,13 +250,8 @@ def commands() -> None:
             print(f"  {text}")
 
 
+SECTIONS = (geometries, sweeps, roots, cones, modes, field_rows, reachability, commands, small_arguments)
+
 if __name__ == "__main__":
-    geometries()
-    sweeps()
-    roots()
-    cones()
-    modes()
-    field_rows()
-    reachability()
-    commands()
-    small_arguments()
+    for section in SECTIONS:
+        section()

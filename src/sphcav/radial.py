@@ -3,8 +3,8 @@
 TE resonances sit at zeros of j_nu (x_{nu,n}); TM resonances at zeros of the
 Riccati derivative d/dx [x j_nu(x)] (x'_{nu,n}).  Both conditions are
 specfun.spherical_j and specfun.riccati_deriv, called on arrays for the scan
-(one nu per row where sweeps advance together, in rounds) and on floats for
-Brent's method.  Frequencies follow from f = c * x / (2 pi a).
+(over one lattice of x that every nu shares) and on floats for Brent's method.
+Frequencies follow from f = c * x / (2 pi a).
 """
 
 from __future__ import annotations
@@ -97,22 +97,26 @@ def mcmahon_seed(nu: float, n: int, kind: RootKind) -> float:
 # apart too.  For -1/2 < nu < 0, q exceeds 1 by at most 1/(4 x^2); the least spacing
 # measured there is 3.02, as nu -> -1/2.  A coarse interval of x-width 1.0 thus holds at
 # most one root and shows it as a sign change.
-_STEP = 0.05  # the first root exceeds nu, so a scan from nu in these steps skips none
-_COARSE = 20  # scan steps per coarse interval (x-width 1.0)
-_WINDOW = 12.0  # the scan grid is summed window by window, each clamped to its end
-_BLOCK = 64  # scan steps from one cap of nth to the next, about one root spacing
+_STEP = 0.05  # the lattice x_i = i * _STEP; the first root exceeds nu, so a scan from below nu skips none
+_COARSE = 20  # lattice steps per coarse interval (x-width 1.0)
+_BLOCK = 64  # lattice steps from one cap of nth to the next, about one root spacing
+# Brent to scipy's relative floor, 4 eps: a root is then fixed by its bracket's lattice
+# interval, within a few ulp of the root of the evaluated condition
+_TOL = dict(xtol=1e-300, rtol=4.0 * float(np.finfo(float).eps))
 
 
 class RadialSweep:
     """Every root of one radial condition, found in increasing order and kept.
 
-    The scan starts at max(nu, 1e-3) and steps by 0.05 in windows of 12, each
-    window's last step clamped to its end, and Brent's method refines each sign
-    change to xtol = 1e-12.  The scan is advanced by ``advance``, alone or in
-    rounds shared with other sweeps; later requests continue it, so no root is
-    bracketed or refined twice.  ``below`` is ``advance`` on this sweep alone,
-    and ``nth`` is ``below`` with a cap at the McMahon estimate, moved up until
-    the n-th root is kept.
+    The scan runs over the lattice x_i = i * 0.05 that every nu shares, from the
+    last lattice point at or below max(nu, 1e-3) (i >= 1: x = 0 is no scan point,
+    and the first root of either kind lies above 0.9 for every nu > -1/2).  Brent's
+    method refines each sign change to scipy's relative floor, 4 eps, so each
+    root is fixed by the lattice interval that brackets it alone, whatever the caps
+    and sweeps it was scanned with.  The scan is advanced by ``advance``, alone or
+    together with other sweeps; later requests continue it, so no root is bracketed
+    or refined twice.  ``below`` is ``advance`` on this sweep alone, and ``nth`` is
+    ``below`` with a cap at the McMahon estimate, moved up until the n-th root is kept.
     """
 
     def __init__(self, nu: float, kind: RootKind):
@@ -121,9 +125,13 @@ class RadialSweep:
         self.nu, self.kind = nu, kind
         self._te = kind is RootKind.TE_JZERO  # read once: an enum member lookup costs 0.1 us a call
         self._what = f"{kind.value} radial condition for nu={nu}"
-        self.lo = self._x = max(nu, 1e-3)
-        self._hi = self.lo + _WINDOW
+        self.lo = max(nu, 1e-3)
+        self._i = max(1, int(self.lo / _STEP))  # the lattice index of the last scanned point
         self.roots: list[RadialRoot] = []
+
+    @property
+    def _x(self) -> float:
+        return self._i * _STEP
 
     def value(self, x):
         """The wall condition at x, a float or an array: spherical_j (TE) or riccati_deriv (TM),
@@ -152,174 +160,72 @@ class RadialSweep:
 
 
 def advance(sweeps, x_cap: float) -> None:
-    """Scan every sweep of ``sweeps`` until it has passed x_cap, keeping each root it brackets.
+    """Scan every sweep of ``sweeps`` to the first lattice point at or past x_cap, keeping
+    each root it brackets.
 
-    All pending sweeps advance together, round by round.  In a round each sweep
-    scans what one call of a lone scan would: from its last point to the cap or
-    to its window's end, whichever comes first.  The rows of every sweep's grid
-    are summed by one cumsum, each in order as a scalar loop would, so every
-    grid point has the bits it has when the sweep advances alone.  The round
-    evaluates each row at every 20th grid point (an x-stride of 1.0) and its last,
-    all rows in one spherical_j and one riccati_deriv call with one nu per row.
-    Roots are more than 1.0 apart (above _STEP), so a coarse interval that changes
-    sign holds one root and one grid interval that changes sign; lockstep
-    bisection over the grid indices finds it, one call per kind and step and at
-    most 5 steps.  A round of one sweep evaluates those intervals densely instead,
-    at less cost alone, and a lone row of at most 2 * 20 grid steps at every point.
-    Either way Brent's method gets the brackets of a dense scan, and a zero at a
-    grid point is a root as is: the roots are those of the dense scan bit for bit.
+    All pending sweeps advance in one pass.  Each is evaluated at its last point, at
+    every lattice index past it that is a multiple of 20 (an x-stride of 1.0), and at
+    the cap's index: all rows in one spherical_j and one riccati_deriv call.  Roots are
+    more than 1.0 apart (above _STEP), so a coarse interval that changes sign holds one
+    root and one lattice interval that changes sign.  Lockstep bisection over lattice
+    indices finds it, one call per kind and step; an interval open alone is evaluated
+    at all its points in one call instead, which costs a lone sweep less than its five
+    steps.  A lattice zero is a root unless it is the scan's last point (the
+    next scan starts there); any other root is Brent's refinement of its lattice interval.
     """
     if not math.isfinite(x_cap):
         raise DomainError(f"root cap must be finite, got {x_cap}")
-    pending = [s for s in dict.fromkeys(sweeps) if s._x < x_cap]
-    while pending:
-        _round(pending, x_cap)
-        pending = [s for s in pending if s._x < x_cap]
+    end = math.ceil(x_cap / _STEP)
+    end += end * _STEP < x_cap  # the lattice index at or past the cap
+    sweeps = [s for s in dict.fromkeys(sweeps) if s._i < end]
+    if not sweeps:
+        return
+    points = [[s._i, *range((s._i // _COARSE + 1) * _COARSE, end, _COARSE), end] for s in sweeps]
+    te, nu = np.array([s._te for s in sweeps]), np.array([s.nu for s in sweeps])
 
-
-def _conditions(te, nu, x):
-    """The wall condition of each row's sweep at x: ``te`` is True (TE) or False (TM) for
-    every row, or a bool array per row; ``nu`` broadcasts against ``x``.  One call per kind."""
-    if isinstance(te, bool):
-        return (spherical_j if te else riccati_deriv)(nu, x)
-    out = np.empty(x.shape)
-    out[te], out[~te] = spherical_j(nu[te], x[te]), riccati_deriv(nu[~te], x[~te])
-    return out
-
-
-def _not_finite(values, rows, sweeps, grid, last) -> RootSearchError:
-    """The error for the first row whose evaluated ``values`` are not all finite; row i of the
-    round holds ``values[rows == i]``."""
-    i = int(np.broadcast_to(rows, values.shape)[~np.isfinite(values)][0])
-    return RootSearchError(f"{sweeps[i]._what} is not finite on the scan", window=(grid[i, 0], grid[i, last[i]]))
-
-
-def _round(sweeps: list[RadialSweep], x_cap: float) -> None:
-    """One round of ``advance``: each sweep scans one block, keeps its roots and moves on."""
-    n = len(sweeps)
-    starts, counts, steps, his = [], [], [], []
-    for s in sweeps:
-        if s._x >= s._hi:
-            s._hi += _WINDOW
-        # the grid points up to the cap, with no step summed more than two past the window end
-        count = int((x_cap - s._x) / _STEP) + 1
-        starts.append(s._x)
-        counts.append(count)
-        steps.append(min(count, int((s._hi - s._x) / _STEP) + 2))
-        his.append(s._hi)
-    width = max(steps) + 2
-    grid = np.empty((n, width))
-    grid.fill(_STEP)
-    grid[:, 0] = starts
-    np.add.accumulate(grid, axis=1, out=grid)  # a cumsum: each row summed in order, as a scalar loop would
-    last = []  # per row, the index of its last point: the cap's, or the window end's
-    for i, (x, step, count, hi) in enumerate(zip(starts, steps, counts, his)):
-        # the points before the window end, at most step + 1: from the step estimate, give or
-        # take the rounding of the sum
-        inside = min(int((hi - x) / _STEP), step + 1)
-        while inside > 1 and grid.item(i, inside - 1) >= hi:
-            inside -= 1
-        while inside <= step and grid.item(i, inside) < hi:
-            inside += 1
-        if inside <= count:  # cut short by the window: the row ends at its end
-            grid[i, inside] = hi
-            last.append(inside)
+    def conditions(rows, index):
+        """The wall condition of sweep ``sweeps[rows[j]]`` at lattice index ``index[j]`` (one row
+        broadcasts), one call per kind present; RootSearchError for a value not finite."""
+        x, t, v = index * _STEP, te[rows], nu[rows]
+        if t.all() or not t.any():
+            values = (spherical_j if t[0] else riccati_deriv)(v, x)
         else:
-            last.append(inside - 1)
-    top = max(last)
-    stride = 1 if n == 1 and top < 2 * _COARSE else _COARSE
-    cols = [*range(0, top, stride), top]  # the coarse points: every stride-th, and the last
-    for i, end in enumerate(last):  # a shorter row repeats its last point to the end of the longest
-        if end < top:
-            grid[i, end + 1 : top + 1] = grid.item(i, end)
-    kinds = {s._te for s in sweeps}
-    te = kinds.pop() if len(kinds) == 1 else np.array([s._te for s in sweeps])
-    coarse = grid[:, : top + 1 : stride] if top % stride == 0 else grid[:, cols]  # a view if a slice serves
-    if n == 1:
-        nu = sweeps[0].nu
-        values = _conditions(te, nu, coarse)
-    else:  # per row its coarse points up to the first at or past its last; the rest copy that
-        nu = np.array([s.nu for s in sweeps])[:, None]
-        new = np.empty(coarse.shape, dtype=bool)
-        new[:, 0] = True
-        np.less(cols[:-1], np.array(last)[:, None], out=new[:, 1:])
-        te_new = te if isinstance(te, bool) else np.broadcast_to(te[:, None], coarse.shape)[new]
-        values = _conditions(te_new, np.broadcast_to(nu, coarse.shape)[new], coarse[new])
-        values = values[new.cumsum() - 1].reshape(coarse.shape)
-    if not np.isfinite(values).all():
-        raise _not_finite(values, np.arange(n)[:, None], sweeps, grid, last)
-    # a sign change between coarse points brackets a root, and a zero at one is a root unless
-    # it is the row's last point
-    rows, k = np.nonzero(values[:, :-1] * values[:, 1:] <= 0.0)
-    a, b, va, hits = [], [], [], []
-    for i, j in zip(rows.tolist(), k.tolist()):
-        a_, v = cols[j], values.item(i, j)
-        if a_ < last[i] and (v == 0.0 or v * values.item(i, j + 1) < 0.0):
-            hits.append(i)
-            a.append(a_)
-            b.append(a_ if v == 0.0 else min(cols[j + 1], last[i]))
-            va.append(v)
-    if any(b_ - a_ > 1 for a_, b_ in zip(a, b)):
-        (_dense if n == 1 else _bisect)(sweeps, grid, last, te, nu, hits, a, b, va)
-    found: dict[int, list[float]] = {}
-    for i, a_, b_ in zip(hits, a, b):
-        s = sweeps[i]
-        if a_ == b_:
-            x = grid.item(i, a_)
-        else:  # this module's brentq, so that a wrapper around radial.brentq sees each refinement
-            x = refined_root(s.value, grid.item(i, a_), grid.item(i, b_), s._what, brentq, xtol=1e-12)
-        found.setdefault(i, []).append(x)
-    for i, s in enumerate(sweeps):
-        for x in found.get(i, ()):
-            s.roots.append(RadialRoot(s.nu, len(s.roots) + 1, s.kind, x, s.value(x)))
-        s._x = grid.item(i, last[i])
+            values = np.empty(x.shape)
+            values[t], values[~t] = spherical_j(v[t], x[t]), riccati_deriv(v[~t], x[~t])
+        if not np.isfinite(values).all():
+            s = sweeps[np.broadcast_to(rows, values.shape)[~np.isfinite(values)][0]]
+            raise RootSearchError(f"{s._what} is not finite on the scan", window=(s._x, end * _STEP))
+        return values
 
-
-def _dense(sweeps, grid, last, te, nu, rows, a, b, va) -> None:
-    """The sign-changing grid interval of each open coarse interval [a, b] of a lone sweep,
-    from the condition at every grid point inside them, in one call: a and b narrowed in
-    place to it, or both to a grid point where the condition is exactly 0."""
-    open_ = [t for t in range(len(a)) if b[t] - a[t] > 1]
-    inner = [grid[0, a[t] + 1 : b[t]] for t in open_]
-    inner = inner[0] if len(inner) == 1 else np.concatenate(inner)
-    values = _conditions(te, nu, inner)
-    if not np.isfinite(values).all():
-        raise _not_finite(values, 0, sweeps, grid, last)
-    values, offset = values.tolist(), 0
-    for t in open_:
-        seq = [va[t], *values[offset : offset + b[t] - a[t] - 1]]
-        offset += b[t] - a[t] - 1
-        for j in range(1, len(seq)):  # the dense scan's first zero or sign change
-            if seq[j] == 0.0:
-                a[t] = b[t] = a[t] + j
-                break
-            if seq[j - 1] * seq[j] < 0.0:
-                a[t], b[t] = a[t] + j - 1, a[t] + j
-                break
-        else:
-            a[t] = b[t] - 1
-
-
-def _bisect(sweeps, grid, last, te, nu, rows, a, b, va) -> None:
-    """The sign-changing grid interval of each open coarse interval [a, b] of the round, by
-    bisection over grid indices in lockstep, one call per kind and step: a and b narrowed in
-    place to it, or both to a grid point where the condition is exactly 0."""
-    todo = [t for t in range(len(a)) if b[t] - a[t] > 1]
-    r = np.array(rows)[todo]
-    lo, hi, v_lo = np.array(a)[todo], np.array(b)[todo], np.array(va)[todo]
-    nu = nu[r, 0]
-    te = te if isinstance(te, bool) else te[r]
+    rows = np.repeat(np.arange(len(sweeps)), [len(p) for p in points])
+    index = np.array([i for p in points for i in p])
+    values = conditions(rows, index)
+    # a pair of neighbouring points of one row brackets a root where the first is 0 or the
+    # sign changes between them; every row ends at the cap's point, where a zero waits for
+    # the next scan
+    at = np.flatnonzero((index[:-1] != end) & ((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0)))
+    rows, lo, v_lo = rows[at], index[at], values[at]
+    hi = np.where(v_lo == 0.0, lo, index[at + 1])
     while len(j := np.flatnonzero(hi - lo > 1)):
+        if len(j) == 1:  # one interval open: each of its points in one call, not one call a step
+            t = j[0]
+            v = conditions(rows[j], np.arange(lo[t], hi[t] + 1))
+            q = int(np.flatnonzero(v[0] * v <= 0.0)[0])  # the first point at or past the root
+            lo[t], hi[t] = lo[t] + q - (v[q] != 0.0), lo[t] + q
+            break
         mid = (lo[j] + hi[j]) // 2
-        v_mid = _conditions(te if isinstance(te, bool) else te[j], nu[j], grid[r[j], mid])
-        if not np.isfinite(v_mid).all():
-            raise _not_finite(v_mid, r[j], sweeps, grid, last)
+        v_mid = conditions(rows[j], mid)
         left = v_lo[j] * v_mid < 0.0  # the sign changes below mid; a zero at mid is the root
         lo[j] = np.where(left, lo[j], mid)
         hi[j] = np.where(left | (v_mid == 0.0), mid, hi[j])
         v_lo[j] = np.where(left, v_lo[j], v_mid)
-    for t, lo_t, hi_t in zip(todo, lo.tolist(), hi.tolist()):
-        a[t], b[t] = lo_t, hi_t
+    for i, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+        s = sweeps[i]
+        # this module's brentq, so that a wrapper around radial.brentq sees each refinement
+        x = a * _STEP if a == b else refined_root(s.value, a * _STEP, b * _STEP, s._what, brentq, **_TOL)
+        s.roots.append(RadialRoot(s.nu, len(s.roots) + 1, s.kind, x, s.value(x)))
+    for s in sweeps:
+        s._i = end
 
 
 def j_zero(nu: float, n: int) -> RadialRoot:

@@ -96,17 +96,15 @@ def _angular_candidates(domain: AngularDomain, m: float, nu_cap: float):
                 yield nu, None if domain.has_cone else round(nu - m), kind
 
 
-def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[ModeRecord]:
-    """All modes up to f_max_hz, sorted; ``sweeps`` holds one RadialSweep per (nu, kind).
+def _swept_candidates(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[tuple]:
+    """Every (m, nu, k, kind, sweep) admissible up to f_max_hz, its sweep scanned past the cap;
+    ``sweeps`` holds one RadialSweep per (nu, kind).
 
     nu = m + k is formed in floating point, so one eigenvalue can arrive as floats an
     ulp apart (13/3 = 4/3 + 3 = 10/3 + 1); keyed to 12 decimals they share one sweep,
-    and each record keeps its own nu.  Every sweep of the candidates advances in one
-    radial.advance call, in shared rounds, before the records are built.
+    and each candidate keeps its own nu.  Every sweep advances in one radial.advance call.
     """
-    a = config.radius_m
-    f_cap = f_max_hz * (1.0 + _FREQ_SLACK)
-    x_cap = 2.0 * math.pi * a * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
+    x_cap = 2.0 * math.pi * config.radius_m * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
     domain = config.domain()
     candidates = []
     for m in domain.indices(x_cap):
@@ -115,15 +113,28 @@ def _modes_below(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[Mo
             sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
             candidates.append((m, nu, k, kind, sweep))
     advance([sweep for *_, sweep in candidates], x_cap)
+    return candidates
+
+
+def _roots_below(sweep: RadialSweep, a: float, f_max_hz: float):
+    """The roots of ``sweep`` with their frequencies, while those are at most f_max_hz plus slack."""
+    f_cap = f_max_hz * (1.0 + _FREQ_SLACK)
+    for root in sweep.roots:
+        f = frequency_from_root(root.x, a)
+        if f > f_cap:
+            return
+        yield root, f
+
+
+def _records(config: CavityConfig, candidates: list[tuple], f_max_hz: float) -> list[ModeRecord]:
+    """The sorted mode records of ``candidates`` up to f_max_hz."""
+    cone = config.domain().has_cone
     records: list[ModeRecord] = []
     for m, nu, k, kind, sweep in candidates:
-        pol, family = kind.value, None  # classified once per candidate with a mode below the cap
-        for root in sweep.roots:
-            f = frequency_from_root(root.x, a)
-            if f > f_cap:
-                break
-            family = family or classify(nu, m, cone_present=domain.has_cone).value
-            records.append(ModeRecord(pol, nu, m, k, root.n, root.x, f, family))
+        family = None  # classified once per candidate with a mode below the cap
+        for root, f in _roots_below(sweep, config.radius_m, f_max_hz):
+            family = family or classify(nu, m, cone_present=cone).value
+            records.append(ModeRecord(kind.value, nu, m, k, root.n, root.x, f, family))
     records.sort(key=_sort_key)
     return records
 
@@ -135,8 +146,9 @@ def enumerate_modes(
 ) -> list[ModeRecord]:
     """All modes up to f_max_hz (inclusive with 1e-6 slack), sorted by frequency.
 
-    With ``max_count`` alone the cap starts at x = 4 and grows 1.5x until that many
-    modes fit; each (nu, kind) is swept for radial roots once per call, for every cap.
+    With ``max_count`` alone the cap starts at x = 4 and grows 1.5x until the sweeps
+    hold that many roots below it; each (nu, kind) is swept for radial roots once per
+    call, for every cap, and the records are built once, at the last.
     """
     if f_max_hz is None and max_count is None:
         raise DomainError("provide f_max_hz or max_count")
@@ -146,11 +158,13 @@ def enumerate_modes(
         raise DomainError(f"max_count must be >= 1, got {max_count}")
     sweeps: dict = {}
     if f_max_hz is not None:
-        return _modes_below(config, f_max_hz, sweeps)[:max_count]
-    f_cap = frequency_from_root(4.0, config.radius_m)
-    while len(records := _modes_below(config, f_cap, sweeps)) < max_count:
-        f_cap *= 1.5
-    return records[:max_count]
+        return _records(config, _swept_candidates(config, f_max_hz, sweeps), f_max_hz)[:max_count]
+    f_max_hz = frequency_from_root(4.0, config.radius_m)
+    while True:
+        found = _swept_candidates(config, f_max_hz, sweeps)
+        if sum(1 for *_, s in found for _ in _roots_below(s, config.radius_m, f_max_hz)) >= max_count:
+            return _records(config, found, f_max_hz)[:max_count]
+        f_max_hz *= 1.5
 
 
 def fundamental_tm(config: CavityConfig) -> ModeRecord:

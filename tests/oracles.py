@@ -10,6 +10,9 @@ regula falsi) in 30-digit arithmetic:
 * TE wall: j_nu(x) = sqrt(pi/(2x)) J_{nu+1/2}(x) vanishes;
 * TM wall: d/dx[x j_nu(x)], proportional to J_mu(x) + 2x J_mu'(x) with
   mu = nu + 1/2, vanishes.
+
+``mp_wall_root_near`` refines a given radial root instead, at 40 digits, to
+measure its distance in ulp.
 """
 
 import math
@@ -89,6 +92,40 @@ def mp_riccati_deriv_first_zero(nu):
     with mp.workdps(DPS):
         mu = mp.mpf(nu) + mp.mpf(1) / 2
         return _wall_root(lambda x: mp.besselj(mu, x) + 2 * x * mp.besselj(mu, x, derivative=1))
+
+
+def _bessel_ratio(mu, x):
+    """J_mu(x) / J_(mu-1)(x) by its continued fraction 1/(b_0 - 1/(b_1 - ...)), b_k = 2(mu+k)/x,
+    summed by modified Lentz; it converges for every x > 0, since J is the minimal solution
+    of the recurrence, and at every order, where mpmath's besselj series at x ~ mu ~ 1e5
+    does not."""
+    tiny, f = mp.mpf(10) ** (-2 * mp.mp.dps), 2 * mu / x
+    c, d, k = f, mp.mpf(0), 1
+    while True:
+        b = 2 * (mu + k) / x
+        d, c = b - d, b - 1 / c
+        d, c = 1 / (d or tiny), c or tiny
+        f *= c * d
+        if abs(c * d - 1) < mp.eps:
+            return 1 / f
+        k += 1
+
+
+def mp_wall_root_near(nu, pol, x, dps=40):
+    """The root of the ``pol`` wall condition for order nu in [x - 1e-9 x, x + 1e-9 x], at dps
+    digits, as an mpf.  Near a root the condition is divided by a Bessel function that does
+    not vanish there (roots of J_mu and of J_mu + 2x J_mu' interlace with those of J_(mu-1)
+    and J_mu): TE J_mu/J_(mu-1), TM (1 - 2 mu) + 2x J_(mu-1)/J_mu.  Radial roots are more
+    than 3 apart, so it is the root nearest x."""
+    with mp.workdps(dps + 10):
+        mu = mp.mpf(nu) + mp.mpf(1) / 2
+        if pol == "TE":
+            g = lambda t: _bessel_ratio(mu, t)  # noqa: E731
+        else:
+            g = lambda t: 1 - 2 * mu + 2 * t / _bessel_ratio(mu, t)  # noqa: E731
+        x, half = mp.mpf(x), mp.mpf(x) * mp.mpf("1e-9")
+        assert g(x - half) * g(x + half) < 0, "no sign change around the root"
+        return +mp.findroot(g, (x - half, x + half), solver="anderson")
 
 
 def frequency_ghz(x, radius_m):

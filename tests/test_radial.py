@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
+from oracles import mp_wall_root_near
 from scipy.optimize import brentq
 
 from sphcav import radial, specfun
@@ -42,6 +44,17 @@ def test_order_zero_roots_are_elementary():
     assert j_zero(0.0, 2).x == pytest.approx(2.0 * math.pi, abs=1e-12)
     assert riccati_deriv_zero(0.0, 1).x == pytest.approx(math.pi / 2.0, abs=1e-12)
     assert riccati_deriv_zero(0.0, 2).x == pytest.approx(1.5 * math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.0 / 3.0, 1.0, 7.3, 40.0, 120.0])
+def test_first_roots_lie_within_a_few_ulp_of_the_exact_root(nu):
+    # Brent stops at scipy's relative floor, so each root is as close as its evaluator
+    # allows: here within 16 ulp of a 40-digit root
+    for kind, nth in ((TE, j_zero), (TM, riccati_deriv_zero)):
+        for n in (1, 2, 3):
+            x = nth(nu, n).x
+            exact = mp_wall_root_near(nu, kind.value, x)
+            assert abs(float((mpf(x) - exact) / math.ulp(float(exact)))) <= 16.0, (kind, n)
 
 
 def test_table1_roots_regression():
@@ -162,38 +175,47 @@ def test_sweep_rejects_an_order_that_is_not_finite_above_minus_half(nu, kind):
 
 
 TE, TM = RootKind.TE_JZERO, RootKind.TM_RICCATI_DERIV_ZERO
+EPS = float(np.finfo(float).eps)
 
 
-def _scalar_scan(f, nu: float, count: int) -> list[float]:
-    """First ``count`` roots by a scalar upward scan: step 0.05 from max(nu, 1e-3),
-    windows of 12 with the last step clamped, Brent to xtol 1e-12."""
-    lo = max(nu, 1e-3)
-    hi, x, fx, roots = lo + 12.0, lo, f(lo), []
-    while True:
-        while x < hi:
-            x_next = min(x + 0.05, hi)
-            f_next = f(x_next)
-            if fx == 0.0:
-                roots.append(x)
-            elif fx * f_next < 0.0:
-                roots.append(brentq(f, x, x_next, xtol=1e-12))
-            if len(roots) == count:
-                return roots
-            x, fx = x_next, f_next
-        hi += 12.0
+class DenseSweep(RadialSweep):
+    """The reference scan, scalar and independent of radial.advance: the wall condition at
+    every lattice point k * 0.05 in turn, from the last at or below max(nu, 1e-3) (k >= 1),
+    one float call each, and scipy's Brent at the sweep's tolerance."""
+
+    def __init__(self, nu, kind):
+        super().__init__(nu, kind)
+        self._i = max(1, math.floor(max(nu, 1e-3) / 0.05))
+
+    def below(self, x_cap):
+        f = spherical_j if self.kind is TE else riccati_deriv
+        k, fk = self._i, f(self.nu, self._i * 0.05)
+        while k * 0.05 < x_cap:
+            f_next = f(self.nu, (k + 1) * 0.05)
+            if fk == 0.0 or fk * f_next < 0.0:
+                a, b = k * 0.05, (k + 1) * 0.05
+                x = a if fk == 0.0 else brentq(lambda t: f(self.nu, t), a, b, xtol=1e-300, rtol=4 * EPS)
+                self.roots.append(radial.RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, f(self.nu, x)))
+            k, fk = k + 1, f_next
+        self._i = k
+        return list(self.roots)
+
+
+def _bits(roots):
+    return [(r.nu, r.n, r.kind, r.x.hex(), r.residual.hex()) for r in roots]
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0 / 3.0, 7.3, 40.0, 120.0])
 def test_sweep_matches_the_scalar_scan(nu):
     for kind, f, nth in ((TE, spherical_j, j_zero), (TM, riccati_deriv, riccati_deriv_zero)):
-        want = _scalar_scan(lambda t: f(nu, t), nu, 20)
-        got = RadialSweep(nu, kind).below(want[-1])[:20]
+        want = DenseSweep(nu, kind).below(nu + 120.0)[:20]
+        got = RadialSweep(nu, kind).below(want[-1].x)[:20]
         assert [r.n for r in got] == list(range(1, 21))
-        for r, x in zip(got, want):
-            assert abs(r.x - x) <= 1e-13 * x
+        assert _bits(got) == _bits(want)
+        for r in got:
             assert r.residual == f(nu, r.x) and r.kind is kind and r.nu == nu
         for n in (1, 2, 7, 20):
-            assert abs(nth(nu, n).x - want[n - 1]) <= 1e-13 * want[n - 1]
+            assert _bits([nth(nu, n)]) == _bits(want[n - 1 : n])
 
 
 def test_sweep_continues_without_refining_twice(monkeypatch):
@@ -212,30 +234,6 @@ def test_sweep_continues_without_refining_twice(monkeypatch):
     more = sweep.below(30.0)
     assert more[: len(first)] == first and more[-1].x > 28.0
     assert len(refined) == len(set(refined)) == len(more) - len(first)
-
-
-class DenseSweep(RadialSweep):
-    """The reference scan: the wall condition at every 0.05 step of the same grid."""
-
-    def below(self, x_cap):  # every grid point, one block per pass of the loop
-        while self._x < x_cap:
-            count = int((x_cap - self._x) / 0.05) + 1
-            if self._x >= self._hi:
-                self._hi += 12.0
-            grid = np.cumsum(np.concatenate(([self._x], np.full(count, 0.05))))
-            grid = grid[grid < self._hi]
-            if len(grid) <= count:
-                grid = np.append(grid, self._hi)
-            values = self.value(grid)
-            what = f"{self.kind.value} radial condition for nu={self.nu}"
-            for x in specfun.bracketed_roots(self.value, grid, values, what, brentq, xtol=1e-12):
-                self.roots.append(radial.RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, self.value(x)))
-            self._x = float(grid[-1])
-        return list(self.roots)
-
-
-def _bits(roots):
-    return [(r.nu, r.n, r.kind, r.x.hex(), r.residual.hex()) for r in roots]
 
 
 def _assert_scan_matches_the_dense_scan(nu):
@@ -267,7 +265,7 @@ def test_coarse_scan_matches_the_dense_scan_anywhere(nu):
 
 @pytest.mark.parametrize("at", [20, 25])  # a coarse point, a point between two
 def test_an_exact_zero_on_the_grid_is_the_root(monkeypatch, at):
-    zero = np.cumsum([1.0] + [0.05] * at)[-1]
+    zero = (20 + at) * 0.05  # at lattice steps past the scan's start at x = 1.0
     monkeypatch.setattr(specfun, "jv", lambda v, x: np.asarray(x) - zero)
     want = DenseSweep(1.0, TE).below(5.0)
     assert [r.x for r in want] == [zero]
@@ -276,11 +274,11 @@ def test_an_exact_zero_on_the_grid_is_the_root(monkeypatch, at):
 
 @pytest.mark.parametrize("at", [20, 23, 25, 39])  # a coarse point, points bisection reaches
 def test_an_exact_zero_on_the_grid_is_the_root_in_a_shared_round(monkeypatch, at):
-    # beside another sweep, the coarse interval around the zero is bisected rather than
-    # scanned densely; the zero is still the root, and nothing is refined
-    zero = np.cumsum([1.0] + [0.05] * at)[-1]
+    # beside another sweep the coarse interval around the zero is bisected; the zero is
+    # still the root, and nothing is refined
+    zero = (20 + at) * 0.05  # at lattice steps past the scan's start at x = 1.0
     monkeypatch.setattr(specfun, "jv", lambda v, x: np.asarray(x) - zero)
-    monkeypatch.setattr(radial, "brentq", lambda *args, **tol: pytest.fail("a grid zero was refined"))
+    monkeypatch.setattr(radial, "brentq", lambda *args, **tol: pytest.fail("a lattice zero was refined"))
     sweeps = [RadialSweep(1.0, TE), RadialSweep(3.0, TE)]  # the second scan starts past the zero
     advance(sweeps, 5.0)
     assert [r.x for r in sweeps[0].roots] == [zero] and sweeps[1].roots == []
@@ -288,7 +286,7 @@ def test_an_exact_zero_on_the_grid_is_the_root_in_a_shared_round(monkeypatch, at
 
 
 def _sweep_state(sweeps):
-    return [(_bits(s.roots), s._x.hex(), s._hi.hex()) for s in sweeps]
+    return [(_bits(s.roots), s._i) for s in sweeps]
 
 
 SWEEP_SPEC = st.tuples(
@@ -302,8 +300,8 @@ SWEEP_SPEC = st.tuples(
 @settings(max_examples=40, deadline=None)
 @given(specs=st.lists(SWEEP_SPEC, min_size=1, max_size=40), x_cap=st.floats(min_value=0.0, max_value=70.0))
 def test_sweeps_advanced_together_match_each_alone_and_the_dense_scan(specs, x_cap):
-    # rounds of up to 40 sweeps at staggered points of their scans, orders an ulp apart
-    # among them: every root, its n and residual, and where each scan stands, to the bit
+    # up to 80 sweeps advanced at once from staggered points of their scans, orders an ulp
+    # apart among them: every root, its n and residual, and where each scan stands, to the bit
     orders = []
     for nu, kind, twin, head in specs:
         orders.append((nu, kind, head))
@@ -459,6 +457,7 @@ def test_nth_is_below_at_large_orders(nu, kind):
 
 
 def test_large_order_roots():
-    assert j_zero(900.0, 12).x == 1015.9729119641535
+    # 1.92, 0.03 and 0.67 ulp from a 40-digit root
+    assert j_zero(900.0, 12).x == 1015.9729119641532
     assert j_zero(17000.0, 1).x == 17048.257387738555
-    assert riccati_deriv_zero(1e6, 1).x == 1000081.3654818123
+    assert riccati_deriv_zero(1e6, 1).x == 1000081.3654818124
