@@ -175,8 +175,10 @@ def advance(sweeps, x_cap: float) -> None:
     """
     if not math.isfinite(x_cap):
         raise DomainError(f"root cap must be finite, got {x_cap}")
+    # the first lattice index at or past the cap; the quotient may round across an integer
     end = math.ceil(x_cap / _STEP)
-    end += end * _STEP < x_cap  # the lattice index at or past the cap
+    end -= (end - 1) * _STEP >= x_cap
+    end += end * _STEP < x_cap
     sweeps = [s for s in dict.fromkeys(sweeps) if s._i < end]
     if not sweeps:
         return
