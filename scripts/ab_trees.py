@@ -9,7 +9,8 @@ Whole passes of the workload then alternate between the trees, the order
 flipping every pair, so that a drift of the CPU's speed lands on both alike.
 Printed: each tree's median pass time, the median of the per-pair ratios
 change / base, how many pairs the change won, and whether the first passes'
-results are identical to the byte.
+results are identical to the byte; then each operation's median time per tree
+and the ratio of those medians, so that the operations that moved show.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import math
 import pickle
 import statistics
 import sys
@@ -63,14 +65,16 @@ class Tree:
     def __exit__(self, *exc):
         _drop_package()
 
-    def run(self) -> tuple[float, dict]:
-        """One whole pass: its time and its results."""
+    def run(self) -> tuple[float, dict, dict]:
+        """One whole pass: its time, each operation's time and its results."""
         with self:
-            results = {}
+            results, op_times = {}, {}
             start = time.perf_counter()
             for name, call in self.workload.operations(self.inputs):
+                t = time.perf_counter()
                 results[name] = call()
-            return time.perf_counter() - start, results
+                op_times[name] = time.perf_counter() - t
+            return time.perf_counter() - start, op_times, results
 
     def dump(self, results: dict) -> bytes:
         with self:
@@ -88,12 +92,16 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(BENCHMARKS))  # workloads.py imports oracle.py by name
     base = Tree(args.base, "base", args.workload, args.seed)
     change = Tree(args.change, "change", args.workload, args.seed)
-    (_, first_base), (_, first_change) = base.run(), change.run()  # warm-up passes
+    (*_, first_base), (*_, first_change) = base.run(), change.run()  # warm-up passes
     identical = base.dump(first_base) == change.dump(first_change)
     times: dict[str, list[float]] = {"base": [], "change": []}
+    op_times: dict[str, dict[str, list[float]]] = {"base": {}, "change": {}}
     for pair in range(args.pairs):
         for tag, tree in ((("base", base), ("change", change)) if pair % 2 == 0 else (("change", change), ("base", base))):
-            times[tag].append(tree.run()[0])
+            total, ops, _ = tree.run()
+            times[tag].append(total)
+            for name, t in ops.items():
+                op_times[tag].setdefault(name, []).append(t)
     ratios = [c / b for b, c in zip(times["base"], times["change"])]
     wins = sum(r < 1.0 for r in ratios)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
@@ -101,6 +109,10 @@ def main(argv=None) -> int:
     print(f"  change median {statistics.median(times['change']) * 1e3:9.2f} ms")
     print(f"  median pair ratio change/base {statistics.median(ratios):.3f}, change faster in {wins} of {args.pairs}")
     print(f"  first-pass results identical to the byte: {identical}")
+    print(f"  {'operation':<40} {'base ms':>9} {'change ms':>9} {'ratio':>6}")
+    for name, base_ops in op_times["base"].items():
+        b, c = statistics.median(base_ops), statistics.median(op_times["change"].get(name, [math.nan]))
+        print(f"  {name:<40} {b * 1e3:9.3f} {c * 1e3:9.3f} {c / b:6.3f}")
     return 0
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "RadialRoot",
     "RadialSweep",
     "advance",
+    "nth",
     "SPEED_OF_LIGHT",
     "j_zero",
     "riccati_deriv_zero",
@@ -115,8 +116,7 @@ class RadialSweep:
     root is fixed by the lattice interval that brackets it alone, whatever the caps
     and sweeps it was scanned with.  The scan is advanced by ``advance``, alone or
     together with other sweeps; later requests continue it, so no root is bracketed
-    or refined twice.  ``below`` is ``advance`` on this sweep alone, and ``nth`` is
-    ``below`` with a cap at the McMahon estimate, moved up until the n-th root is kept.
+    or refined twice.  ``below`` is ``advance`` on this sweep alone.
     """
 
     def __init__(self, nu: float, kind: RootKind):
@@ -143,20 +143,12 @@ class RadialSweep:
         advance([self], x_cap)
         return list(self.roots)
 
-    def nth(self, n: int) -> RadialRoot:
-        """The n-th root; RootSearchError once a cap's scan passes lo + (40 + 4n) max(1, nu)^(1/3)
-        without it, a stop that grows as root n does, about z_n (nu/2)^(1/3) above nu."""
-        if n < 1:
-            raise DomainError("radial index n must be >= 1")
-        limit = self.lo + (40.0 + 4.0 * n) * max(1.0, self.nu) ** (1.0 / 3.0)
-        # the first cap is the Airy estimate, above roots 1-5 as measured for nu <= 200; each
-        # later one lies _BLOCK steps past the scan
-        cap = mcmahon_seed(max(self.nu, 0.5), min(n, 5), self.kind) + math.pi * max(0, n - 5)
-        while len(self.below(cap)) < n:
-            if self._x > limit:
-                raise RootSearchError(f"failed to bracket root n={n} for nu={self.nu}", window=(self.lo, self._x))
-            cap = self._x + _BLOCK * _STEP
-        return self.roots[n - 1]
+
+def _index(x: float) -> int:
+    """The first lattice index at or past x; the quotient x / _STEP may round across an integer."""
+    i = math.ceil(x / _STEP)
+    i -= (i - 1) * _STEP >= x
+    return i + (i * _STEP < x)
 
 
 def advance(sweeps, x_cap: float) -> None:
@@ -168,17 +160,13 @@ def advance(sweeps, x_cap: float) -> None:
     the cap's index: all rows in one spherical_j and one riccati_deriv call.  Roots are
     more than 1.0 apart (above _STEP), so a coarse interval that changes sign holds one
     root and one lattice interval that changes sign.  Lockstep bisection over lattice
-    indices finds it, one call per kind and step; an interval open alone is evaluated
-    at all its points in one call instead, which costs a lone sweep less than its five
-    steps.  A lattice zero is a root unless it is the scan's last point (the
-    next scan starts there); any other root is Brent's refinement of its lattice interval.
+    indices finds it, one call per kind and step.  A lattice zero is a root unless it is
+    the scan's last point (the next scan starts there); any other root is Brent's
+    refinement of its lattice interval.
     """
     if not math.isfinite(x_cap):
         raise DomainError(f"root cap must be finite, got {x_cap}")
-    # the first lattice index at or past the cap; the quotient may round across an integer
-    end = math.ceil(x_cap / _STEP)
-    end -= (end - 1) * _STEP >= x_cap
-    end += end * _STEP < x_cap
+    end = _index(x_cap)
     sweeps = [s for s in dict.fromkeys(sweeps) if s._i < end]
     if not sweeps:
         return
@@ -209,12 +197,6 @@ def advance(sweeps, x_cap: float) -> None:
     rows, lo, v_lo = rows[at], index[at], values[at]
     hi = np.where(v_lo == 0.0, lo, index[at + 1])
     while len(j := np.flatnonzero(hi - lo > 1)):
-        if len(j) == 1:  # one interval open: each of its points in one call, not one call a step
-            t = j[0]
-            v = conditions(rows[j], np.arange(lo[t], hi[t] + 1))
-            q = int(np.flatnonzero(v[0] * v <= 0.0)[0])  # the first point at or past the root
-            lo[t], hi[t] = lo[t] + q - (v[q] != 0.0), lo[t] + q
-            break
         mid = (lo[j] + hi[j]) // 2
         v_mid = conditions(rows[j], mid)
         left = v_lo[j] * v_mid < 0.0  # the sign changes below mid; a zero at mid is the root
@@ -230,14 +212,41 @@ def advance(sweeps, x_cap: float) -> None:
         s._i = end
 
 
+def nth(sweeps, n: int) -> list[RadialRoot]:
+    """The n-th root of each sweep of ``sweeps``, their scans advanced together.
+
+    Each sweep's first cap is the Airy estimate, above roots 1-5 as measured for nu <= 200,
+    and each later one _BLOCK steps past where its lone search would stand, which gives up
+    there past lo + (40 + 4n) max(1, nu)^(1/3), a stop that grows as root n does.  Each
+    round takes the pending sweeps to the highest cap within one block of the lowest, so a
+    lone sweep scans to its own caps and none in a batch passes its cap by more than a block.
+    """
+    if n < 1:
+        raise DomainError("radial index n must be >= 1")
+    # per sweep: its cap, and the lattice index at which its lone search would stand
+    caps = {s: (mcmahon_seed(max(s.nu, 0.5), min(n, 5), s.kind) + math.pi * max(0, n - 5), s._i) for s in sweeps}
+    while pending := [s for s in caps if len(s.roots) < n]:
+        low = min(caps[s][0] for s in pending)
+        x_cap = max(c for s in pending if (c := caps[s][0]) <= low + _BLOCK * _STEP)
+        advance(pending, x_cap)
+        for s in pending:
+            cap, at = caps[s]
+            if cap <= x_cap and len(s.roots) < n:
+                at = max(at, _index(cap))
+                if at * _STEP > s.lo + (40.0 + 4.0 * n) * max(1.0, s.nu) ** (1.0 / 3.0):
+                    raise RootSearchError(f"failed to bracket root n={n} for nu={s.nu}", window=(s.lo, at * _STEP))
+                caps[s] = (at * _STEP + _BLOCK * _STEP, at)
+    return [s.roots[n - 1] for s in sweeps]
+
+
 def j_zero(nu: float, n: int) -> RadialRoot:
     """n-th positive root of j_nu (TE wall condition)."""
-    return RadialSweep(nu, RootKind.TE_JZERO).nth(n)
+    return nth([RadialSweep(nu, RootKind.TE_JZERO)], n)[0]
 
 
 def riccati_deriv_zero(nu: float, n: int) -> RadialRoot:
     """n-th positive root of d/dx [x j_nu(x)] (TM wall condition)."""
-    return RadialSweep(nu, RootKind.TM_RICCATI_DERIV_ZERO).nth(n)
+    return nth([RadialSweep(nu, RootKind.TM_RICCATI_DERIV_ZERO)], n)[0]
 
 
 def radial_root(nu: float, n: int, kind: RootKind) -> RadialRoot:

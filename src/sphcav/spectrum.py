@@ -24,9 +24,8 @@ from .radial import (
     RootKind,
     advance,
     frequency_from_root,
-    j_zero,
+    nth,
     radial_root,
-    riccati_deriv_zero,
 )
 
 __all__ = [
@@ -102,14 +101,16 @@ def _swept_candidates(config: CavityConfig, f_max_hz: float, sweeps: dict) -> li
 
     nu = m + k is formed in floating point, so one eigenvalue can arrive as floats an
     ulp apart (13/3 = 4/3 + 3 = 10/3 + 1); keyed to 12 decimals they share one sweep,
-    and each candidate keeps its own nu.  Every sweep advances in one radial.advance call.
+    and each candidate keeps its own nu.  A cone root is keyed by its exact nu: it may
+    move in its last bits between two caps, and each nu has its own radial roots.
+    Every sweep advances in one radial.advance call.
     """
     x_cap = 2.0 * math.pi * config.radius_m * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
     domain = config.domain()
     candidates = []
     for m in domain.indices(x_cap):
         for nu, k, kind in _angular_candidates(domain, m, x_cap):
-            key = (round(nu, 12), kind)
+            key = (nu if domain.has_cone else round(nu, 12), kind)
             sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
             candidates.append((m, nu, k, kind, sweep))
     advance([sweep for *_, sweep in candidates], x_cap)
@@ -167,61 +168,56 @@ def enumerate_modes(
         f_max_hz *= 1.5
 
 
+def _fundamentals(configs: list[CavityConfig]) -> list[ModeRecord]:
+    """Lowest-frequency TM mode of each configuration, their radial roots found together."""
+    heads = []
+    for config in configs:
+        domain = config.domain()
+        if domain.full_azimuth:
+            m = 0.0 if domain.has_cone else 1.0
+        else:
+            m = domain.nearest_index(0.0, "TM")
+        nu = cone_nu(m, domain.cone_half_angle_rad, "TM", 1) if domain.has_cone else m
+        family = classify(nu, m, cone_present=domain.has_cone).value
+        heads.append((config.radius_m, m, None if domain.has_cone else 0, nu, family))
+    roots = nth([RadialSweep(nu, RootKind.TM_RICCATI_DERIV_ZERO) for *_, nu, _ in heads], 1)
+    return [
+        ModeRecord("TM", nu, m, k, 1, r.x, frequency_from_root(r.x, a), family)
+        for (a, m, k, nu, family), r in zip(heads, roots)
+    ]
+
+
 def fundamental_tm(config: CavityConfig) -> ModeRecord:
     """Lowest-frequency TM mode of the configuration."""
-    domain = config.domain()
-    if domain.full_azimuth:
-        m = 0.0 if domain.has_cone else 1.0
-    else:
-        m = domain.nearest_index(0.0, "TM")
-    nu = cone_nu(m, domain.cone_half_angle_rad, "TM", 1) if domain.has_cone else m
-    root = riccati_deriv_zero(nu, 1)
-    return ModeRecord(
-        polarization="TM",
-        nu=nu,
-        m=m,
-        k=None if domain.has_cone else 0,
-        n=1,
-        root_x=root.x,
-        frequency_hz=frequency_from_root(root.x, config.radius_m),
-        family=classify(nu, m, cone_present=domain.has_cone).value,
-    )
+    return _fundamentals([config])[0]
 
 
 def cone_sweep(config: CavityConfig, theta_c_list_deg: list[float]) -> list[dict]:
     """Branch-1 TM angular eigenvalue and fundamental frequency per cone angle."""
-    rows = []
-    for tc in theta_c_list_deg:
-        rec = fundamental_tm(replace(config, cone_half_angle_deg=tc))
-        rows.append({"theta_c_deg": tc, "nu": rec.nu, "f_ghz": rec.frequency_hz / 1e9})
-    return rows
+    recs = _fundamentals([replace(config, cone_half_angle_deg=tc) for tc in theta_c_list_deg])
+    return [{"theta_c_deg": tc, "nu": r.nu, "f_ghz": r.frequency_hz / 1e9} for tc, r in zip(theta_c_list_deg, recs)]
 
 
 def wedge_sweep(config: CavityConfig, openings_deg: list[float]) -> list[dict]:
     """Fundamental TM frequency per azimuthal opening."""
-    rows = []
-    for phi in openings_deg:
-        rec = fundamental_tm(replace(config, wedge_opening_deg=phi))
-        rows.append({"opening_deg": phi, "m1": rec.m, "f_ghz": rec.frequency_hz / 1e9})
-    return rows
+    recs = _fundamentals([replace(config, wedge_opening_deg=phi) for phi in openings_deg])
+    return [{"opening_deg": phi, "m1": r.m, "f_ghz": r.frequency_hz / 1e9} for phi, r in zip(openings_deg, recs)]
 
 
 def dispersion_table(nu_list: list[float], radius_m: float = 0.015) -> list[dict]:
-    """First TE/TM roots and frequencies per angular index."""
-    rows = []
-    for nu in nu_list:
-        te = j_zero(nu, 1)
-        tm = riccati_deriv_zero(nu, 1)
-        rows.append(
-            {
-                "nu": nu,
-                "x_te": te.x,
-                "f_te_ghz": frequency_from_root(te.x, radius_m) / 1e9,
-                "x_tm": tm.x,
-                "f_tm_ghz": frequency_from_root(tm.x, radius_m) / 1e9,
-            }
-        )
-    return rows
+    """First TE/TM roots and frequencies per angular index, every root found together."""
+    kinds = (RootKind.TE_JZERO, RootKind.TM_RICCATI_DERIV_ZERO)
+    roots = iter(nth([RadialSweep(nu, kind) for nu in nu_list for kind in kinds], 1))
+    return [
+        {
+            "nu": te.nu,
+            "x_te": te.x,
+            "f_te_ghz": frequency_from_root(te.x, radius_m) / 1e9,
+            "x_tm": tm.x,
+            "f_tm_ghz": frequency_from_root(tm.x, radius_m) / 1e9,
+        }
+        for te, tm in zip(roots, roots)
+    ]
 
 
 # --- reference fixtures ------------------------------------------------------

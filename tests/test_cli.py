@@ -67,6 +67,12 @@ def test_cone_sweep(capsys):
     assert rows[1]["nu"] == pytest.approx(0.37355, abs=1e-4)
 
 
+def test_cone_sweep_of_no_angles(capsys):
+    code, out, _ = run(capsys, "cone-sweep", "--thetas", "", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == []
+
+
 def test_wedge_sweep(capsys):
     code, out, _ = run(capsys, "wedge-sweep", "--openings", "180,270", "--format", "json")
     assert code == 0

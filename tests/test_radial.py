@@ -18,6 +18,7 @@ from sphcav.radial import (
     frequency_from_root,
     j_zero,
     mcmahon_seed,
+    nth,
     radial_root,
     riccati_deriv_zero,
 )
@@ -50,9 +51,9 @@ def test_order_zero_roots_are_elementary():
 def test_first_roots_lie_within_a_few_ulp_of_the_exact_root(nu):
     # Brent stops at scipy's relative floor, so each root is as close as its evaluator
     # allows: here within 16 ulp of a 40-digit root
-    for kind, nth in ((TE, j_zero), (TM, riccati_deriv_zero)):
+    for kind, solver in ((TE, j_zero), (TM, riccati_deriv_zero)):
         for n in (1, 2, 3):
-            x = nth(nu, n).x
+            x = solver(nu, n).x
             exact = mp_wall_root_near(nu, kind.value, x)
             assert abs(float((mpf(x) - exact) / math.ulp(float(exact)))) <= 16.0, (kind, n)
 
@@ -377,18 +378,63 @@ def test_below_rejects_a_cap_that_is_not_finite(kind, x_cap):
 def test_below_and_nth_share_one_sweep(nu, kind):
     # nth is below with a rising cap: on one sweep, in either order, the bits of a fresh one;
     # n = 6 and 20 lie beyond the stored Airy zeros
-    fresh = {n: _bits([RadialSweep(nu, kind).nth(n)]) for n in (1, 2, 6, 20)}
+    fresh = {n: _bits(nth([RadialSweep(nu, kind)], n)) for n in (1, 2, 6, 20)}
     want = RadialSweep(nu, kind).below(nu + 120.0)
     assert len(want) >= 21
-    assert [_bits([r]) for r in want[:20]] == [_bits([RadialSweep(nu, kind).nth(n)]) for n in range(1, 21)]
+    assert [_bits([r]) for r in want[:20]] == [_bits(nth([RadialSweep(nu, kind)], n)) for n in range(1, 21)]
     sweep = RadialSweep(nu, kind)
     assert 6 < len(sweep.below(nu + 50.0)) < 20
-    assert _bits([sweep.nth(2)]) == fresh[2] and _bits([sweep.nth(6)]) == fresh[6]
-    assert _bits([sweep.nth(20)]) == fresh[20] and _bits([sweep.nth(1)]) == fresh[1]
+    assert _bits(nth([sweep], 2)) == fresh[2] and _bits(nth([sweep], 6)) == fresh[6]
+    assert _bits(nth([sweep], 20)) == fresh[20] and _bits(nth([sweep], 1)) == fresh[1]
     assert _bits(sweep.below(nu + 120.0)) == _bits(want)
     sweep = RadialSweep(nu, kind)
-    assert _bits([sweep.nth(6)]) == fresh[6]
+    assert _bits(nth([sweep], 6)) == fresh[6]
     assert _bits(sweep.below(nu + 120.0)) == _bits(want)
+
+
+NTH_SPEC = st.tuples(
+    st.one_of(  # widely spread orders: near -1/2, small, and up to 60
+        st.floats(min_value=-0.5, max_value=0.5, exclude_min=True),
+        st.floats(min_value=0.5, max_value=60.0),
+    ),
+    st.sampled_from([TE, TM]),
+    st.booleans(),  # a twin an ulp above
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=30.0)),  # how far past nu it is scanned beforehand
+)
+
+
+@settings(max_examples=40, deadline=None)
+@example(specs=[(float(nu), (TE, TM)[nu // 2 % 2], False, None) for nu in range(0, 60, 2)], n=1)  # caps 3.9-64
+@example(specs=[(0.0, TM, True, None), (40.0, TE, False, 3.0), (59.5, TM, False, None)], n=6)
+@given(specs=st.lists(NTH_SPEC, min_size=1, max_size=15), n=st.integers(min_value=1, max_value=6))
+def test_nth_over_many_sweeps_is_each_lone_search(specs, n):
+    # 1-30 sweeps taken to their n-th roots together, some scanned beforehand: each root has
+    # the bits of the sweep's lone search, and no scan goes more than a block past where that
+    # search stops (one shared maximum cap would take nu = 0 to nu = 58's first cap)
+    orders = []
+    for nu, kind, twin, head in specs:
+        orders.append((nu, kind, head))
+        if twin:
+            orders.append((math.nextafter(nu, math.inf), kind, head))
+
+    def made():
+        sweeps = [RadialSweep(nu, kind) for nu, kind, _ in orders]
+        for sweep, (nu, _, head) in zip(sweeps, orders):
+            if head is not None:
+                sweep.below(nu + head)
+        return sweeps
+
+    together, alone = made(), made()
+    got = nth(together, n)
+    assert _bits(got) == _bits([nth([sweep], n)[0] for sweep in alone])
+    for sweep, lone in zip(together, alone):
+        assert sweep._i <= radial._index(lone._x + radial._BLOCK * radial._STEP)
+
+
+def test_nth_over_no_sweeps_is_empty():
+    assert nth([], 1) == []
+    with pytest.raises(DomainError):
+        nth([], 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -435,10 +481,21 @@ def test_non_finite_scan_raises(monkeypatch):
 
 def test_root_search_window_when_no_root_is_found(monkeypatch):
     # the scan gives up after the first cap whose scan passes nu + (40 + 4n) max(1, nu)^(1/3)
+    real = specfun.jv
     monkeypatch.setattr(specfun, "jv", lambda v, x: np.ones_like(x))
     with pytest.raises(RootSearchError) as err:
         j_zero(1.0, 2)
     assert err.value.window == pytest.approx((1.0, 49.9), abs=1e-9)
+    # J_{7/2} held at 1: the TE sweep of nu = 3 has no root, the others have theirs; a batch
+    # names that sweep and gives up on it where its lone search does
+    monkeypatch.setattr(specfun, "jv", lambda v, x: np.where(np.asarray(v) == 3.5, 1.0, real(v, x)))
+    with pytest.raises(RootSearchError) as lone:
+        j_zero(3.0, 2)
+    sweeps = [RadialSweep(nu, kind) for nu in (0.0, 1.0, 3.0, 7.0, 30.0) for kind in (TE, TM)]
+    with pytest.raises(RootSearchError, match=r"nu=3\.0\b") as err:
+        nth(sweeps, 2)
+    assert err.value.window == lone.value.window
+    assert all(len(s.roots) >= 2 for s in sweeps if s.nu < 3.0)
 
 
 @pytest.mark.parametrize("nu", [1.0, 8.0, 1000.0, 1e5])
@@ -460,7 +517,7 @@ def test_nth_is_below_at_large_orders(nu, kind):
     # the stop grows with nu^(1/3), so no root that below finds is given up on; the
     # fixed stop lo + 40 + 4n used to give up on j_zero(900, 12) and j_zero(17000, 1)
     ns = (1, 2, 5, 6, 12, 20)
-    got = [RadialSweep(nu, kind).nth(n) for n in ns]
+    got = [nth([RadialSweep(nu, kind)], n)[0] for n in ns]
     want = RadialSweep(nu, kind).below(got[-1].x)
     assert [_bits([r]) for r in got] == [_bits([want[n - 1]]) for n in ns]
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import jv
 
 from sphcav import radial
 from sphcav.errors import DomainError, FixtureLookupError
+from sphcav.radial import j_zero, riccati_deriv_zero
 from sphcav.spectrum import (
     CavityConfig,
     cone_sweep,
@@ -318,6 +320,48 @@ def test_dispersion_table_rows():
     assert r15["f_tm_ghz"] == pytest.approx(10.54, abs=0.05)
     assert r3["x_te"] == pytest.approx(6.988, abs=5e-4)
     assert r3["x_tm"] == pytest.approx(4.973, abs=5e-4)
+
+
+def _hexed(rows):
+    return [{key: v.hex() if isinstance(v, float) else v for key, v in row.items()} for row in rows]
+
+
+def test_batched_sweep_rows_are_the_rows_taken_one_at_a_time():
+    # every row of a sweep, its roots found together, has the bits of the row made alone
+    rng = np.random.default_rng(22)
+    config = CavityConfig(0.015 * (1.0 + rng.uniform(-0.03, 0.03)))
+    thetas = [float(t) + rng.uniform(-0.1, 0.1) for t in np.arange(0.5, 34.0, 0.5)]
+    openings = [float(p) + rng.uniform(-0.4, 0.4) for p in np.arange(120.0, 359.0, 5.0)]
+    openings += [359.0 - rng.uniform(0.0, 0.4), 360.0]
+    nus = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, *rng.uniform(-0.49, 60.0, 20).tolist()]
+    cones = [fundamental_tm(replace(config, cone_half_angle_deg=tc)) for tc in thetas]
+    wedges = [fundamental_tm(replace(config, wedge_opening_deg=phi)) for phi in openings]
+    assert _hexed(cone_sweep(config, thetas)) == _hexed(
+        [{"theta_c_deg": tc, "nu": r.nu, "f_ghz": r.frequency_hz / 1e9} for tc, r in zip(thetas, cones)]
+    )
+    assert _hexed(wedge_sweep(config, openings)) == _hexed(
+        [{"opening_deg": phi, "m1": r.m, "f_ghz": r.frequency_hz / 1e9} for phi, r in zip(openings, wedges)]
+    )
+    want = []
+    for nu in nus:
+        te, tm = j_zero(nu, 1).x, riccati_deriv_zero(nu, 1).x
+        f_te, f_tm = radial.frequency_from_root(te, 0.02) / 1e9, radial.frequency_from_root(tm, 0.02) / 1e9
+        want.append({"nu": nu, "x_te": te, "f_te_ghz": f_te, "x_tm": tm, "f_tm_ghz": f_tm})
+    assert _hexed(dispersion_table(nus, 0.02)) == _hexed(want)
+
+
+def test_sweeps_of_no_rows_are_empty():
+    assert cone_sweep(A15, []) == wedge_sweep(A15, []) == dispersion_table([]) == []
+
+
+def test_cone_max_count_records_carry_the_roots_of_their_own_nu():
+    # between two caps of the growing loop a cone root may move in its last bits; each
+    # record's radial root is still the lone root of its own nu, to the bit
+    got = enumerate_modes(CavityConfig(0.015, 360.0, 20.0), max_count=200)
+    assert len(got) == 200
+    for rec in got:
+        lone = (riccati_deriv_zero if rec.polarization == "TM" else j_zero)(rec.nu, rec.n)
+        assert rec.root_x.hex() == lone.x.hex(), rec
 
 
 def test_determinism_byte_identical():
