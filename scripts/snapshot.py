@@ -8,9 +8,11 @@ covered result is identical to the last bit.  The cases cover mode records and
 the fundamental TM mode of eleven geometries (full sphere, wedges of both face
 kinds, cones and their combinations, and a 270.6 deg wedge where every nu has its
 own radial sweep), max_count enumeration, the cone and wedge sweeps, the
-dispersion table, the four fixture reports, radial roots (j_zero and
-riccati_deriv_zero up to n = 20, and each kind's roots below nu + 60 from one
-RadialSweep) at eight orders and four large-order roots (nu = 900 to 1e6), the
+dispersion table over closely and widely spaced orders, the four fixture
+reports, radial roots (j_zero and riccati_deriv_zero up to n = 20, and each
+kind's roots below nu + 60 from one RadialSweep) at eight orders, four
+large-order roots (nu = 900 to 1e6) and one nth batch of both kinds over orders
+0 to 200 (n = 1 and 3), the
 first four cone_nu branches of both polarizations at eleven cone angles and
 five orders, the fields, impedances and energies of seventeen modes, a
 6 x 4 x 12 field grid of two wedge modes walked row by row in phi with the dual
@@ -32,7 +34,7 @@ import math
 
 import numpy as np
 
-from sphcav import cli
+from sphcav import cli, radial
 from sphcav.angular import AngularEigenpair, Family, classify, cone_nu
 from sphcav.energy import mode_energy
 from sphcav.fields import evaluate, make_mode, wave_impedances
@@ -132,6 +134,7 @@ def sweeps() -> None:
             config = CavityConfig(A, 360.0, cone, faces)
             show(f"wedge_sweep.{faces}.cone{cone:g}", lambda: wedge_sweep(config, openings))
     show("dispersion_table", lambda: dispersion_table([0.0, 1 / 3, 0.5, 2 / 3, 1.0, 1.5, 7 / 3, 3.0, 10.5], A))
+    show("dispersion_table.spread", lambda: dispersion_table([0.0, 7.3, 40.0, 120.0, 200.0], A))
     for name in list_fixtures():
         show(f"validate.{name}", lambda: validate(name))
 
@@ -146,6 +149,9 @@ def roots() -> None:
     for nu, n in ((900.0, 12), (17000.0, 1), (1e5, 12), (1e6, 1)):  # roots above nu + 40 + 4n
         for name, nth in (("j_zero", j_zero), ("riccati_deriv_zero", riccati_deriv_zero)):
             show(f"{name}({nu!r}, {n})", lambda: nth(nu, n))
+    spread = [(nu, kind) for nu in (0.0, 1 / 3, 7.3, 40.0, 120.0, 200.0) for kind in (TE, TM)]
+    for n in (1, 3):  # the sweeps of one batch, their caps spread over x = 2-230
+        show(f"radial.nth(spread, {n})", lambda: radial.nth([RadialSweep(nu, kind) for nu, kind in spread], n))
 
 
 def cones() -> None:

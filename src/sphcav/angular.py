@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ClassificationError, DomainError, RootSearchError
+from .errors import ClassificationError, DomainError, RootSearchError, positive_index
 from .specfun import bracketed_roots, legendre_theta, ln_gamma, polar_solution, terminates
 
 __all__ = [
@@ -279,8 +279,7 @@ def cone_nu(m: float, theta_c: float, polarization: str, branch: int = 1) -> flo
     m + (branch + 1) pi/(pi - theta_c) and raises RootSearchError without
     the branch there.
     """
-    if branch < 1:
-        raise DomainError("branch index must be >= 1")
+    branch = positive_index(branch, "branch index")
     hi = m + (branch + 1) * math.pi / (math.pi - theta_c)
     roots = cone_roots(m, theta_c, polarization, hi, max_branches=branch)
     if len(roots) < branch:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a counting index."""
 
 from __future__ import annotations
+
+import operator
 
 
 class SphcavError(Exception):
@@ -48,3 +50,13 @@ class IntegrationError(SphcavError, RuntimeError):
 
 class FixtureLookupError(SphcavError, KeyError):
     """No bundled reference fixture with the requested name."""
+
+
+def positive_index(value, name: str) -> int:
+    """``value`` by operator.index, if that is >= 1; else DomainError, for a whole float too."""
+    try:
+        if (index := operator.index(value)) >= 1:
+            return index
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be an integer >= 1, got {value!r}")

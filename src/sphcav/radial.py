@@ -12,11 +12,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, RootSearchError
+from .errors import DomainError, RootSearchError, positive_index
 from .specfun import refined_root, riccati_deriv, spherical_j
 
 __all__ = [
@@ -74,19 +75,14 @@ def mcmahon_seed(nu: float, n: int, kind: RootKind) -> float:
     """
     if nu < 0.5:
         raise DomainError("mcmahon_seed is calibrated for nu >= 0.5; use a scan below that")
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = positive_index(n, "n")
+    te = kind is RootKind.TE_JZERO
+    zeros = AIRY_ZEROS if te else AIRY_PRIME_ZEROS
+    if n > len(zeros):
+        raise DomainError(f"no stored Airy{'' if te else '-derivative'} zero for n={n}")
     mu = nu + 0.5
-    mu13 = mu ** (1.0 / 3.0)
-    if kind is RootKind.TE_JZERO:
-        if n > len(AIRY_ZEROS):
-            raise DomainError(f"no stored Airy zero for n={n}")
-        c = AIRY_ZEROS[n - 1] / _CBRT2
-        return mu + c * mu13 + 0.3 * c * c / mu13
-    if n > len(AIRY_PRIME_ZEROS):
-        raise DomainError(f"no stored Airy-derivative zero for n={n}")
-    c = AIRY_PRIME_ZEROS[n - 1] / _CBRT2
-    return mu + c * mu13 + (0.3 * c * c + 0.15 / c) / mu13
+    mu13, c = mu ** (1.0 / 3.0), zeros[n - 1] / _CBRT2
+    return mu + c * mu13 + (0.3 * c * c + (0.0 if te else 0.15 / c)) / mu13
 
 
 # Consecutive roots of either kind are at least pi apart for nu >= 0.  psi = x j_nu solves
@@ -140,7 +136,7 @@ class RadialSweep:
 
     def below(self, x_cap: float) -> list[RadialRoot]:
         """The roots found so far, once they hold every root <= x_cap (the last may exceed it)."""
-        advance([self], x_cap)
+        advance([self], [x_cap])
         return list(self.roots)
 
 
@@ -151,26 +147,29 @@ def _index(x: float) -> int:
     return i + (i * _STEP < x)
 
 
-def advance(sweeps, x_cap: float) -> None:
-    """Scan every sweep of ``sweeps`` to the first lattice point at or past x_cap, keeping
-    each root it brackets.
+def advance(sweeps, caps) -> None:
+    """Scan each sweep ``sweeps[i]`` to the first lattice point at or past its cap ``caps[i]``
+    (a sweep listed twice to the larger of its caps), keeping each root it brackets.
 
     All pending sweeps advance in one pass.  Each is evaluated at its last point, at
     every lattice index past it that is a multiple of 20 (an x-stride of 1.0), and at
-    the cap's index: all rows in one spherical_j and one riccati_deriv call.  Roots are
+    its cap's index: all rows in one spherical_j and one riccati_deriv call.  Roots are
     more than 1.0 apart (above _STEP), so a coarse interval that changes sign holds one
     root and one lattice interval that changes sign.  Lockstep bisection over lattice
     indices finds it, one call per kind and step.  A lattice zero is a root unless it is
     the scan's last point (the next scan starts there); any other root is Brent's
     refinement of its lattice interval.
     """
-    if not math.isfinite(x_cap):
-        raise DomainError(f"root cap must be finite, got {x_cap}")
-    end = _index(x_cap)
-    sweeps = [s for s in dict.fromkeys(sweeps) if s._i < end]
-    if not sweeps:
+    if len(caps) != len(sweeps):
+        raise DomainError(f"advance takes one cap per sweep, got {len(caps)} for {len(sweeps)} sweeps")
+    if not all(map(math.isfinite, caps)):
+        raise DomainError(f"root cap must be finite, got {next(c for c in caps if not math.isfinite(c))}")
+    end_of = {cap: _index(cap) for cap in set(caps)}  # enumerate_modes gives all its sweeps one cap
+    # each pending sweep's end; sorted by end, a sweep listed twice keeps the larger
+    ends = {s: end for s, end in sorted(zip(sweeps, map(end_of.get, caps)), key=itemgetter(1)) if s._i < end}
+    if not (sweeps := list(ends)):
         return
-    points = [[s._i, *range((s._i // _COARSE + 1) * _COARSE, end, _COARSE), end] for s in sweeps]
+    points = [[s._i, *range((s._i // _COARSE + 1) * _COARSE, end, _COARSE), end] for s, end in ends.items()]
     te, nu = np.array([s._te for s in sweeps]), np.array([s.nu for s in sweeps])
 
     def conditions(rows, index):
@@ -184,16 +183,16 @@ def advance(sweeps, x_cap: float) -> None:
             values[t], values[~t] = spherical_j(v[t], x[t]), riccati_deriv(v[~t], x[~t])
         if not np.isfinite(values).all():
             s = sweeps[np.broadcast_to(rows, values.shape)[~np.isfinite(values)][0]]
-            raise RootSearchError(f"{s._what} is not finite on the scan", window=(s._x, end * _STEP))
+            raise RootSearchError(f"{s._what} is not finite on the scan", window=(s._x, ends[s] * _STEP))
         return values
 
     rows = np.repeat(np.arange(len(sweeps)), [len(p) for p in points])
     index = np.array([i for p in points for i in p])
     values = conditions(rows, index)
     # a pair of neighbouring points of one row brackets a root where the first is 0 or the
-    # sign changes between them; every row ends at the cap's point, where a zero waits for
+    # sign changes between them; each row ends at its cap's point, where a zero waits for
     # the next scan
-    at = np.flatnonzero((index[:-1] != end) & ((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0)))
+    at = np.flatnonzero((rows[:-1] == rows[1:]) & ((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0)))
     rows, lo, v_lo = rows[at], index[at], values[at]
     hi = np.where(v_lo == 0.0, lo, index[at + 1])
     while len(j := np.flatnonzero(hi - lo > 1)):
@@ -208,7 +207,7 @@ def advance(sweeps, x_cap: float) -> None:
         # this module's brentq, so that a wrapper around radial.brentq sees each refinement
         x = a * _STEP if a == b else refined_root(s.value, a * _STEP, b * _STEP, s._what, brentq, **_TOL)
         s.roots.append(RadialRoot(s.nu, len(s.roots) + 1, s.kind, x, s.value(x)))
-    for s in sweeps:
+    for s, end in ends.items():
         s._i = end
 
 
@@ -216,26 +215,18 @@ def nth(sweeps, n: int) -> list[RadialRoot]:
     """The n-th root of each sweep of ``sweeps``, their scans advanced together.
 
     Each sweep's first cap is the Airy estimate, above roots 1-5 as measured for nu <= 200,
-    and each later one _BLOCK steps past where its lone search would stand, which gives up
-    there past lo + (40 + 4n) max(1, nu)^(1/3), a stop that grows as root n does.  Each
-    round takes the pending sweeps to the highest cap within one block of the lowest, so a
-    lone sweep scans to its own caps and none in a batch passes its cap by more than a block.
+    and each later one _BLOCK steps past where its scan stands; it gives up there past
+    lo + (40 + 4n) max(1, nu)^(1/3), a stop that grows as root n does.  Every round takes
+    each pending sweep to its own cap, so a sweep of a batch scans what its lone search does.
     """
-    if n < 1:
-        raise DomainError("radial index n must be >= 1")
-    # per sweep: its cap, and the lattice index at which its lone search would stand
-    caps = {s: (mcmahon_seed(max(s.nu, 0.5), min(n, 5), s.kind) + math.pi * max(0, n - 5), s._i) for s in sweeps}
+    n = positive_index(n, "radial index n")
+    caps = {s: mcmahon_seed(max(s.nu, 0.5), min(n, 5), s.kind) + math.pi * max(0, n - 5) for s in sweeps}
     while pending := [s for s in caps if len(s.roots) < n]:
-        low = min(caps[s][0] for s in pending)
-        x_cap = max(c for s in pending if (c := caps[s][0]) <= low + _BLOCK * _STEP)
-        advance(pending, x_cap)
-        for s in pending:
-            cap, at = caps[s]
-            if cap <= x_cap and len(s.roots) < n:
-                at = max(at, _index(cap))
-                if at * _STEP > s.lo + (40.0 + 4.0 * n) * max(1.0, s.nu) ** (1.0 / 3.0):
-                    raise RootSearchError(f"failed to bracket root n={n} for nu={s.nu}", window=(s.lo, at * _STEP))
-                caps[s] = (at * _STEP + _BLOCK * _STEP, at)
+        advance(pending, [caps[s] for s in pending])
+        for s in pending:  # a sweep that holds root n leaves the next round whatever its cap
+            if len(s.roots) < n and s._x > s.lo + (40.0 + 4.0 * n) * max(1.0, s.nu) ** (1.0 / 3.0):
+                raise RootSearchError(f"failed to bracket root n={n} for nu={s.nu}", window=(s.lo, s._x))
+            caps[s] = s._x + _BLOCK * _STEP
     return [s.roots[n - 1] for s in sweeps]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .angular import AngularDomain, classify, cone_nu
-from .errors import DomainError, FixtureLookupError
+from .errors import DomainError, FixtureLookupError, positive_index
 from .radial import (
     SPEED_OF_LIGHT,
     RadialSweep,
@@ -113,7 +113,7 @@ def _swept_candidates(config: CavityConfig, f_max_hz: float, sweeps: dict) -> li
             key = (nu if domain.has_cone else round(nu, 12), kind)
             sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
             candidates.append((m, nu, k, kind, sweep))
-    advance([sweep for *_, sweep in candidates], x_cap)
+    advance([sweep for *_, sweep in candidates], [x_cap] * len(candidates))
     return candidates
 
 
@@ -155,8 +155,8 @@ def enumerate_modes(
         raise DomainError("provide f_max_hz or max_count")
     if f_max_hz is not None and not 0.0 < f_max_hz < math.inf:
         raise DomainError(f"f_max_hz must be positive and finite, got {f_max_hz}")
-    if max_count is not None and max_count < 1:
-        raise DomainError(f"max_count must be >= 1, got {max_count}")
+    if max_count is not None:
+        max_count = positive_index(max_count, "max_count")
     sweeps: dict = {}
     if f_max_hz is not None:
         return _records(config, _swept_candidates(config, f_max_hz, sweeps), f_max_hz)[:max_count]
@@ -292,11 +292,7 @@ class ValidationReport:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
+    return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
 def _dispersion_row(fx: dict, row: dict, radius: float):

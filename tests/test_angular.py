@@ -303,6 +303,14 @@ def test_cone_nu_te_branch():
     assert tc_big > tc_small
 
 
+@pytest.mark.parametrize("branch", [1.5, 2.0, math.nan, math.inf, "1", 0, -1])
+def test_cone_nu_rejects_a_branch_that_is_not_a_positive_integer(monkeypatch, branch):
+    # a branch of 1.5 used to raise a bare ValueError from islice
+    monkeypatch.setattr(angular, "cone_roots", lambda *args, **kw: pytest.fail("scanned"))
+    with pytest.raises(DomainError, match="branch index"):
+        cone_nu(0.0, 0.3, "TM", branch)
+
+
 def test_cone_nu_with_wedge_tends_to_sectoral_from_above():
     # Dirichlet truncation can only raise the angular eigenvalue, so the
     # branch-1 root sits marginally above m and converges to it as the cone

@@ -168,6 +168,25 @@ def test_root_domain_errors():
         riccati_deriv_zero(1.0, -2)
 
 
+@pytest.mark.parametrize("n", [1.5, 7.0, 1.0, math.nan, math.inf, "2", None])
+@pytest.mark.parametrize(
+    "search",
+    [j_zero, riccati_deriv_zero, lambda nu, n: radial_root(nu, n, TM), lambda nu, n: nth([RadialSweep(nu, TE)], n)],
+)
+def test_a_radial_index_that_is_not_an_integer_raises_before_any_scan(monkeypatch, search, n):
+    # j_zero(1.0, 1.5) used to raise TypeError from AIRY_ZEROS, riccati_deriv_zero(2.0, 7.0)
+    # the same at roots[6] after scanning seven roots
+    monkeypatch.setattr(specfun, "jv", lambda v, x: pytest.fail("scanned"))
+    with pytest.raises(DomainError, match="radial index n"):
+        search(2.0, n)
+
+
+def test_a_radial_index_may_be_any_integer_type():
+    assert _bits([j_zero(1.0, np.int64(2)), riccati_deriv_zero(1.0, True)]) == _bits(
+        [j_zero(1.0, 2), riccati_deriv_zero(1.0, 1)]
+    )
+
+
 @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, -0.5])
 @pytest.mark.parametrize("kind", list(RootKind))
 def test_sweep_rejects_an_order_that_is_not_finite_above_minus_half(nu, kind):
@@ -287,7 +306,7 @@ def test_an_exact_zero_on_the_grid_is_the_root_in_a_shared_round(monkeypatch, at
     monkeypatch.setattr(specfun, "jv", jv)
     monkeypatch.setattr(radial, "brentq", lambda *args, **tol: pytest.fail("a lattice zero was refined"))
     sweeps = [RadialSweep(1.0, TE), RadialSweep(1.1, TE)]  # scans from x = 1.0 and x = 1.1
-    advance(sweeps, 5.0)
+    advance(sweeps, [5.0, 5.0])
     assert max(calls[1:], default=0) <= 2  # bisection steps, no one-call fill of the interval
     for sweep in sweeps:
         assert [r.x for r in sweep.roots] == [zero]
@@ -298,51 +317,65 @@ def _sweep_state(sweeps):
     return [(_bits(s.roots), s._i) for s in sweeps]
 
 
+CAP = st.floats(min_value=0.0, max_value=70.0)
 SWEEP_SPEC = st.tuples(
     st.floats(min_value=-0.5, max_value=60.0, exclude_min=True, exclude_max=True),
     st.sampled_from([TE, TM]),
-    st.booleans(),  # a twin an ulp above
+    st.one_of(st.none(), CAP),  # the cap of a twin an ulp above, if there is one
     st.floats(min_value=0.0, max_value=30.0),  # how far this sweep is advanced alone beforehand
+    CAP,
 )
 
 
 @settings(max_examples=40, deadline=None)
-@example(specs=[(0.0, TE, False, 0.0)], x_cap=3 * 0.05)  # x_cap / 0.05 rounds above 3
-@given(specs=st.lists(SWEEP_SPEC, min_size=1, max_size=40), x_cap=st.floats(min_value=0.0, max_value=70.0))
-def test_sweeps_advanced_together_match_each_alone_and_the_dense_scan(specs, x_cap):
-    # up to 80 sweeps advanced at once from staggered points of their scans, orders an ulp
-    # apart among them: every root, its n and residual, and where each scan stands, to the bit
+@example(specs=[(0.0, TE, None, 0.0, 3 * 0.05)])  # 3 * 0.05 / 0.05 rounds above 3
+@example(specs=[(0.0, TE, 70.0, 0.0, 2.0), (59.0, TM, None, 0.0, 70.0), (30.0, TE, 0.0, 5.0, 35.3)])
+@given(specs=st.lists(SWEEP_SPEC, min_size=1, max_size=40))
+def test_sweeps_advanced_together_match_each_alone_and_the_dense_scan(specs):
+    # up to 80 sweeps advanced at once from staggered points of their scans, each to its own
+    # cap, orders an ulp apart among them: every root, its n and residual, and where each
+    # scan stands, to the bit
     orders = []
-    for nu, kind, twin, head in specs:
-        orders.append((nu, kind, head))
-        if twin:
-            orders.append((math.nextafter(nu, math.inf), kind, head))
+    for nu, kind, twin_cap, head, cap in specs:
+        orders.append((nu, kind, head, cap))
+        if twin_cap is not None:
+            orders.append((math.nextafter(nu, math.inf), kind, head, twin_cap))
+    caps = [cap for *_, cap in orders]
 
     def made(cls):
-        sweeps = [cls(nu, kind) for nu, kind, _ in orders]
-        for sweep, (nu, _, head) in zip(sweeps, orders):
+        sweeps = [cls(nu, kind) for nu, kind, *_ in orders]
+        for sweep, (nu, _, head, _) in zip(sweeps, orders):
             sweep.below(nu + head)
         return sweeps
 
     together, alone, dense = made(RadialSweep), made(RadialSweep), made(DenseSweep)
-    advance(together, x_cap)
-    for sweep in alone + dense:
-        sweep.below(x_cap)
+    advance(together, caps)
+    for sweep, cap in zip(alone + dense, caps + caps):
+        sweep.below(cap)
     assert _sweep_state(together) == _sweep_state(alone) == _sweep_state(dense)
-    for sweep in together:
-        assert sweep._x >= x_cap and (not sweep.roots or sweep.roots[-1].n == len(sweep.roots))
+    for sweep, cap in zip(together, caps):
+        assert sweep._x >= cap and (not sweep.roots or sweep.roots[-1].n == len(sweep.roots))
 
 
 def test_advance_takes_a_sweep_listed_twice_once():
-    sweep = RadialSweep(2.0, TM)
-    advance([sweep, RadialSweep(3.0, TE), sweep], 30.0)
-    assert _bits(sweep.roots) == _bits(RadialSweep(2.0, TM).below(30.0))
+    # once, to the larger of its two caps, listed first or last
+    want = [RadialSweep(2.0, TM), RadialSweep(3.0, TE)]
+    want[0].below(30.0), want[1].below(10.0)
+    for caps in ([30.0, 10.0, 12.0], [12.0, 10.0, 30.0]):
+        sweep, other = RadialSweep(2.0, TM), RadialSweep(3.0, TE)
+        advance([sweep, other, sweep], caps)
+        assert _sweep_state([sweep, other]) == _sweep_state(want)
 
 
 @pytest.mark.parametrize("x_cap", [math.nan, math.inf])
 def test_advance_rejects_a_cap_that_is_not_finite(x_cap):
-    with pytest.raises(DomainError, match="cap"):
-        advance([RadialSweep(1.0, TE), RadialSweep(2.0, TM)], x_cap)
+    # a cap that is not finite, or a count of caps other than one per sweep, raises before
+    # any scan, rather than zip dropping sweeps or caps
+    sweeps = [RadialSweep(1.0, TE), RadialSweep(2.0, TM)]
+    for caps in ([1.0, x_cap], [x_cap, 5.0], [5.0], [5.0, 5.0, 5.0], []):
+        with pytest.raises(DomainError, match="cap"):
+            advance(sweeps, caps)
+    assert _sweep_state(sweeps) == _sweep_state([RadialSweep(1.0, TE), RadialSweep(2.0, TM)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -408,9 +441,9 @@ NTH_SPEC = st.tuples(
 @example(specs=[(0.0, TM, True, None), (40.0, TE, False, 3.0), (59.5, TM, False, None)], n=6)
 @given(specs=st.lists(NTH_SPEC, min_size=1, max_size=15), n=st.integers(min_value=1, max_value=6))
 def test_nth_over_many_sweeps_is_each_lone_search(specs, n):
-    # 1-30 sweeps taken to their n-th roots together, some scanned beforehand: each root has
-    # the bits of the sweep's lone search, and no scan goes more than a block past where that
-    # search stops (one shared maximum cap would take nu = 0 to nu = 58's first cap)
+    # 1-30 sweeps taken to their n-th roots together, some scanned beforehand: each sweep's
+    # roots and where its scan stands are those of its lone search (one shared cap per round
+    # would take nu = 0 past its lone search's cap)
     orders = []
     for nu, kind, twin, head in specs:
         orders.append((nu, kind, head))
@@ -427,8 +460,19 @@ def test_nth_over_many_sweeps_is_each_lone_search(specs, n):
     together, alone = made(), made()
     got = nth(together, n)
     assert _bits(got) == _bits([nth([sweep], n)[0] for sweep in alone])
-    for sweep, lone in zip(together, alone):
-        assert sweep._i <= radial._index(lone._x + radial._BLOCK * radial._STEP)
+    assert _sweep_state(together) == _sweep_state(alone)
+
+
+def test_nth_takes_widely_spread_sweeps_to_their_first_roots_in_one_round(monkeypatch):
+    # each sweep goes to its own McMahon cap, above its first root, in one advance call;
+    # grouping the caps within one block of the lowest took 58 rounds here
+    calls = []
+    real = radial.advance
+    monkeypatch.setattr(radial, "advance", lambda sweeps, caps: calls.append(len(sweeps)) or real(sweeps, caps))
+    sweeps = [RadialSweep(float(nu), kind) for nu in range(201) for kind in (TE, TM)]
+    roots = nth(sweeps, 1)
+    assert calls == [402]
+    assert all(r.n == 1 and r.x > r.nu for r in roots)
 
 
 def test_nth_over_no_sweeps_is_empty():

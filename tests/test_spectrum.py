@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from sphcav import radial
+from sphcav import radial, spectrum
 from sphcav.errors import DomainError, FixtureLookupError
 from sphcav.radial import j_zero, riccati_deriv_zero
 from sphcav.spectrum import (
@@ -133,6 +133,16 @@ def test_enumerate_requires_a_limit():
 @pytest.mark.parametrize("count", [-3, 0])
 def test_enumerate_rejects_a_count_below_one(count):
     # a negative count used to slice modes off the end, 0 to return none
+    with pytest.raises(DomainError, match="max_count"):
+        enumerate_modes(A15, f_max_hz=20e9, max_count=count)
+    with pytest.raises(DomainError, match="max_count"):
+        enumerate_modes(A15, max_count=count)
+
+
+@pytest.mark.parametrize("count", [math.nan, math.inf, 2.5, 1.0, "3"])
+def test_enumerate_rejects_a_count_that_is_not_an_integer(monkeypatch, count):
+    # nan and inf used to grow the cap 1.5x forever, 2.5 and 1.0 to raise TypeError at the slice
+    monkeypatch.setattr(spectrum, "_swept_candidates", lambda *args: pytest.fail("scanned"))
     with pytest.raises(DomainError, match="max_count"):
         enumerate_modes(A15, f_max_hz=20e9, max_count=count)
     with pytest.raises(DomainError, match="max_count"):
