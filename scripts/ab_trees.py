@@ -10,7 +10,13 @@ flipping every pair, so that a drift of the CPU's speed lands on both alike.
 Printed: each tree's median pass time, the median of the per-pair ratios
 change / base, how many pairs the change won, and whether the first passes'
 results are identical to the byte; then each operation's median time per tree
-and the ratio of those medians, so that the operations that moved show.
+within those passes and the ratio of those medians.  Last, each operation is
+timed on its own, as a same-process A/B: a loop of a fixed number of calls
+(OP_LOOP) on one tree, then on the other, the order flipping every pair, for as
+many pairs as the passes took.  Its table gives each tree's median time per call,
+the median of the per-pair ratios and how many pairs the change won; a
+sub-millisecond operation, timed once per pass above, carries the scheduler's
+noise there, and much less here.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import time
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+OP_LOOP = 5  # calls per timed loop of one operation
 
 
 def _drop_package() -> dict:
@@ -55,6 +62,9 @@ class Tree:
         self.workload = module.WORKLOADS[workload]
         with self:
             self.inputs = self.workload.build(seed)
+            # the operations timed alone, one list kept per tree and timed in pass order, so
+            # that an operation finds what an earlier one made (a mode before its evaluation)
+            self.alone = dict(self.workload.operations(self.inputs))
 
     def __enter__(self):
         """Make this tree's modules the sphcav of sys.modules, for lookups by name at run time."""
@@ -75,6 +85,15 @@ class Tree:
                 results[name] = call()
                 op_times[name] = time.perf_counter() - t
             return time.perf_counter() - start, op_times, results
+
+    def time_calls(self, name: str, count: int) -> float:
+        """Seconds per call of operation ``name`` over a loop of ``count`` calls."""
+        with self:
+            call = self.alone[name]
+            start = time.perf_counter()
+            for _ in range(count):
+                call()
+            return (time.perf_counter() - start) / count
 
     def dump(self, results: dict) -> bytes:
         with self:
@@ -113,6 +132,18 @@ def main(argv=None) -> int:
     for name, base_ops in op_times["base"].items():
         b, c = statistics.median(base_ops), statistics.median(op_times["change"].get(name, [math.nan]))
         print(f"  {name:<40} {b * 1e3:9.3f} {c * 1e3:9.3f} {c / b:6.3f}")
+    print(f"  each operation alone, {args.pairs} alternating pairs of {OP_LOOP}-call loops")
+    print(f"  {'operation':<40} {'base ms':>9} {'change ms':>9} {'ratio':>6} {'wins':>5}")
+    for name in op_times["base"]:
+        alone: dict[str, list[float]] = {"base": [], "change": []}
+        for pair in range(args.pairs):
+            order = (("base", base), ("change", change)) if pair % 2 == 0 else (("change", change), ("base", base))
+            for tag, tree in order:
+                alone[tag].append(tree.time_calls(name, OP_LOOP))
+        op_ratios = [c / b for b, c in zip(alone["base"], alone["change"])]
+        b, c = statistics.median(alone["base"]), statistics.median(alone["change"])
+        wins = sum(r < 1.0 for r in op_ratios)
+        print(f"  {name:<40} {b * 1e3:9.3f} {c * 1e3:9.3f} {statistics.median(op_ratios):6.3f} {wins:>5}")
     return 0
 
 

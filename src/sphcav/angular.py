@@ -26,10 +26,13 @@ the reflected condition above.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -43,8 +46,11 @@ __all__ = [
     "AngularEigenpair",
     "south_singular_coefficient",
     "classify",
+    "ConeScan",
+    "cone_scan",
     "cone_roots",
     "cone_nu",
+    "cone_nus",
     "angular_ode_residual",
 ]
 
@@ -126,13 +132,13 @@ class AngularDomain:
             return theta
         return math.pi - theta if isinstance(theta, float) else np.pi - np.asarray(theta)
 
-    def polar(self, nu, m: float, theta):
+    def polar(self, nu, m, theta):
         """(Theta, dTheta/dtheta) regular at theta = 0, or at theta = pi across a cone;
-        nu and theta broadcast as in specfun.polar_solution."""
+        nu, m and theta broadcast as in specfun.polar_solution."""
         value, deriv = polar_solution(nu, m, self._retained(theta))
         return (value, -deriv) if self.has_cone else (value, deriv)
 
-    def polar_value(self, nu, m: float, theta):
+    def polar_value(self, nu, m, theta):
         """Theta of polar alone, without summing the derivative's series."""
         return legendre_theta(nu, m, self._retained(theta))
 
@@ -140,12 +146,20 @@ class AngularDomain:
         """Every nu <= nu_cap of order m, ascending: m + k (k = 0, 1, ...) regular at both
         poles, without the field-free (0, 0); across a cone the roots of the polarization's
         condition (cone_roots)."""
+        return self.eigenvalue_lists([(m, polarization)], nu_cap)[0]
+
+    def eigenvalue_lists(self, pairs, nu_cap: float) -> list[list[float]]:
+        """eigenvalues of each (m, polarization) pair; across a cone every scan is one
+        cone_scan call."""
         if self.has_cone:
-            return cone_roots(m, self.cone_half_angle_rad, polarization, nu_cap)
+            return cone_scan([(m, self.cone_half_angle_rad, pol, nu_cap) for m, pol in pairs])
         if not math.isfinite(nu_cap):
             raise DomainError(f"eigenvalue cap must be finite, got {nu_cap}")
-        nus = itertools.takewhile(lambda nu: nu <= nu_cap, (m + k for k in itertools.count()))
-        return [nu for nu in nus if nu > 0.0]
+
+        def lattice(m):  # m + k for k = 0, 1, ... up to nu_cap
+            return itertools.takewhile(lambda nu: nu <= nu_cap, (m + k for k in itertools.count()))
+
+        return [[nu for nu in lattice(m) if nu > 0.0] for m, _ in pairs]
 
 
 @dataclass(frozen=True)
@@ -224,26 +238,21 @@ _SCAN_STEP = 0.02
 _NU_FLOOR = 1e-4
 
 
-def cone_roots(
-    m: float,
-    theta_c: float,
-    polarization: str,
-    nu_max: float,
-    max_branches: int | None = None,
-) -> list[float]:
-    """All cone eigenvalues below nu_max, smallest first.
+class ConeScan(NamedTuple):
+    """One request of cone_scan: the cone roots of order m at half-angle theta_c of the
+    polarization's condition below nu_max, the first max_branches of them (all if None)."""
 
-    The cone condition is the south-regular polar solution (TM) or its
-    derivative (TE) at the cone, AngularDomain.polar_value or polar at theta_c,
-    which the connection formulas give in closed form: DLMF
-    15.8.4 for non-integer m, its logarithmic case 15.8.10 for integer m, and
-    interpolation in m between the two within 4e-3 of an integer.  One vectorized call
-    evaluates it on a nu grid from 1e-4 in steps of 0.02 (well below the
-    root spacing; the last step ends at nu_max), and Brent's method refines
-    each sign change to |delta nu| <= 1e-10 (specfun.bracketed_roots).  A
-    scan value that overflows raises RootSearchError rather than losing roots;
-    an m or nu_max that is not finite raises DomainError.
-    """
+    m: float
+    theta_c: float
+    polarization: str
+    nu_max: float
+    max_branches: int | None = None
+
+
+def _checked(request: ConeScan) -> ConeScan:
+    """The request with its polarization in capitals, or DomainError for an order, half-angle,
+    polarization or nu_max outside the scan's domain."""
+    m, theta_c, polarization, nu_max, _ = request
     if not 0.0 <= m < math.inf:
         raise DomainError(f"order m must be finite and >= 0, got m={m}")
     if not (0.0 < theta_c < 0.5 * math.pi):
@@ -253,20 +262,112 @@ def cone_roots(
         raise DomainError(f"polarization must be TM or TE, got {polarization!r}")
     if not math.isfinite(nu_max):
         raise DomainError(f"cone scan needs a finite nu_max, got {nu_max}")
+    return request._replace(polarization=pol)
 
-    domain = AngularDomain(cone_half_angle_rad=theta_c)
 
-    def g(nu):  # one function for the scan (an array of nu) and each Brent step (a float)
-        return domain.polar_value(nu, m, theta_c) if pol == "TM" else domain.polar(nu, m, theta_c)[1]
+def _grids(nu_maxes: list[float]) -> list[list[float]]:
+    """Each nu_max's scan grid: 1e-4, then steps of 0.02, the last step ending at nu_max.
+    Every grid is a prefix of one ladder of repeated additions, ended by its nu_max."""
+    ladder, highest = [_NU_FLOOR], max(nu_maxes, default=_NU_FLOOR)
+    while ladder[-1] < highest:
+        ladder.append(ladder[-1] + _SCAN_STEP)
+    grids = []
+    for nu_max in nu_maxes:
+        top = bisect.bisect_left(ladder, nu_max)  # the first rung at or past nu_max
+        grids.append(ladder[:top] + [nu_max] if top else [_NU_FLOOR])
+    return grids
 
-    grid = [_NU_FLOOR]
-    while grid[-1] < nu_max:
-        grid.append(min(grid[-1] + _SCAN_STEP, nu_max))
-    values = g(grid)
-    # this module's brentq, so that a wrapper around angular.brentq sees each refinement
-    what = f"{pol} cone condition for m={m}, theta_c={theta_c:g} rad"
-    roots = bracketed_roots(g, grid, values, what, brentq, xtol=1e-10, rtol=1e-14)
-    return list(itertools.islice(roots, max_branches))
+
+def _condition(domain: AngularDomain, polarization: str, m, theta_c, nu):
+    """The cone condition: the retained polar solution (TM) or its derivative (TE) at theta_c."""
+    return domain.polar_value(nu, m, theta_c) if polarization == "TM" else domain.polar(nu, m, theta_c)[1]
+
+
+def cone_scan(requests) -> list[list[float]]:
+    """cone_roots of each ConeScan request (or tuple of its fields), smallest first.
+
+    Every request keeps its own grid, as cone_roots describes, and the grids of all TM
+    requests are evaluated in one legendre_theta call and those of all TE requests in one
+    polar_solution call, with one order and half-angle per grid point; each element of such
+    a call stops its series at its own last term, so its value does not depend on the
+    requests beside it.  Each request's slice is then bracketed and refined by Brent's method
+    on the scalar condition (specfun.bracketed_roots), as a lone call does: Brent evaluates
+    the same scalar function from the same brackets, so a request's roots are the bits of its
+    lone cone_roots.  Every request is checked (DomainError) before any scan; a scan value
+    that is not finite raises RootSearchError naming its request and window.
+    """
+    requests = [_checked(ConeScan(*request)) for request in requests]
+    if not requests:
+        return []
+    # a cone domain's polar functions depend on its cone only through the reflection
+    # theta -> pi - theta, so one domain serves every request and every grid point
+    cone = AngularDomain(cone_half_angle_rad=requests[0].theta_c)
+    grids = _grids([request.nu_max for request in requests])
+    values: list = [None] * len(requests)
+    for pol in ("TM", "TE"):
+        picks = [i for i, request in enumerate(requests) if request.polarization == pol]
+        if not picks:
+            continue
+        sizes = [len(grids[i]) for i in picks]
+        nu = np.concatenate([grids[i] for i in picks])
+        m = np.repeat([requests[i].m for i in picks], sizes)
+        theta_c = np.repeat([requests[i].theta_c for i in picks], sizes)
+        scan = _condition(cone, pol, m, theta_c, nu)
+        for i, part in zip(picks, np.split(scan, np.cumsum(sizes)[:-1])):
+            values[i] = part
+    out = []
+    for (m, theta_c, pol, _, max_branches), grid, scan in zip(requests, grids, values):
+        what = f"{pol} cone condition for m={m}, theta_c={theta_c:g} rad"
+        g = functools.partial(_condition, cone, pol, m, theta_c)
+        # this module's brentq, so that a wrapper around angular.brentq sees each refinement
+        roots = bracketed_roots(g, grid, scan, what, brentq, xtol=1e-10, rtol=1e-14)
+        out.append(list(itertools.islice(roots, max_branches)))
+    return out
+
+
+def cone_roots(
+    m: float,
+    theta_c: float,
+    polarization: str,
+    nu_max: float,
+    max_branches: int | None = None,
+) -> list[float]:
+    """All cone eigenvalues below nu_max, smallest first, at most max_branches of them.
+
+    The cone condition is the south-regular polar solution (TM) or its
+    derivative (TE) at the cone, AngularDomain.polar_value or polar at theta_c,
+    which the connection formulas give in closed form: DLMF
+    15.8.4 for non-integer m, its logarithmic case 15.8.10 for integer m, and
+    interpolation in m between the two within 4e-3 of an integer.  It is
+    evaluated on a nu grid from 1e-4 in steps of 0.02 (well below the root
+    spacing; the last step ends at nu_max), and Brent's method refines each sign
+    change on the scalar condition to |delta nu| <= 1e-10
+    (specfun.bracketed_roots).  A scan value that overflows raises
+    RootSearchError rather than losing roots; an m or nu_max that is not finite
+    raises DomainError.  This is cone_scan of this one request: a batch of many
+    gives each the same roots to the bit.
+    """
+    return cone_scan([ConeScan(m, theta_c, polarization, nu_max, max_branches)])[0]
+
+
+def _branch_scan(m: float, theta_c: float, polarization: str, branch) -> ConeScan:
+    """The scan that holds cone branch ``branch``: consecutive branches lie about
+    pi/(pi - theta_c) apart (the polar interval's length), so it ends at
+    m + (branch + 1) pi/(pi - theta_c) and stops at the branch."""
+    branch = positive_index(branch, "branch index")
+    return ConeScan(m, theta_c, polarization, m + (branch + 1) * math.pi / (math.pi - theta_c), branch)
+
+
+def _branch_root(scan: ConeScan, roots: list[float]) -> float:
+    """The branch of ``scan`` among its ``roots``, or RootSearchError without it."""
+    m, theta_c, polarization, hi, branch = scan
+    if len(roots) < branch:
+        raise RootSearchError(
+            f"no {polarization} cone root (branch {branch}) for m={m}, "
+            f"theta_c={theta_c:g} rad",
+            window=(_NU_FLOOR, hi),
+        )
+    return roots[branch - 1]
 
 
 def cone_nu(m: float, theta_c: float, polarization: str, branch: int = 1) -> float:
@@ -279,13 +380,11 @@ def cone_nu(m: float, theta_c: float, polarization: str, branch: int = 1) -> flo
     m + (branch + 1) pi/(pi - theta_c) and raises RootSearchError without
     the branch there.
     """
-    branch = positive_index(branch, "branch index")
-    hi = m + (branch + 1) * math.pi / (math.pi - theta_c)
-    roots = cone_roots(m, theta_c, polarization, hi, max_branches=branch)
-    if len(roots) < branch:
-        raise RootSearchError(
-            f"no {polarization} cone root (branch {branch}) for m={m}, "
-            f"theta_c={theta_c:g} rad",
-            window=(_NU_FLOOR, hi),
-        )
-    return roots[branch - 1]
+    scan = _branch_scan(m, theta_c, polarization, branch)
+    return _branch_root(scan, cone_roots(*scan))
+
+
+def cone_nus(queries) -> list[float]:
+    """cone_nu of each (m, theta_c, polarization, branch), every scan in one cone_scan call."""
+    scans = [_branch_scan(*query) for query in queries]
+    return [_branch_root(scan, roots) for scan, roots in zip(scans, cone_scan(scans))]

@@ -246,9 +246,9 @@ def radial_root(nu: float, n: int, kind: RootKind) -> RadialRoot:
 
 
 def frequency_from_root(x: float, radius_m: float) -> float:
-    """Resonant frequency in Hz for a dimensionless root x and radius a."""
+    """Resonant frequency in Hz for a dimensionless root x and radius a, both positive and finite."""
     if not 0.0 < radius_m < math.inf:
         raise DomainError(f"radius must be positive and finite, got {radius_m}")
-    if x <= 0.0:
-        raise DomainError("root must be positive")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"root must be positive and finite, got {x}")
     return SPEED_OF_LIGHT * x / (2.0 * math.pi * radius_m)

@@ -15,6 +15,7 @@ All functions are pure; no module-level mutable state.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -192,11 +193,13 @@ _BAND_NODES = (-4e-3, -2e-3, 0.0, 2e-3, 4e-3)  # offsets from round(m)
 _BAND = _BAND_NODES[-1]
 
 # The helpers below take either floats or 1-D arrays of one length: a scalar
-# evaluation (one field point, one Brent step) then runs on plain floats.
-
-
-def _all_below(x, y) -> bool:
-    return bool(x <= y) if isinstance(x, float) else bool((x <= y).all())
+# evaluation (one field point, one Brent step) then runs on plain floats, every
+# numpy scalar turned into a float as it is made.  The order m is one float for
+# every element, or an array of one order per element (a batched cone scan):
+# then each element takes its own branch by mask, its own head length, and stops
+# each series at its own last term, so that its value does not depend on the
+# elements beside it.  With one m for an array, every element takes terms until
+# the last one converges, as always.
 
 
 def _not_converged(what: str, total, term) -> ConvergenceError:
@@ -218,90 +221,149 @@ def terminates(nu, m: float):
 
 
 def _gauss_series(a, b, c, x):
-    """Sum of (a)_k (b)_k / ((c)_k k!) x^k for 0 <= x < 1."""
+    """Sum of (a)_k (b)_k / ((c)_k k!) x^k for 0 <= x < 1.  With an array ``c`` (one order per
+    element) each element stops at its own last term, so that its sum does not depend on the
+    elements beside it; otherwise every element takes terms until the last one converges."""
+    each = isinstance(c, np.ndarray)
     term = total = size = 1.0  # arrays from the first step on, if any argument is one
     for k in range(_MAX_TERMS):
         term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0)) * x)
         total = total + term
         size = size + abs(term)
         # relative to the sum, or to its rounding noise where it cancels to ~0
-        if _all_below(abs(term), _TOLERANCE * (abs(total) + _EPS * size)):
+        done = abs(term) <= _TOLERANCE * (abs(total) + _EPS * size)
+        if done is True or done is not False and done.all():  # a float sum gives a bool
             return total
+        if each:
+            term = np.where(done, 0.0, term)
     raise _not_converged("Gauss series", total, term)
 
 
-def _singular_weight(nu, m: float, w):
+def _plain(x):
+    """A numpy scalar as a Python float, so that a scalar evaluation (one Brent step, one field
+    point) runs on plain floats from its first numpy call on; an array passes unchanged."""
+    return float(x) if isinstance(x, np.generic) else x
+
+
+def _at(m, mask):
+    """The orders of the elements ``mask`` picks: ``m`` itself if it is one order for all."""
+    return m[mask] if isinstance(m, np.ndarray) else m
+
+
+_PSI_1 = float(sp.psi(1.0))
+
+
+def _singular_weight(nu, m, w):
     """B w^(-m/2), with the gamma ratio of B taken in logarithms."""
     log_ratio = sp.gammaln(m + 1.0) + sp.gammaln(m) - sp.gammaln(m + nu + 1.0)
-    return sp.gammasgn(m) * sp.rgamma(m - nu) * np.exp(log_ratio - 0.5 * m * np.log(w))
+    return _plain(sp.gammasgn(m) * sp.rgamma(m - nu) * np.exp(log_ratio - 0.5 * m * np.log(w)))
 
 
-def _connect_fractional(nu, m: float, w):
+def _connect_fractional(nu, m, w):
     """w^(m/2) F by DLMF 15.8.4, non-integer m."""
-    a = np.sin(np.pi * nu) / math.sin(math.pi * m)
+    sin_m = np.sin(np.pi * m) if isinstance(m, np.ndarray) else math.sin(math.pi * m)
+    a = _plain(np.sin(np.pi * nu)) / sin_m
     regular = a * w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, w)
     return regular + _singular_weight(nu, m, w) * _gauss_series(nu + 1.0, -nu, 1.0 - m, w)
 
 
-def _connect_integer(nu, m: int, w):
-    """w^(m/2) F by DLMF 15.8.10, integer m: a log series plus a finite head."""
+def _connect_integer(nu, m, w):
+    """w^(m/2) F by DLMF 15.8.10, integer m (an int, or integral floats one per element): a log
+    series plus, for m > 0, a finite head."""
+    each, scalar, psi = isinstance(m, np.ndarray), not isinstance(w, np.ndarray), sp.psi
     a, b = m - nu, m + nu + 1.0
-    sin_nu, pi_cos_nu = np.sin(np.pi * nu), np.pi * np.cos(np.pi * nu)
-    log_w = np.log(w)
+    sin_nu, pi_cos_nu = _plain(np.sin(np.pi * nu)), _plain(np.pi * np.cos(np.pi * nu))
+    log_w = _plain(np.log(w))
     # psi(k+1), psi(m+k+1) and psi(b+k) by upward recurrence
-    psi_k1, psi_km1, psi_b = float(sp.psi(1.0)), float(sp.psi(m + 1.0)), sp.psi(b)
+    psi_k1, psi_km1, psi_b = _PSI_1, _plain(psi(m + 1.0)), _plain(psi(b))
     coef, total, size = 1.0, 0.0, 0.0  # coef = m! (a)_k (b)_k / (k! (m+k)!) w^k
     for k in range(_MAX_TERMS):
         x = a + k
         reflect = x < 0.5  # then psi(1 - x) and the pi cos(pi nu) term
-        sin_psi_a = sin_nu * sp.psi(x + reflect * (1.0 - 2.0 * x)) + reflect * pi_cos_nu
+        psi_a = psi(x + reflect * (1.0 - 2.0 * x))
+        sin_psi_a = sin_nu * (float(psi_a) if scalar else psi_a) + reflect * pi_cos_nu
         total = total + coef * (sin_nu * (log_w - psi_k1 - psi_km1 + psi_b) + sin_psi_a)
         size = size + abs(coef)
         coef = coef * ((a + k) * (b + k) / ((k + 1.0) * (m + k + 1.0)) * w)
         # the psi bracket varies slowly, so the coefficients set the convergence
-        if _all_below(abs(coef), _TOLERANCE * size):
+        done = abs(coef) <= _TOLERANCE * size
+        if done is True or done is not False and done.all():  # a float sum gives a bool
             break
+        if each:
+            coef = np.where(done, 0.0, coef)
         psi_k1 += 1.0 / (k + 1.0)
-        psi_km1 += 1.0 / (m + k + 1.0)
+        psi_km1 = psi_km1 + 1.0 / (m + k + 1.0)
         psi_b = psi_b + 1.0 / (b + k)
     else:
         raise _not_converged("logarithmic connection series", total, coef)
     g = ((-1.0) ** m / math.pi) * w ** (0.5 * m) * total
-    if m > 0:
+    if not each:
+        return g + _singular_weight(nu, m, w) * _head(nu, m, w) if m > 0 else g
+    at = np.flatnonzero(m > 0)
+    if at.size:
+        g[at] = g[at] + _singular_weight(nu[at], m[at], w[at]) * _head(nu[at], m[at], w[at])
+    return g
+
+
+def _head(nu, m, w):
+    """The finite head of 15.8.10, sum over k < m of (-nu)_k (nu+1)_k / (k! (1-m)_k) w^k, for
+    m > 0; with one order per element each element stops at its own."""
+    if not isinstance(m, np.ndarray):
         head = term = 1.0
         for k in range(m - 1):
             term = term * ((k - nu) * (nu + 1.0 + k) / ((k + 1.0) * (1.0 - m + k)) * w)
             head = head + term
-        g = g + _singular_weight(nu, m, w) * head
-    return g
+        return head
+    head, term, live = np.ones(m.shape), np.ones(m.shape), np.arange(m.size)
+    for k in itertools.count():
+        live = live[m[live] - 1.0 > k]  # the elements whose order takes a k-th term
+        if not live.size:
+            return head
+        n = nu[live]
+        term[live] = term[live] * ((k - n) * (n + 1.0 + k) / ((k + 1.0) * (1.0 - m[live] + k)) * w[live])
+        head[live] = head[live] + term[live]
 
 
-def _connect(nu, m: float, w):
-    """w^(m/2) F past z = 1/2, for nu - m not a non-negative integer."""
-    base = round(m)
-    offset = m - base
-    if abs(offset) <= INT_TOL:
-        return _connect_integer(nu, base, w)
-    if abs(offset) >= _BAND:
-        return _connect_fractional(nu, m, w)
-    total = 0.0
+def _interpolated(nu, m, w):
+    """w^(m/2) F for 0 < |m - round(m)| < 4e-3, by Lagrange interpolation in m through the
+    five band nodes round(m) + {0, +-2e-3, +-4e-3}."""
+    base = np.round(m) if isinstance(m, np.ndarray) else round(m)
+    offset, total = m - base, 0.0
     for j, hj in enumerate(_BAND_NODES):
         weight = math.prod((offset - hi) / (hj - hi) for i, hi in enumerate(_BAND_NODES) if i != j)
-        if hj == 0.0:
-            node = _connect_integer(nu, base, w)
-        else:
-            node = _connect_fractional(nu, base + hj, w)
+        node = _connect_integer(nu, base, w) if hj == 0.0 else _connect_fractional(nu, base + hj, w)
         total = total + weight * node
     return total
 
 
-def _reflected(nu, m: float, w):
+def _connect(nu, m, w):
+    """w^(m/2) F past z = 1/2, for nu - m not a non-negative integer.  ``m`` is one order, or
+    one per element of ``nu``, each element then taking its own order's branch by mask."""
+    if not isinstance(m, np.ndarray):
+        base = round(m)
+        if abs(m - base) <= INT_TOL:
+            return _connect_integer(nu, base, w)
+        return _connect_fractional(nu, m, w) if abs(m - base) >= _BAND else _interpolated(nu, m, w)
+    base = np.round(m)
+    integer, fractional = abs(m - base) <= INT_TOL, abs(m - base) >= _BAND
+    out = np.empty(nu.shape)
+    for part, branch, order in (
+        (integer, _connect_integer, base),
+        (fractional, _connect_fractional, m),
+        (~(integer | fractional), _interpolated, m),
+    ):
+        if part.any():
+            out[part] = branch(nu[part], order[part], w[part])
+    return out
+
+
+def _reflected(nu, m, w):
     """w^(m/2) F past z = 1/2 when nu - m = k is a non-negative integer: (-1)^k F(w)."""
-    sign = 1.0 - 2.0 * (np.round(nu - m) % 2.0)
+    sign = _plain(1.0 - 2.0 * (np.round(nu - m) % 2.0))
     return sign * w ** (0.5 * m) * _gauss_series(m - nu, m + nu + 1.0, m + 1.0, w)
 
 
-def _scaled_hyp(nu, m: float, z, w, poly):
+def _scaled_hyp(nu, m, z, w, poly):
     """G = w^(m/2) 2F1(m - nu, m + nu + 1; m + 1; z), w = 1 - z exact; ``poly``: nu - m in N."""
     if isinstance(nu, float):
         if z <= _CONNECT_Z:
@@ -314,28 +376,30 @@ def _scaled_hyp(nu, m: float, z, w, poly):
     poly = ~near & poly
     far = ~(near | poly)
     if near.any():
-        a, b = m - nu[near], m + nu[near] + 1.0
-        out[near] = w[near] ** (0.5 * m) * _gauss_series(a, b, m + 1.0, z[near])
+        m_near = _at(m, near)
+        a, b = m_near - nu[near], m_near + nu[near] + 1.0
+        out[near] = w[near] ** (0.5 * m_near) * _gauss_series(a, b, m_near + 1.0, z[near])
     if poly.any():
-        out[poly] = _reflected(nu[poly], m, w[poly])
+        out[poly] = _reflected(nu[poly], _at(m, poly), w[poly])
     if far.any():
-        out[far] = _connect(nu[far], m, w[far])
+        out[far] = _connect(nu[far], _at(m, far), w[far])
     return out
 
 
-def _polar(nu, m: float, theta, with_deriv: bool):
+def _polar(nu, m, theta, with_deriv: bool):
     """Theta, and dTheta/dtheta if ``with_deriv``, of the north-pole-regular solution."""
-    if m < 0.0:
-        raise DomainError(f"order m must be >= 0, got m={m}")
-    if np.isscalar(nu) and np.isscalar(theta):
-        nu, theta, shape = float(nu), float(theta), None
-        inside = 0.0 < theta < math.pi
+    if np.isscalar(nu) and np.isscalar(theta) and np.isscalar(m):
+        nu, m, theta, shape = float(nu), float(m), float(theta), None
+        negative, inside = m < 0.0, 0.0 < theta < math.pi
         sin, cos = math.sin, math.cos
     else:
-        nu, theta = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(theta, dtype=float))
+        nu, theta, orders = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (nu, theta, m)))
         shape, nu, theta = nu.shape, nu.ravel(), theta.ravel()
-        inside = np.all((theta > 0.0) & (theta < math.pi))
+        m = orders.ravel() if np.ndim(m) else float(m)  # one order per element, or one for all
+        negative, inside = np.any(orders < 0.0), np.all((theta > 0.0) & (theta < math.pi))
         sin, cos = np.sin, np.cos
+    if negative:
+        raise DomainError(f"order m must be >= 0, got m={m}")
     if not inside:
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
     z, w = sin(0.5 * theta) ** 2, cos(0.5 * theta) ** 2
@@ -354,26 +418,28 @@ def _polar(nu, m: float, theta, with_deriv: bool):
     return value.reshape(shape), deriv.reshape(shape)
 
 
-def polar_solution(nu, m: float, theta):
+def polar_solution(nu, m, theta):
     """(Theta, dTheta/dtheta) of the north-pole-regular polar solution.
 
-    ``nu`` and ``theta`` broadcast against each other and ``m`` is one order
+    ``nu``, ``m`` and ``theta`` broadcast against each other, every order
     >= 0.  Scalar arguments give floats, array arguments arrays of the
-    broadcast shape.  Frobenius normalization: Theta / sin(theta)^m -> 1 as
-    theta -> 0+.
+    broadcast shape.  An array of orders (one per point, as angular.cone_scan
+    passes) evaluates each point as if alone: its branch and the length of its
+    series are its own, so it agrees with its scalar call to rounding.
+    Frobenius normalization: Theta / sin(theta)^m -> 1 as theta -> 0+.
     """
     return _polar(nu, m, theta, True)
 
 
-def legendre_theta(nu, m: float, theta):
+def legendre_theta(nu, m, theta):
     """North-pole-regular polar solution of the angular equation.
 
     Frobenius normalization: legendre_theta / sin(theta)^m -> 1 as theta -> 0+.
     For nu = m this is exactly sin(theta)^m; for nu = m + k (integer k >= 0)
     it is sin(theta)^m times a degree-k polynomial in sin^2(theta/2); for all
-    other (nu, m) it diverges at theta = pi.  Arguments broadcast as in
-    polar_solution, whose first value this is, without summing the
-    derivative's series.
+    other (nu, m) it diverges at theta = pi.  ``nu``, ``m`` and ``theta``
+    broadcast as in polar_solution, whose first value this is, without summing
+    the derivative's series.
     """
     return _polar(nu, m, theta, False)
 

@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .angular import AngularDomain, classify, cone_nu
+from .angular import AngularDomain, classify, cone_nus
 from .errors import DomainError, FixtureLookupError, positive_index
 from .radial import (
     SPEED_OF_LIGHT,
@@ -86,13 +86,16 @@ def _sort_key(rec: ModeRecord):
     return (rec.frequency_hz, 0 if rec.polarization == "TM" else 1, rec.m, rec.nu, rec.n)
 
 
-def _angular_candidates(domain: AngularDomain, m: float, nu_cap: float):
-    """Yield (nu, k, kind) admissible for azimuthal index m, kind the radial condition of
-    the polarization; k is the offset nu - m without a cone, None with one."""
-    for kind in (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO):
-        if domain.admits(m, kind.value):
-            for nu in domain.eigenvalues(m, kind.value, nu_cap):
-                yield nu, None if domain.has_cone else round(nu - m), kind
+def _angular_candidates(domain: AngularDomain, nu_cap: float):
+    """Yield (m, nu, k, kind) admissible up to nu_cap, kind the radial condition of the
+    polarization; k is the offset nu - m without a cone, None with one.  Every (m, kind)
+    takes its eigenvalues from one AngularDomain.eigenvalue_lists call."""
+    kinds = (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO)
+    pairs = [(m, kind) for m in domain.indices(nu_cap) for kind in kinds if domain.admits(m, kind.value)]
+    spectra = domain.eigenvalue_lists([(m, kind.value) for m, kind in pairs], nu_cap)
+    for (m, kind), nus in zip(pairs, spectra):
+        for nu in nus:
+            yield m, nu, None if domain.has_cone else round(nu - m), kind
 
 
 def _swept_candidates(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[tuple]:
@@ -108,11 +111,10 @@ def _swept_candidates(config: CavityConfig, f_max_hz: float, sweeps: dict) -> li
     x_cap = 2.0 * math.pi * config.radius_m * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
     domain = config.domain()
     candidates = []
-    for m in domain.indices(x_cap):
-        for nu, k, kind in _angular_candidates(domain, m, x_cap):
-            key = (nu if domain.has_cone else round(nu, 12), kind)
-            sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
-            candidates.append((m, nu, k, kind, sweep))
+    for m, nu, k, kind in _angular_candidates(domain, x_cap):
+        key = (nu if domain.has_cone else round(nu, 12), kind)
+        sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
+        candidates.append((m, nu, k, kind, sweep))
     advance([sweep for *_, sweep in candidates], [x_cap] * len(candidates))
     return candidates
 
@@ -169,7 +171,8 @@ def enumerate_modes(
 
 
 def _fundamentals(configs: list[CavityConfig]) -> list[ModeRecord]:
-    """Lowest-frequency TM mode of each configuration, their radial roots found together."""
+    """Lowest-frequency TM mode of each configuration, their cone scans and radial roots found
+    together."""
     heads = []
     for config in configs:
         domain = config.domain()
@@ -177,13 +180,16 @@ def _fundamentals(configs: list[CavityConfig]) -> list[ModeRecord]:
             m = 0.0 if domain.has_cone else 1.0
         else:
             m = domain.nearest_index(0.0, "TM")
-        nu = cone_nu(m, domain.cone_half_angle_rad, "TM", 1) if domain.has_cone else m
-        family = classify(nu, m, cone_present=domain.has_cone).value
-        heads.append((config.radius_m, m, None if domain.has_cone else 0, nu, family))
-    roots = nth([RadialSweep(nu, RootKind.TM_RICCATI_DERIV_ZERO) for *_, nu, _ in heads], 1)
+        heads.append((config.radius_m, m, domain))
+    branches = iter(cone_nus([(m, d.cone_half_angle_rad, "TM", 1) for _, m, d in heads if d.has_cone]))
+    nus = [next(branches) if d.has_cone else m for _, m, d in heads]
+    roots = nth([RadialSweep(nu, RootKind.TM_RICCATI_DERIV_ZERO) for nu in nus], 1)
     return [
-        ModeRecord("TM", nu, m, k, 1, r.x, frequency_from_root(r.x, a), family)
-        for (a, m, k, nu, family), r in zip(heads, roots)
+        ModeRecord(
+            "TM", nu, m, None if d.has_cone else 0, 1, r.x, frequency_from_root(r.x, a),
+            classify(nu, m, cone_present=d.has_cone).value,
+        )
+        for (a, m, d), nu, r in zip(heads, nus, roots)
     ]
 
 
@@ -295,8 +301,7 @@ def _fmt(v) -> str:
     return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
-def _dispersion_row(fx: dict, row: dict, radius: float):
-    comp = dispersion_table([row["nu"]], radius)[0]
+def _dispersion_row(fx: dict, row: dict, radius: float, comp: dict):
     ok, devs = True, []
     for key_x, key_f in (("x_te", "f_te_ghz"), ("x_tm", "f_tm_ghz")):
         df = abs(comp[key_f] - row[key_f])
@@ -315,27 +320,39 @@ def _frequency_row(fx: dict, row: dict, radius: float, head: dict, x: float, hea
     return {**head, "f_ghz": f_ghz, "theory_dev": t_dev, "reference_dev": r_dev, "ok": ok}, [t_dev], [r_dev]
 
 
-def _modes_row(fx: dict, row: dict, radius: float):
+def _modes_row(fx: dict, row: dict, radius: float, root):
     head = {"mode": int(row["mode"]), "pol": row["pol"], "nu": row["nu"], "m": row["m"]}
-    return _frequency_row(fx, row, radius, head, radial_root(row["nu"], 1, RootKind(row["pol"])).x)
+    return _frequency_row(fx, row, radius, head, root.x)
 
 
-def _cone_row(fx: dict, row: dict, radius: float):
-    rec = fundamental_tm(CavityConfig(radius, 360.0, row["theta_c_deg"]))
+def _cone_row(fx: dict, row: dict, radius: float, rec: ModeRecord):
     nu_dev = abs(rec.nu - row["nu"])
     head = {"theta_c_deg": row["theta_c_deg"], "nu": rec.nu, "nu_fixture": row["nu"], "nu_dev": nu_dev}
     return _frequency_row(fx, row, radius, head, rec.root_x, nu_dev <= fx["nu_atol"])
 
 
-def _combined_row(fx: dict, row: dict, radius: float):
-    rec = fundamental_tm(CavityConfig(radius, row["opening_deg"], fx["cone_half_angle_deg"]))
+def _combined_row(fx: dict, row: dict, radius: float, rec: ModeRecord):
     head = dict(
         opening_deg=row["opening_deg"], m_exact=rec.m, m_printed=row["m"], nu=rec.nu, nu_fixture=row["nu"]
     )
     return _frequency_row(fx, row, radius, head, rec.root_x)
 
 
-# per fixture kind: (fixture, row, radius) -> (report row, theory deviations, reference deviations)
+def _each_row(fx: dict, radius: float) -> list:
+    """What each row of a fixture is checked against, the rows of a kind found in one call
+    (dispersion_table, or _fundamentals with every cone scan in one) or one by one (modes)."""
+    rows, kind = fx["rows"], fx["kind"]
+    if kind == "dispersion":
+        return dispersion_table([row["nu"] for row in rows], radius)
+    if kind == "modes":
+        return [radial_root(row["nu"], 1, RootKind(row["pol"])) for row in rows]
+    if kind == "cone":
+        return _fundamentals([CavityConfig(radius, 360.0, row["theta_c_deg"]) for row in rows])
+    return _fundamentals([CavityConfig(radius, row["opening_deg"], fx["cone_half_angle_deg"]) for row in rows])
+
+
+# per fixture kind: (fixture, row, radius, what _each_row found for the row) ->
+# (report row, theory deviations, reference deviations)
 _RECOMPUTE = dict(dispersion=_dispersion_row, modes=_modes_row, cone=_cone_row, combined=_combined_row)
 
 
@@ -345,7 +362,9 @@ def validate(fixture_name: str) -> ValidationReport:
     recompute = _RECOMPUTE.get(fx["kind"])
     if recompute is None:
         raise FixtureLookupError(f"fixture kind {fx['kind']!r} has no validator")
-    rows, theory, reference = zip(*(recompute(fx, row, fx["radius_mm"] / 1000.0) for row in fx["rows"]))
+    radius = fx["radius_mm"] / 1000.0
+    found = _each_row(fx, radius)
+    rows, theory, reference = zip(*(recompute(fx, row, radius, got) for row, got in zip(fx["rows"], found)))
     theory_devs = sum(theory, [])
     return ValidationReport(
         fixture=fixture_name,

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -11,11 +11,14 @@ from sphcav import angular
 from sphcav.angular import (
     AngularDomain,
     AngularEigenpair,
+    ConeScan,
     Family,
     angular_ode_residual,
     classify,
     cone_nu,
+    cone_nus,
     cone_roots,
+    cone_scan,
     south_singular_coefficient,
 )
 from sphcav.errors import ClassificationError, DomainError, RootSearchError
@@ -544,3 +547,74 @@ def test_domain_eigenvalues_with_a_cone_are_its_roots(m, opening):
         got = domain.eigenvalues(m, pol, 9.0)
         assert got and got == cone_roots(m, tc, pol, 9.0)
         assert domain.eigenvalues(m, pol, m - 0.1) == []
+
+
+# --- one cone scan per call ------------------------------------------------------
+
+ORDERS = st.one_of(
+    st.integers(0, 7).map(float),
+    st.floats(0.0, 7.0),
+    # the interpolation band, |m - round(m)| < 4e-3, on both sides of each integer
+    st.tuples(st.integers(0, 7), st.floats(-3.99e-3, 3.99e-3)).map(lambda t: abs(t[0] + t[1])),
+)
+REQUESTS = st.tuples(
+    ORDERS,
+    st.floats(0.3, 89.0).map(math.radians),
+    st.sampled_from(["TM", "TE", "te"]),
+    st.floats(-1.0, 25.0),
+    st.one_of(st.none(), st.integers(1, 4)),
+)
+# a pool drawn from with replacement, so that a batch may hold one request many times
+BATCHES = st.lists(REQUESTS, max_size=12).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=40) if pool else st.just([])
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(BATCHES)
+@example([])
+@example([(0.0, math.radians(20.0), "TM", 25.0, None)] * 2 + [(2.0 / 3.0, math.radians(89.0), "TE", 25.0, None)])
+@example([(1.0001, math.radians(20.0), "TE", 4.0, 3), (3.998, math.radians(0.3), "TM", 25.0, None)])
+def test_a_cone_scan_batch_is_each_lone_scan_to_the_bit(batch):
+    # every element of the batched evaluation stops its series at its own last term, and
+    # Brent refines each request's brackets on the scalar condition, so a batch of any
+    # composition gives each request its lone cone_roots, bit for bit
+    got = cone_scan(batch)
+    want = [cone_roots(*request) for request in batch]
+    assert [[x.hex() for x in roots] for roots in got] == [[x.hex() for x in roots] for roots in want]
+
+
+def test_lone_cone_calls_are_one_request_scans(monkeypatch):
+    calls = []
+    real = angular.cone_scan
+    monkeypatch.setattr(angular, "cone_scan", lambda requests: calls.append(list(requests)) or real(requests))
+    tc = math.radians(20.0)
+    roots = cone_roots(1.0, tc, "TM", 6.0)
+    assert calls[-1] == [ConeScan(1.0, tc, "TM", 6.0)]
+    assert AngularDomain(cone_half_angle_rad=tc).eigenvalues(1.0, "TM", 6.0) == roots
+    assert len(calls) == 2 and calls[-1] == [(1.0, tc, "TM", 6.0)]
+    assert cone_nu(1.0, tc, "TM", 2) == roots[1]
+    assert len(calls) == 3 and len(calls[-1]) == 1
+    assert cone_nus([(1.0, tc, "TM", 2), (0.0, tc, "TE", 1)]) == [roots[1], cone_nu(0.0, tc, "TE", 1)]
+    assert [len(c) for c in calls[3:]] == [2, 1]
+
+
+def test_a_batch_names_the_request_whose_scan_is_not_finite():
+    # m = 200 overflows the singular weight of the connection formula on the scan
+    bad = (200.0, 0.35, "TM", 205.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(RootSearchError, match="not finite") as lone:
+            cone_roots(*bad)
+        with pytest.raises(RootSearchError, match="not finite") as batch:
+            cone_scan([(0.0, 0.35, "TM", 5.0), (1.0, 0.35, "TE", 5.0), bad, (2.0, 0.35, "TM", 5.0)])
+    assert str(batch.value) == str(lone.value)
+    assert "TM cone condition for m=200.0, theta_c=0.35 rad" in str(batch.value)
+    assert batch.value.window == lone.value.window == (1e-4, 205.0)
+
+
+def test_a_batch_checks_every_request_before_scanning(monkeypatch):
+    monkeypatch.setattr(angular, "legendre_theta", lambda *a: pytest.fail("scanned"))
+    with pytest.raises(DomainError, match="finite nu_max"):
+        cone_scan([(0.0, 0.3, "TM", 5.0), (1.0, 0.3, "TM", math.inf)])
+    with pytest.raises(DomainError, match="polarization"):
+        cone_scan([(0.0, 0.3, "TM", 5.0), (1.0, 0.3, "TEM", 5.0)])

@@ -147,6 +147,13 @@ def test_frequency_from_root():
         frequency_from_root(-1.0, 0.015)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_frequency_from_root_rejects_a_root_that_is_not_positive_and_finite(x):
+    # nan used to give a nan frequency and inf an infinite one
+    with pytest.raises(DomainError, match="root must be positive and finite"):
+        frequency_from_root(x, 0.015)
+
+
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
 def test_frequency_from_root_rejects_a_radius_that_is_not_finite(radius):
     with pytest.raises(DomainError, match="finite"):

@@ -503,3 +503,73 @@ def test_bracketed_roots_names_a_bracket_that_refinement_rejects():
 
     with pytest.raises(DomainError, match="undefined"):  # passes unchanged
         list(bracketed_roots(f, grid, values, "f", refuse))
+
+
+# --- orders that broadcast --------------------------------------------------------
+
+POLAR_POINTS = st.tuples(
+    st.floats(0.0, 25.0),
+    st.one_of(
+        st.integers(0, 7).map(float),
+        st.floats(0.0, 7.0),
+        st.tuples(st.integers(1, 7), st.floats(-3.99e-3, 3.99e-3)).map(lambda t: t[0] + t[1]),
+    ),
+    # the retained pole's side of a cone from 0.3 to 89 deg, and the north half
+    st.one_of(st.floats(math.radians(91.0), math.radians(179.7)), st.floats(0.05, 1.5)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(POLAR_POINTS, min_size=1, max_size=30))
+def test_polar_solution_with_one_order_per_point_is_each_scalar_call(points):
+    # the integer, fractional, interpolation-band and terminating branches are picked
+    # per element; each element agrees with its scalar call to 1e-13 of the local envelope
+    # (the largest |Theta| and |Theta'| over nu +- 1, nu >= 0, at its order and angle)
+    nu, m, theta = (np.array(column) for column in zip(*points))
+    value, deriv = polar_solution(nu, m, theta)
+    assert np.array_equal(legendre_theta(nu, m, theta), value)
+    for i, (n, order, th) in enumerate(points):
+        lone = polar_solution(n, order, th)
+        near = polar_solution(np.linspace(max(n - 1.0, 0.0), n + 1.0, 21), order, th)
+        envelope = max(np.abs(near[0]).max(), np.abs(near[1]).max())
+        assert abs(value[i] - lone[0]) <= 1e-13 * envelope
+        assert abs(deriv[i] - lone[1]) <= 1e-13 * envelope
+
+
+def test_polar_solution_broadcasts_its_order():
+    theta = np.array([[2.5], [2.9]])
+    m = np.array([0.0, 2.0 / 3.0, 1.001, 3.0])
+    value, deriv = polar_solution(4.3, m, theta)
+    assert value.shape == deriv.shape == (2, 4)
+    for (i, j), v in np.ndenumerate(value):
+        assert v == pytest.approx(legendre_theta(4.3, m[j], theta[i, 0]), rel=1e-13, abs=1e-13)
+    with pytest.raises(DomainError, match="order m"):
+        polar_solution(4.3, np.array([1.0, -0.5]), 2.5)
+
+
+# (nu, m, theta) -> repr of legendre_theta and of polar_solution's derivative: the far
+# branch with integer, fractional and interpolation-band orders, the reflected
+# polynomial (nu - m in N) and the near series, each pinned to its last bit
+POLAR_PINS = [
+    ((3.7, 0.0, 2.8), "0.03358628325100869", "2.9282085616295244"),
+    ((5.3, 2.0, 2.5), "-0.08665392439226186", "0.2941372160069746"),
+    ((12.9, 5.0, 2.9), "0.005462916884452414", "0.06022873852874634"),
+    ((0.3, 1.0, 2.2), "3.0922737260027393", "3.166784232868668"),
+    ((4.1, 2.0 / 3.0, 2.7), "-0.12946451877057646", "1.0687400268472875"),
+    ((7.45, 1.5, 2.4), "-0.05897234783217754", "0.008305152106792113"),
+    ((2.2, 4.0 / 3.0, 2.95), "-0.80290667367511", "-3.466701963051154"),
+    ((3.3, 1.001, 2.6), "0.14681544838765911", "-0.8362838837174756"),
+    ((6.7, 2.9985, 2.8), "0.11013708236053547", "0.36279737396830014"),
+    ((5.0, 2.0, 2.7), "-0.11988907586561214", "0.25913553766473135"),
+    ((2.0 / 3.0 + 4.0, 2.0 / 3.0, 2.5), "0.014064319952037793", "1.1270145075813267"),
+    ((3.7, 1.0, 0.9), "0.016757541439046928", "-0.8758230531709541"),
+    ((8.2, 2.0 / 3.0, 1.4), "-0.05564411819499351", "0.6457507711535503"),
+]
+
+
+@pytest.mark.parametrize("point, value, deriv", POLAR_PINS, ids=[repr(p[0]) for p in POLAR_PINS])
+def test_scalar_polar_values_are_pinned(point, value, deriv):
+    assert repr(legendre_theta(*point)) == value
+    got = polar_solution(*point)
+    assert type(got[0]) is float and type(got[1]) is float
+    assert (repr(got[0]), repr(got[1])) == (value, deriv)

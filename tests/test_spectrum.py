@@ -241,13 +241,13 @@ def test_wedge_near_integer_order_with_cone():
 
 
 def test_angular_candidates_with_wedge_and_cone():
-    # combined geometry, first azimuthal index only: the TM (Dirichlet)
+    # combined geometry, first azimuthal index m > 0 only: the TM (Dirichlet)
     # branch sits just above m, the TE (Neumann) branch just below it
     from sphcav.spectrum import _angular_candidates
 
     cfg = CavityConfig(radius_m=0.015, wedge_opening_deg=270.0, cone_half_angle_deg=0.38)
     m = 2.0 / 3.0
-    cands = list(_angular_candidates(cfg.domain(), m, 0.9))
+    cands = [c[1:] for c in _angular_candidates(cfg.domain(), 0.9) if c[0] > 0.0]
     assert all(k is None for _, k, _ in cands)
     by_kind = {kind.value: nu for nu, _, kind in cands}
     assert set(by_kind) == {"TM", "TE"}
@@ -372,6 +372,34 @@ def test_cone_max_count_records_carry_the_roots_of_their_own_nu():
     for rec in got:
         lone = (riccati_deriv_zero if rec.polarization == "TM" else j_zero)(rec.nu, rec.n)
         assert rec.root_x.hex() == lone.x.hex(), rec
+
+
+def test_cone_max_count_is_the_enumeration_at_its_last_frequency(monkeypatch):
+    # each cap of the growing loop scans every (m, polarization) of the cone in one call
+    from sphcav import angular
+
+    scans, caps = [], []
+    real_scan, real_swept = angular.cone_scan, spectrum._swept_candidates
+    monkeypatch.setattr(angular, "cone_scan", lambda requests: scans.append(len(requests)) or real_scan(requests))
+    monkeypatch.setattr(spectrum, "_swept_candidates", lambda *a: caps.append(a[1]) or real_swept(*a))
+    config = CavityConfig(0.015, 360.0, 20.0)
+    got = enumerate_modes(config, max_count=200)
+    assert len(got) == 200
+    assert len(scans) == len(caps) >= 2 and all(n > 1 for n in scans)
+    assert got == enumerate_modes(config, f_max_hz=got[-1].frequency_hz)[:200]
+
+
+def test_sweeps_and_cone_fixtures_scan_their_cones_once(monkeypatch):
+    from sphcav import angular
+
+    scans = []
+    real_scan = angular.cone_scan
+    monkeypatch.setattr(angular, "cone_scan", lambda requests: scans.append(len(requests)) or real_scan(requests))
+    assert len(cone_sweep(A15, [0.38, 7.59, 14.93, 21.80])) == 4
+    assert len(validate("table3_cone").rows) == len(load_fixture("table3_cone")["rows"])
+    assert len(validate("table4_combined").rows) == len(load_fixture("table4_combined")["rows"])
+    assert len(enumerate_modes(CavityConfig(0.015, 270.0, 20.0), f_max_hz=15e9)) > 0
+    assert scans[0] == 4 and len(scans) == 4 and min(scans) > 1
 
 
 def test_determinism_byte_identical():
