@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Distance in ulp of every radial root that scripts/snapshot.py computes from a 40-digit root.
+"""Distance in ulp of every radial and cone root that scripts/snapshot.py computes from a
+40-digit root.
 
   python3 scripts/root_ulps.py SRC > ulps.txt
 
 SRC is the src/ directory of the sphcav tree to measure.  Every section of
 snapshot.py runs against it, its output discarded, while each RadialRoot that
-radial makes is recorded, once per (kind, nu, n).  Each root is then refined in
-40-digit mpmath (tests/oracles.py's mp_wall_root_near, a continued fraction that
-holds at every order) and printed with |x - x_exact| / ulp(x_exact); the last
-lines give the count, the largest distance and the sum.  Run it on two trees and
-join the lines on their first three fields to compare root by root.
+radial makes is recorded, once per (kind, nu, n), and each root that
+angular.cone_scan returns, once per (polarization, m, theta_c, branch).  Each root is
+then refined in 40-digit mpmath (tests/oracles.py's mp_wall_root_near, a continued
+fraction that holds at every order, and mp_cone_root_near, on mp_cone_function)
+and printed with its distance |x - x_exact| / ulp(x_exact): first the radial roots,
+then their count, largest distance and sum, then the same for the cone roots.  Run
+it on two trees and join the lines on their leading fields to compare root by root.
 """
 
 from __future__ import annotations
@@ -29,31 +32,47 @@ def main(argv=None) -> int:
         sys.exit(__doc__.split("\n\n")[1])
     sys.path[:0] = [str(Path(argv[0]).resolve()), str(REPO / "scripts"), str(REPO / "tests")]
     import mpmath as mp
-    from oracles import mp_wall_root_near
+    from oracles import mp_cone_root_near, mp_wall_root_near
 
     import snapshot
-    from sphcav import radial
+    from sphcav import angular, radial
 
     made, real = {}, radial.RadialRoot
+    cones, scan = {}, angular.cone_scan
 
     def recording(nu, n, kind, x, residual):
         made.setdefault((kind.value, nu, n), x)
         return real(nu, n, kind, x, residual)
 
-    radial.RadialRoot = recording  # radial looks the name up at each root it keeps
+    def scanning(requests):
+        requests = list(requests)
+        found = scan(requests)
+        for request, roots in zip(requests, found):
+            m, theta_c, polarization = request[:3]
+            for branch, nu in enumerate(roots, 1):  # a request's roots start at branch 1
+                cones.setdefault((polarization.upper(), m, theta_c, branch), nu)
+        return found
+
+    # radial and angular look the names up at each root and each scan
+    radial.RadialRoot, angular.cone_scan = recording, scanning
     with contextlib.redirect_stdout(io.StringIO()):
         for section in snapshot.SECTIONS:
             section()
-    radial.RadialRoot = real
-    worst, total = (0.0, None), 0.0
-    for (kind, nu, n), x in sorted(made.items()):
-        exact = mp_wall_root_near(nu, kind, x)
-        ulps = abs(float((mp.mpf(x) - exact) / math.ulp(float(exact))))
-        print(f"{kind} {nu!r} {n} {x!r} {ulps:.2f}")
-        worst, total = max(worst, (ulps, (kind, nu, n))), total + ulps
-    print(f"roots {len(made)}")
-    print(f"max {worst[0]:.2f} ulp at {worst[1]}")
-    print(f"sum {total:.1f} ulp")
+    radial.RadialRoot, angular.cone_scan = real, scan
+
+    def report(label, roots, exact_root):
+        worst, total = (0.0, None), 0.0
+        for key, x in sorted(roots.items()):
+            exact = exact_root(*key, x)
+            ulps = abs(float((mp.mpf(x) - exact) / math.ulp(float(exact))))
+            print(*(k if isinstance(k, str) else repr(k) for k in key), f"{x!r} {ulps:.2f}")
+            worst, total = max(worst, (ulps, key)), total + ulps
+        print(f"{label} {len(roots)}")
+        print(f"max {worst[0]:.2f} ulp at {worst[1]}")
+        print(f"sum {total:.1f} ulp")
+
+    report("roots", made, lambda kind, nu, n, x: mp_wall_root_near(nu, kind, x))
+    report("cone roots", cones, lambda pol, m, theta_c, branch, nu: mp_cone_root_near(m, theta_c, pol, nu))
     return 0
 
 

@@ -3,8 +3,9 @@
 AngularDomain owns both constraints that make the indices discrete; no other module computes
 either.  Single-valuedness in phi: the index lattice of each polarization and wedge face kind
 (indices, nearest_index, admits).  Regularity at the retained poles: polar and polar_value (the
-one reflection theta -> pi - theta) and eigenvalues, which are nu = m + k without a cone
-(specfun.terminates tests nu - m in N) and continuous families of cone roots with one.
+reflection theta -> pi - theta, which the cone condition takes at theta_c alone) and
+eigenvalues, which are nu = m + k without a cone (specfun.terminates tests nu - m in N) and
+continuous families of cone roots with one.
 
 Geometry conventions:
   * azimuth opening Phi in (0, 2pi]; Phi = 2pi means the full azimuth
@@ -26,19 +27,18 @@ the reflected condition above.
 
 from __future__ import annotations
 
-import bisect
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ClassificationError, DomainError, RootSearchError, positive_index
-from .specfun import bracketed_roots, legendre_theta, ln_gamma, polar_solution, terminates
+from .specfun import Lattice, lattice_roots, legendre_theta, ln_gamma, polar_solution, terminates
 
 __all__ = [
     "Family",
@@ -234,8 +234,7 @@ def angular_ode_residual(
     return second_deriv + math.cos(theta) / s * deriv + (nu * (nu + 1.0) - m * m / (s * s)) * value
 
 
-_SCAN_STEP = 0.02
-_NU_FLOOR = 1e-4
+_LATTICE = Lattice(1e-4, 0.02)  # the cone scan's nu_i = 1e-4 + i 0.02, well below the root spacing
 
 
 class ConeScan(NamedTuple):
@@ -251,8 +250,8 @@ class ConeScan(NamedTuple):
 
 def _checked(request: ConeScan) -> ConeScan:
     """The request with its polarization in capitals, or DomainError for an order, half-angle,
-    polarization or nu_max outside the scan's domain."""
-    m, theta_c, polarization, nu_max, _ = request
+    polarization, nu_max or max_branches outside the scan's domain."""
+    m, theta_c, polarization, nu_max, max_branches = request
     if not 0.0 <= m < math.inf:
         raise DomainError(f"order m must be finite and >= 0, got m={m}")
     if not (0.0 < theta_c < 0.5 * math.pi):
@@ -262,90 +261,70 @@ def _checked(request: ConeScan) -> ConeScan:
         raise DomainError(f"polarization must be TM or TE, got {polarization!r}")
     if not math.isfinite(nu_max):
         raise DomainError(f"cone scan needs a finite nu_max, got {nu_max}")
+    if max_branches is not None:
+        positive_index(max_branches, "max_branches")
     return request._replace(polarization=pol)
 
 
-def _grids(nu_maxes: list[float]) -> list[list[float]]:
-    """Each nu_max's scan grid: 1e-4, then steps of 0.02, the last step ending at nu_max.
-    Every grid is a prefix of one ladder of repeated additions, ended by its nu_max."""
-    ladder, highest = [_NU_FLOOR], max(nu_maxes, default=_NU_FLOOR)
-    while ladder[-1] < highest:
-        ladder.append(ladder[-1] + _SCAN_STEP)
-    grids = []
-    for nu_max in nu_maxes:
-        top = bisect.bisect_left(ladder, nu_max)  # the first rung at or past nu_max
-        grids.append(ladder[:top] + [nu_max] if top else [_NU_FLOOR])
-    return grids
-
-
-def _condition(domain: AngularDomain, polarization: str, m, theta_c, nu):
-    """The cone condition: the retained polar solution (TM) or its derivative (TE) at theta_c."""
-    return domain.polar_value(nu, m, theta_c) if polarization == "TM" else domain.polar(nu, m, theta_c)[1]
+def _condition(polarization: str, m, t, nu):
+    """The cone condition at t = pi - theta_c, the cone seen from the retained pole: the
+    regular polar solution there (TM) or its derivative (TE)."""
+    return legendre_theta(nu, m, t) if polarization == "TM" else polar_solution(nu, m, t)[1]
 
 
 def cone_scan(requests) -> list[list[float]]:
     """cone_roots of each ConeScan request (or tuple of its fields), smallest first.
 
-    Every request keeps its own grid, as cone_roots describes, and the grids of all TM
-    requests are evaluated in one legendre_theta call and those of all TE requests in one
-    polar_solution call, with one order and half-angle per grid point; each element of such
-    a call stops its series at its own last term, so its value does not depend on the
-    requests beside it.  Each request's slice is then bracketed and refined by Brent's method
-    on the scalar condition (specfun.bracketed_roots), as a lone call does: Brent evaluates
-    the same scalar function from the same brackets, so a request's roots are the bits of its
-    lone cone_roots.  Every request is checked (DomainError) before any scan; a scan value
-    that is not finite raises RootSearchError naming its request and window.
+    Each request scans the lattice nu_i = 1e-4 + i 0.02 up to the first point at or past its
+    nu_max: all TM points in one legendre_theta call and all TE points in one polar_solution
+    call, each point stopping its series at its own last term, so that its value does not
+    depend on the points beside it.  specfun.lattice_roots refines each sign change by Brent's
+    method on the scalar condition, fed the scan's values at the bracket ends, so each root is
+    fixed by its lattice interval alone: a batch gives each request its lone cone_roots, and a
+    scan to a higher nu_max gives the same roots below nu_max, to the bit.  A request refines
+    no root past max_branches and at most one past nu_max, and keeps those below nu_max.
+    Every request is checked (DomainError) before any scan; a scan value that is not finite
+    raises RootSearchError naming its request and window.
     """
     requests = [_checked(ConeScan(*request)) for request in requests]
-    if not requests:
-        return []
-    # a cone domain's polar functions depend on its cone only through the reflection
-    # theta -> pi - theta, so one domain serves every request and every grid point
-    cone = AngularDomain(cone_half_angle_rad=requests[0].theta_c)
-    grids = _grids([request.nu_max for request in requests])
-    values: list = [None] * len(requests)
-    for pol in ("TM", "TE"):
-        picks = [i for i, request in enumerate(requests) if request.polarization == pol]
-        if not picks:
-            continue
-        sizes = [len(grids[i]) for i in picks]
-        nu = np.concatenate([grids[i] for i in picks])
-        m = np.repeat([requests[i].m for i in picks], sizes)
-        theta_c = np.repeat([requests[i].theta_c for i in picks], sizes)
-        scan = _condition(cone, pol, m, theta_c, nu)
-        for i, part in zip(picks, np.split(scan, np.cumsum(sizes)[:-1])):
-            values[i] = part
-    out = []
-    for (m, theta_c, pol, _, max_branches), grid, scan in zip(requests, grids, values):
-        what = f"{pol} cone condition for m={m}, theta_c={theta_c:g} rad"
-        g = functools.partial(_condition, cone, pol, m, theta_c)
-        # this module's brentq, so that a wrapper around angular.brentq sees each refinement
-        roots = bracketed_roots(g, grid, scan, what, brentq, xtol=1e-10, rtol=1e-14)
-        out.append(list(itertools.islice(roots, max_branches)))
-    return out
+    tm = np.array([r.polarization == "TM" for r in requests], dtype=bool)
+    m = np.array([r.m for r in requests])
+    t = np.pi - np.array([r.theta_c for r in requests])  # as math.pi - theta_c
+    names = [f"{r.polarization} cone condition for m={r.m}, theta_c={r.theta_c:g} rad" for r in requests]
+
+    def conditions(rows, nu):
+        values = np.empty(nu.shape)
+        for pol, pick in (("TM", tm[rows]), ("TE", ~tm[rows])):
+            if pick.any():
+                values[pick] = _condition(pol, m[rows[pick]], t[rows[pick]], nu[pick])
+        if not np.isfinite(values).all():
+            i = rows[~np.isfinite(values)][0]
+            window = (_LATTICE.origin, requests[i].nu_max)
+            raise RootSearchError(f"{names[i]} is not finite on the scan", window=window)
+        return values
+
+    sizes = np.array([max(0, _LATTICE.index(r.nu_max)) + 1 for r in requests], dtype=int)
+    index = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    scalar = [(partial(_condition, r.polarization, r.m, math.pi - r.theta_c), n) for r, n in zip(requests, names)]
+    # this module's brentq, so that a wrapper around angular.brentq sees each refinement
+    found = lattice_roots(_LATTICE, sizes, index, conditions, scalar, brentq, xtol=1e-10, rtol=1e-14)
+    kept = (itertools.islice(roots, r.max_branches) for r, roots in zip(requests, found))  # refined lazily
+    return [[nu for nu in roots if nu < r.nu_max] for r, roots in zip(requests, kept)]
 
 
 def cone_roots(
-    m: float,
-    theta_c: float,
-    polarization: str,
-    nu_max: float,
-    max_branches: int | None = None,
+    m: float, theta_c: float, polarization: str, nu_max: float, max_branches: int | None = None
 ) -> list[float]:
-    """All cone eigenvalues below nu_max, smallest first, at most max_branches of them.
+    """All cone eigenvalues below nu_max, smallest first, at most max_branches of them:
+    cone_scan of this one request.
 
-    The cone condition is the south-regular polar solution (TM) or its
-    derivative (TE) at the cone, AngularDomain.polar_value or polar at theta_c,
-    which the connection formulas give in closed form: DLMF
-    15.8.4 for non-integer m, its logarithmic case 15.8.10 for integer m, and
-    interpolation in m between the two within 4e-3 of an integer.  It is
-    evaluated on a nu grid from 1e-4 in steps of 0.02 (well below the root
-    spacing; the last step ends at nu_max), and Brent's method refines each sign
-    change on the scalar condition to |delta nu| <= 1e-10
-    (specfun.bracketed_roots).  A scan value that overflows raises
-    RootSearchError rather than losing roots; an m or nu_max that is not finite
-    raises DomainError.  This is cone_scan of this one request: a batch of many
-    gives each the same roots to the bit.
+    The cone condition is the south-regular polar solution (TM) or its derivative (TE) at the
+    cone, legendre_theta or polar_solution at pi - theta_c, which the connection formulas give
+    in closed form: DLMF 15.8.4 for non-integer m, its logarithmic case 15.8.10 for integer m,
+    and interpolation in m between the two within 4e-3 of an integer.  The lattice step 0.02
+    lies well below the root spacing, and Brent's method stops at |delta nu| <= 1e-10.  A scan
+    value that overflows raises RootSearchError rather than losing roots; an m or nu_max that
+    is not finite, or a max_branches that is not an integer >= 1, raises DomainError.
     """
     return cone_scan([ConeScan(m, theta_c, polarization, nu_max, max_branches)])[0]
 
@@ -365,7 +344,7 @@ def _branch_root(scan: ConeScan, roots: list[float]) -> float:
         raise RootSearchError(
             f"no {polarization} cone root (branch {branch}) for m={m}, "
             f"theta_c={theta_c:g} rad",
-            window=(_NU_FLOOR, hi),
+            window=(_LATTICE.origin, hi),
         )
     return roots[branch - 1]
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, RootSearchError, positive_index
-from .specfun import refined_root, riccati_deriv, spherical_j
+from .specfun import Lattice, lattice_roots, riccati_deriv, spherical_j
 
 __all__ = [
     "RootKind",
@@ -95,6 +95,7 @@ def mcmahon_seed(nu: float, n: int, kind: RootKind) -> float:
 # measured there is 3.02, as nu -> -1/2.  A coarse interval of x-width 1.0 thus holds at
 # most one root and shows it as a sign change.
 _STEP = 0.05  # the lattice x_i = i * _STEP; the first root exceeds nu, so a scan from below nu skips none
+_LATTICE = Lattice(0.0, _STEP)
 _COARSE = 20  # lattice steps per coarse interval (x-width 1.0)
 _BLOCK = 64  # lattice steps from one cap of nth to the next, about one root spacing
 # Brent to scipy's relative floor, 4 eps: a root is then fixed by its bracket's lattice
@@ -127,7 +128,7 @@ class RadialSweep:
 
     @property
     def _x(self) -> float:
-        return self._i * _STEP
+        return _LATTICE.point(self._i)
 
     def value(self, x):
         """The wall condition at x, a float or an array: spherical_j (TE) or riccati_deriv (TM),
@@ -140,13 +141,6 @@ class RadialSweep:
         return list(self.roots)
 
 
-def _index(x: float) -> int:
-    """The first lattice index at or past x; the quotient x / _STEP may round across an integer."""
-    i = math.ceil(x / _STEP)
-    i -= (i - 1) * _STEP >= x
-    return i + (i * _STEP < x)
-
-
 def advance(sweeps, caps) -> None:
     """Scan each sweep ``sweeps[i]`` to the first lattice point at or past its cap ``caps[i]``
     (a sweep listed twice to the larger of its caps), keeping each root it brackets.
@@ -155,16 +149,17 @@ def advance(sweeps, caps) -> None:
     every lattice index past it that is a multiple of 20 (an x-stride of 1.0), and at
     its cap's index: all rows in one spherical_j and one riccati_deriv call.  Roots are
     more than 1.0 apart (above _STEP), so a coarse interval that changes sign holds one
-    root and one lattice interval that changes sign.  Lockstep bisection over lattice
-    indices finds it, one call per kind and step.  A lattice zero is a root unless it is
-    the scan's last point (the next scan starts there); any other root is Brent's
-    refinement of its lattice interval.
+    root and one lattice interval that changes sign.  specfun.lattice_roots finds them,
+    bisecting in lockstep over lattice indices (one call per kind and step), and refines
+    each by Brent's method fed the scan's values at its ends.  A lattice zero is a root
+    unless it is the scan's last point (the next scan starts there).  A sweep takes its
+    roots and its new end only once every root of the pass is refined.
     """
     if len(caps) != len(sweeps):
         raise DomainError(f"advance takes one cap per sweep, got {len(caps)} for {len(sweeps)} sweeps")
     if not all(map(math.isfinite, caps)):
         raise DomainError(f"root cap must be finite, got {next(c for c in caps if not math.isfinite(c))}")
-    end_of = {cap: _index(cap) for cap in set(caps)}  # enumerate_modes gives all its sweeps one cap
+    end_of = {cap: _LATTICE.index(cap) for cap in set(caps)}  # enumerate_modes gives all its sweeps one cap
     # each pending sweep's end; sorted by end, a sweep listed twice keeps the larger
     ends = {s: end for s, end in sorted(zip(sweeps, map(end_of.get, caps)), key=itemgetter(1)) if s._i < end}
     if not (sweeps := list(ends)):
@@ -172,43 +167,28 @@ def advance(sweeps, caps) -> None:
     points = [[s._i, *range((s._i // _COARSE + 1) * _COARSE, end, _COARSE), end] for s, end in ends.items()]
     te, nu = np.array([s._te for s in sweeps]), np.array([s.nu for s in sweeps])
 
-    def conditions(rows, index):
-        """The wall condition of sweep ``sweeps[rows[j]]`` at lattice index ``index[j]`` (one row
-        broadcasts), one call per kind present; RootSearchError for a value not finite."""
-        x, t, v = index * _STEP, te[rows], nu[rows]
+    def conditions(rows, x):
+        """The wall condition of sweep ``sweeps[rows[j]]`` at ``x[j]``, one call per kind present;
+        RootSearchError for a value not finite."""
+        t, v = te[rows], nu[rows]
         if t.all() or not t.any():
             values = (spherical_j if t[0] else riccati_deriv)(v, x)
         else:
             values = np.empty(x.shape)
             values[t], values[~t] = spherical_j(v[t], x[t]), riccati_deriv(v[~t], x[~t])
         if not np.isfinite(values).all():
-            s = sweeps[np.broadcast_to(rows, values.shape)[~np.isfinite(values)][0]]
-            raise RootSearchError(f"{s._what} is not finite on the scan", window=(s._x, ends[s] * _STEP))
+            s = sweeps[rows[~np.isfinite(values)][0]]
+            raise RootSearchError(f"{s._what} is not finite on the scan", window=(s._x, _LATTICE.point(ends[s])))
         return values
 
-    rows = np.repeat(np.arange(len(sweeps)), [len(p) for p in points])
     index = np.array([i for p in points for i in p])
-    values = conditions(rows, index)
-    # a pair of neighbouring points of one row brackets a root where the first is 0 or the
-    # sign changes between them; each row ends at its cap's point, where a zero waits for
-    # the next scan
-    at = np.flatnonzero((rows[:-1] == rows[1:]) & ((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0)))
-    rows, lo, v_lo = rows[at], index[at], values[at]
-    hi = np.where(v_lo == 0.0, lo, index[at + 1])
-    while len(j := np.flatnonzero(hi - lo > 1)):
-        mid = (lo[j] + hi[j]) // 2
-        v_mid = conditions(rows[j], mid)
-        left = v_lo[j] * v_mid < 0.0  # the sign changes below mid; a zero at mid is the root
-        lo[j] = np.where(left, lo[j], mid)
-        hi[j] = np.where(left | (v_mid == 0.0), mid, hi[j])
-        v_lo[j] = np.where(left, v_lo[j], v_mid)
-    for i, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
-        s = sweeps[i]
-        # this module's brentq, so that a wrapper around radial.brentq sees each refinement
-        x = a * _STEP if a == b else refined_root(s.value, a * _STEP, b * _STEP, s._what, brentq, **_TOL)
-        s.roots.append(RadialRoot(s.nu, len(s.roots) + 1, s.kind, x, s.value(x)))
-    for s, end in ends.items():
-        s._i = end
+    scalar = [(s.value, s._what) for s in sweeps]
+    # this module's brentq, so that a wrapper around radial.brentq sees each refinement
+    found = lattice_roots(_LATTICE, [len(p) for p in points], index, conditions, scalar, brentq, **_TOL)
+    for s, roots in zip(sweeps, [list(roots) for roots in found]):  # every root refined before any is kept
+        for x in roots:
+            s.roots.append(RadialRoot(s.nu, len(s.roots) + 1, s.kind, x, s.value(x)))
+        s._i = ends[s]
 
 
 def nth(sweeps, n: int) -> list[RadialRoot]:

@@ -15,8 +15,10 @@ All functions are pure; no module-level mutable state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sp
@@ -30,8 +32,8 @@ __all__ = [
     "hyp2f1",
     "spherical_j",
     "riccati_deriv",
-    "bracketed_roots",
-    "refined_root",
+    "Lattice",
+    "lattice_roots",
     "polar_solution",
     "legendre_theta",
     "legendre_theta_deriv",
@@ -132,36 +134,72 @@ def riccati_deriv(nu, x):
     return _bessel(nu, x, True)
 
 
-def bracketed_roots(f, grid, values, what: str, refine, **tol):
-    """Roots of f on a scanned grid, smallest first, as a lazy iterator.
+class Lattice(NamedTuple):
+    """The scan points origin + i * step, i = 0, 1, ..., each taken in closed form from its
+    index, so that a point's bits never depend on the scan that reached it."""
 
-    ``values`` holds f on ``grid``.  A grid point where f is exactly 0 is a
-    root; a sign change between neighbours is refined by ``refine(f, lo, hi,
-    **tol)`` (Brent's method) when the iterator reaches it.  The last point
-    is only a bracket end: a scan continued past it starts there.  A value
-    that is not finite raises RootSearchError at once, naming ``what``.  A
-    refinement fails as refined_root says.
+    origin: float
+    step: float
+
+    def point(self, i):
+        """The point of index i, an int or an integer array."""
+        return self.origin + i * self.step
+
+    def index(self, x: float) -> int:
+        """The first index whose point is at or past x; the quotient may round across an integer."""
+        i = math.ceil((x - self.origin) / self.step)
+        i -= self.point(i - 1) >= x
+        return i + (self.point(i) < x)
+
+
+def lattice_roots(lattice: Lattice, sizes, index, evaluate, conditions, refine, **tol) -> list:
+    """The roots of each row's condition, smallest first, as one lazy iterator per row: the one
+    bracket-and-refine routine of the radial and cone scans.
+
+    Row r is the next ``sizes[r]`` lattice indices of ``index``, ascending; ``evaluate(rows, x)``
+    is the condition of row rows[j] at x[j] in one array call, raising for a value not finite;
+    ``conditions[r]`` is row r's scalar condition and its name.  Neighbouring points of a row
+    bracket a root where the first is 0 or the sign changes; a row's last point only ends a
+    bracket (a continued scan starts there).  Brackets are bisected in lockstep over lattice
+    indices, one evaluate call a step.  A lattice zero is its root; any other root is ``refine(f,
+    lo, hi, **tol)`` (Brent's method) on its lattice interval, run as the iterator reaches it,
+    with f taking its values at lo and hi from the scan, so each root is fixed by its lattice
+    interval alone.  A refinement that fails raises RootSearchError naming the row and the
+    interval; a SphcavError from the condition or ``refine`` passes unchanged.
     """
-    if not np.all(np.isfinite(values)):
-        raise RootSearchError(f"{what} is not finite on the scan", window=(grid[0], grid[-1]))
-    at = np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))
-    return (
-        float(grid[i]) if values[i] == 0.0 else refined_root(f, grid[i], grid[i + 1], what, refine, **tol)
-        for i in at
-    )
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    values = evaluate(rows, lattice.point(index))
+    at = np.flatnonzero((rows[:-1] == rows[1:]) & ((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0)))
+    # each bracket's lattice indices (ends[0]: lo, ends[1]: hi) and the condition there
+    rows, ends, ends_f = rows[at], np.array([index[at], index[at + 1]]), np.array([values[at], values[at + 1]])
+    while len(j := np.flatnonzero(ends[1] - ends[0] > 1)):
+        mid = (ends[0, j] + ends[1, j]) // 2
+        f_mid = evaluate(rows[j], lattice.point(mid))
+        side = (ends_f[0, j] * f_mid <= 0.0).astype(np.intp)  # 1: the sign changes at or below mid
+        ends[side, j], ends_f[side, j] = mid, f_mid
+    brackets: list[list] = [[] for _ in sizes]
+    for r, *bracket in zip(rows.tolist(), *lattice.point(ends).tolist(), *ends_f.tolist()):
+        brackets[r].append(bracket)
+    return [_refined(row, *condition, refine, tol) for row, condition in zip(brackets, conditions)]
 
 
-def refined_root(f, lo, hi, what: str, refine, **tol) -> float:
-    """``refine(f, lo, hi, **tol)`` as a float, the root of f in a bracket that changes sign.  A
-    refinement that fails (f without the scan's sign change at the bracket ends) raises
-    RootSearchError naming ``what`` and the bracket; a SphcavError from f or ``refine``
-    passes unchanged."""
-    try:
-        return float(refine(f, lo, hi, **tol))
-    except SphcavError:
-        raise
-    except (ValueError, RuntimeError) as exc:
-        raise RootSearchError(f"{what} could not be refined: {exc}", window=(lo, hi)) from exc
+def _refined(brackets, f, what: str, refine, tol):
+    """The root of each bracket (lo, hi, f at lo, f at hi) of one row of lattice_roots."""
+    for lo, hi, f_lo, f_hi in brackets:
+        try:
+            if f_lo == 0.0 or f_hi == 0.0:
+                yield lo if f_lo == 0.0 else hi
+            else:
+                yield float(refine(functools.partial(_fed, f, lo, f_lo, hi, f_hi), lo, hi, **tol))
+        except SphcavError:
+            raise
+        except (ValueError, RuntimeError) as exc:
+            raise RootSearchError(f"{what} could not be refined: {exc}", window=(lo, hi)) from exc
+
+
+def _fed(f, lo: float, f_lo: float, hi: float, f_hi: float, x: float) -> float:
+    """f at x, with the values the scan holds at the bracket ends lo and hi."""
+    return f_lo if x == lo else f_hi if x == hi else f(x)
 
 
 # --- polar angular solution -------------------------------------------------

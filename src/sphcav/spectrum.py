@@ -104,8 +104,8 @@ def _swept_candidates(config: CavityConfig, f_max_hz: float, sweeps: dict) -> li
 
     nu = m + k is formed in floating point, so one eigenvalue can arrive as floats an
     ulp apart (13/3 = 4/3 + 3 = 10/3 + 1); keyed to 12 decimals they share one sweep,
-    and each candidate keeps its own nu.  A cone root is keyed by its exact nu: it may
-    move in its last bits between two caps, and each nu has its own radial roots.
+    and each candidate keeps its own nu.  A cone root is keyed by its exact nu, which its
+    lattice interval alone fixes, so every cap of max_count's loop finds the same sweep.
     Every sweep advances in one radial.advance call.
     """
     x_cap = 2.0 * math.pi * config.radius_m * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT

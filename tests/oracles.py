@@ -11,8 +11,8 @@ regula falsi) in 30-digit arithmetic:
 * TM wall: d/dx[x j_nu(x)], proportional to J_mu(x) + 2x J_mu'(x) with
   mu = nu + 1/2, vanishes.
 
-``mp_wall_root_near`` refines a given radial root instead, at 40 digits, to
-measure its distance in ulp.
+``mp_wall_root_near`` and ``mp_cone_root_near`` refine a given radial or cone
+root instead, at 40 digits, to measure its distance in ulp.
 """
 
 import math
@@ -64,6 +64,20 @@ def mp_cone_root(m, theta_c_rad, pol, lo=1e-4, hi=3.0, step=0.01):
 def mp_cone_root_tm(m, theta_c_rad, lo=1e-4, hi=3.0, step=0.01):
     """First nu in (lo, hi) at which the south-regular polar solution vanishes at the cone."""
     return mp_cone_root(m, theta_c_rad, "TM", lo, hi, step)
+
+
+def mp_cone_root_near(m, theta_c_rad, pol, nu, dps=40):
+    """The root of the cone function of ``pol`` nearest nu, at dps digits, as an mpf: the
+    narrowest of the brackets nu -+ 1e-12 (1 + nu) 10^k, k = 0 ... 10, that changes sign is
+    refined.  Cone roots are more than 0.5 apart, so it is the root nu approximates."""
+    with mp.workdps(dps + 10):
+        g = lambda v: mp_cone_function(m, theta_c_rad, pol, v)  # noqa: E731
+        x, half = mp.mpf(nu), mp.mpf("1e-12") * (1 + abs(mp.mpf(nu)))
+        for _ in range(11):
+            if g(x - half) * g(x + half) < 0:
+                return +mp.findroot(g, (x - half, x + half), solver="anderson")
+            half *= 10
+        raise AssertionError("no sign change around the root")
 
 
 def mp_cone_sign_changes(m, theta_c_rad, pol, hi, step=0.02, lo=1e-4):

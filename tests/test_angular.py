@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from sphcav import angular
 from sphcav.angular import (
@@ -22,7 +23,7 @@ from sphcav.angular import (
     south_singular_coefficient,
 )
 from sphcav.errors import ClassificationError, DomainError, RootSearchError
-from sphcav.specfun import legendre_theta, legendre_theta_deriv, polar_solution, terminates
+from sphcav.specfun import Lattice, legendre_theta, legendre_theta_deriv, polar_solution, terminates
 
 from oracles import mp_cone_root, mp_cone_root_tm, mp_cone_sign_changes
 
@@ -364,7 +365,7 @@ def test_cone_nu_is_the_branch_of_cone_roots(theta_deg, pol):
 
 def test_cone_nu_fourth_branch_near_a_hemisphere():
     # a window of m + branch + 2 = 6, used before, ended below this root
-    assert cone_nu(0.0, math.radians(80.0), "TM", 4) == 6.248151323378254
+    assert cone_nu(0.0, math.radians(80.0), "TM", 4) == 6.24815132337828
 
 
 def test_domain_owns_the_wedge_index_rule():
@@ -618,3 +619,83 @@ def test_a_batch_checks_every_request_before_scanning(monkeypatch):
         cone_scan([(0.0, 0.3, "TM", 5.0), (1.0, 0.3, "TM", math.inf)])
     with pytest.raises(DomainError, match="polarization"):
         cone_scan([(0.0, 0.3, "TM", 5.0), (1.0, 0.3, "TEM", 5.0)])
+
+
+@pytest.mark.parametrize("max_branches", [-1, 0, 1.5, 2.0])
+def test_a_max_branches_that_is_not_a_positive_integer_is_refused(monkeypatch, max_branches):
+    # it used to raise a bare ValueError from itertools.islice, or return [] for 0
+    monkeypatch.setattr(angular, "legendre_theta", lambda *a: pytest.fail("scanned"))
+    tc = math.radians(20.0)
+    with pytest.raises(DomainError, match="max_branches"):
+        cone_roots(0.0, tc, "TM", 5.0, max_branches=max_branches)
+    with pytest.raises(DomainError, match="max_branches"):
+        cone_scan([(0.0, tc, "TM", 5.0), (1.0, tc, "TM", 5.0, max_branches)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=ORDERS,
+    theta_c=st.floats(0.4, 85.0).map(math.radians),
+    pol=st.sampled_from(["TM", "TE"]),
+    caps=st.lists(st.floats(0.0, 15.0), min_size=2, max_size=2, unique=True).map(sorted),
+)
+@example(m=2.0, theta_c=math.radians(5.0), pol="TE", caps=[3.0, 12.0])
+@example(m=2.0 / 3.0, theta_c=math.radians(20.0), pol="TM", caps=[3.0, 12.0])
+def test_cone_roots_do_not_depend_on_their_cap(m, theta_c, pol, caps):
+    # each root is fixed by its lattice interval alone; the two examples moved in their
+    # last bits with the cap when each scan ended at its own nu_max
+    low, high = caps
+    want = [nu.hex() for nu in cone_roots(m, theta_c, pol, high) if nu < low]
+    assert [nu.hex() for nu in cone_roots(m, theta_c, pol, low)] == want
+
+
+def test_a_request_refines_no_root_past_its_branches_and_one_past_its_cap(monkeypatch):
+    refined = []
+
+    def counting(f, a, b, **tol):
+        refined.append(a)
+        return brentq(f, a, b, **tol)
+
+    monkeypatch.setattr(angular, "brentq", counting)
+    tc = math.radians(20.0)
+    every = cone_roots(0.0, tc, "TM", 12.0)
+    refined.clear()
+    assert cone_roots(0.0, tc, "TM", 12.0, max_branches=3) == every[:3] and len(refined) == 3
+    # a cap inside the lattice interval of root 5: that interval is the scan's last, and its
+    # root is refined and dropped
+    lattice = Lattice(1e-4, 0.02)  # the cone scan's lattice
+    cap = (lattice.point(lattice.index(every[4]) - 1) + every[4]) / 2.0
+    refined.clear()
+    assert cone_roots(0.0, tc, "TM", cap) == every[:4] and len(refined) == 5
+
+
+def test_cone_brent_evaluates_the_condition_only_inside_its_bracket(monkeypatch):
+    # Brent takes the condition at the bracket ends from the scan, so every scalar call
+    # of the condition lies strictly inside the bracket
+    bracket, outside, calls = [], [], []
+
+    def counting(f, a, b, **tol):
+        bracket[:] = [a, b]
+        calls.append(0)
+        try:
+            return brentq(f, a, b, **tol)
+        finally:
+            bracket.clear()
+
+    def watch(real):
+        def condition(nu, m, theta):
+            if bracket:
+                calls[-1] += 1
+                if not bracket[0] < nu < bracket[1]:
+                    outside.append((nu, *bracket))
+            return real(nu, m, theta)
+
+        return condition
+
+    monkeypatch.setattr(angular, "brentq", counting)
+    monkeypatch.setattr(angular, "legendre_theta", watch(legendre_theta))
+    monkeypatch.setattr(angular, "polar_solution", watch(polar_solution))
+    tc = math.radians(20.0)
+    roots = cone_scan([(m, tc, pol, 12.0) for m in (0.0, 2.0 / 3.0, 1.0, 2.5) for pol in ("TM", "TE")])
+    assert sum(map(len, roots)) == len(calls) >= 30
+    assert all(calls) and not outside

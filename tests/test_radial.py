@@ -578,3 +578,35 @@ def test_large_order_roots():
     assert j_zero(900.0, 12).x == 1015.9729119641532
     assert j_zero(17000.0, 1).x == 17048.257387738555
     assert riccati_deriv_zero(1e6, 1).x == 1000081.3654818124
+
+
+def test_radial_brent_evaluates_the_condition_only_inside_its_bracket(monkeypatch):
+    # Brent takes the wall condition at the bracket ends from the scan, so every float call
+    # of the condition during a refinement lies strictly inside the bracket
+    bracket, outside, calls = [], [], []
+
+    def counting(f, a, b, **tol):
+        bracket[:] = [a, b]
+        calls.append(0)
+        try:
+            return brentq(f, a, b, **tol)
+        finally:
+            bracket.clear()
+
+    def watch(real):
+        def condition(nu, x):
+            if bracket:
+                calls[-1] += 1
+                if not bracket[0] < x < bracket[1]:
+                    outside.append((x, *bracket))
+            return real(nu, x)
+
+        return condition
+
+    monkeypatch.setattr(radial, "brentq", counting)
+    monkeypatch.setattr(radial, "spherical_j", watch(spherical_j))
+    monkeypatch.setattr(radial, "riccati_deriv", watch(riccati_deriv))
+    sweeps = [RadialSweep(nu, kind) for nu in (0.0, 2.0 / 3.0, 7.3, 40.0) for kind in (TE, TM)]
+    advance(sweeps, [70.0] * len(sweeps))
+    assert sum(len(s.roots) for s in sweeps) == len(calls) >= 40
+    assert all(calls) and not outside

@@ -10,8 +10,9 @@ from scipy.optimize import brentq
 from sphcav.errors import ConvergenceError, DomainError, RootSearchError
 from sphcav.radial import AIRY_PRIME_ZEROS, AIRY_ZEROS
 from sphcav.specfun import (
-    bracketed_roots,
+    Lattice,
     hyp2f1,
+    lattice_roots,
     legendre_theta,
     legendre_theta_deriv,
     ln_gamma,
@@ -474,35 +475,84 @@ def test_airy_table_matches_scipy():
     assert AIRY_PRIME_ZEROS[0] == pytest.approx(1.018793, abs=1e-6)
 
 
-def test_bracketed_roots_takes_grid_zeros_once_and_refines_sign_changes():
+HALF = Lattice(0.0, 0.5)
+
+
+def _scan(f, values=None):
+    """An ``evaluate`` of f for lattice_roots, with ``values`` in place of f on the first call."""
+    calls = []
+
+    def evaluate(rows, x):
+        calls.append(x.tolist())
+        if values is not None and len(calls) == 1:
+            return values
+        out = np.array([f(v) for v in x.tolist()])
+        if not np.isfinite(out).all():
+            raise RootSearchError("f is not finite on the scan")
+        return out
+
+    return evaluate, calls
+
+
+def test_lattice_roots_takes_lattice_zeros_once_and_refines_sign_changes():
     def f(x):
         return (x - 1.0) * (x - 2.3)
 
-    grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    values = np.array([f(x) for x in grid])
-    roots = list(bracketed_roots(f, grid, values, "f", brentq, xtol=1e-14))
-    assert roots == [1.0, pytest.approx(2.3, abs=1e-13)]
+    # two rows: 0.0-3.0 by single steps, and 0.0, 2.0, 4.0, whose bracket [0, 2] is bisected
+    # to the lattice zero at 1.0 and whose last point is only a bracket end
+    evaluate, calls = _scan(f)
+    index = np.array([0, 1, 2, 3, 4, 5, 6, 0, 4, 8])
+    got = lattice_roots(HALF, [7, 3], index, evaluate, [(f, "f"), (f, "f")], brentq, xtol=1e-14)
+    assert [list(roots) for roots in got] == [[1.0, pytest.approx(2.3, abs=1e-13)], [1.0, pytest.approx(2.3, abs=1e-13)]]
+    # lockstep bisection of both brackets of row 2; the zero at 1.0 ends its bracket from above
+    assert calls[1:] == [[1.0, 3.0], [0.5, 2.5]]
     with pytest.raises(RootSearchError, match="f is not finite"):
-        bracketed_roots(f, grid, np.append(values[:-1], np.inf), "f", brentq)
+        lattice_roots(HALF, [2], np.array([0, 1]), _scan(lambda x: math.inf)[0], [(f, "f")], brentq)
 
 
-def test_bracketed_roots_names_a_bracket_that_refinement_rejects():
-    # a scan that disagrees in sign with f (as the cone scan and Brent's method do near
-    # nu = 40 at 45 deg) used to end in scipy's ValueError
+def test_lattice_roots_names_a_bracket_that_refinement_rejects():
     def f(x):
-        return x - 1.0
+        return x - 0.8
 
-    grid = [0.0, 0.5, 1.5, 2.0]
-    values = np.array([-1.0, 1.0, 1.0, 1.0])  # a sign change on [0, 0.5], where f has none
+    def diverge(f, lo, hi, **tol):
+        raise RuntimeError("failed to converge")
+
+    index = np.arange(4)
+    (roots,) = lattice_roots(HALF, [4], index, _scan(f)[0], [(f, "f")], diverge)
     with pytest.raises(RootSearchError, match="f could not be refined") as err:
-        list(bracketed_roots(f, grid, values, "f", brentq))
-    assert err.value.window == (0.0, 0.5)
+        list(roots)
+    assert err.value.window == (0.5, 1.0)
 
     def refuse(f, lo, hi):
         raise DomainError("f is undefined here")
 
+    (roots,) = lattice_roots(HALF, [4], index, _scan(f)[0], [(f, "f")], refuse)
     with pytest.raises(DomainError, match="undefined"):  # passes unchanged
-        list(bracketed_roots(f, grid, values, "f", refuse))
+        list(roots)
+
+
+def test_brent_takes_the_bracket_ends_from_the_scan():
+    # a scan that disagrees in sign with f (as the cone scan and the scalar condition may in
+    # the polar series' noise) used to end in scipy's ValueError; Brent now starts from the
+    # scan's values, evaluates f only inside the bracket, and ends within it
+    inside = []
+
+    def f(x):
+        inside.append(x)
+        return x - 1.0
+
+    values = np.array([-1.0, 1.0, 1.0, 1.0])  # a sign change on [0, 0.5], where f has none
+    (roots,) = lattice_roots(HALF, [4], np.arange(4), _scan(f, values)[0], [(f, "f")], brentq)
+    (root,) = list(roots)
+    assert 0.0 < root <= 0.5 and inside and all(0.0 < x < 0.5 for x in inside)
+
+
+def test_lattice_points_are_closed_form_and_index_finds_the_first_at_or_past():
+    lattice = Lattice(1e-4, 0.02)
+    assert lattice.point(10250) == 1e-4 + 10250 * 0.02
+    for x in (-1.0, 0.0, 1e-4, 0.0201, 0.02011, 5.13, 205.0, 205.0001):
+        i = lattice.index(x)
+        assert lattice.point(i) >= x > lattice.point(i - 1)
 
 
 # --- orders that broadcast --------------------------------------------------------

@@ -93,7 +93,8 @@ def test_max_count_is_a_prefix_and_refines_each_root_once(config, monkeypatch):
     refined = []
 
     def counting(f, a, b, **tol):
-        refined.append((f.__self__.nu, f.__self__.kind, a, b))  # f is RadialSweep.value
+        sweep = f.args[0].__self__  # f is RadialSweep.value fed the scan's end values
+        refined.append((sweep.nu, sweep.kind, a, b))
         return brentq(f, a, b, **tol)
 
     monkeypatch.setattr(radial, "brentq", counting)
@@ -110,8 +111,8 @@ def test_one_radial_sweep_per_eigenvalue(monkeypatch):
     refined = []
 
     def counting(f, a, b, **tol):
-        x = brentq(f, a, b, **tol)
-        refined.append((round(f.__self__.nu, 9), f.__self__.kind, round(x, 9)))
+        x, sweep = brentq(f, a, b, **tol), f.args[0].__self__  # RadialSweep.value, fed
+        refined.append((round(sweep.nu, 9), sweep.kind, round(x, 9)))
         return x
 
     monkeypatch.setattr(radial, "brentq", counting)
