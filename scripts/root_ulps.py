@@ -6,8 +6,9 @@
 
 SRC is the src/ directory of the sphcav tree to measure.  Every section of
 snapshot.py runs against it, its output discarded, while each RadialRoot that
-radial makes is recorded, once per (kind, nu, n), and each root that
-angular.cone_scan returns, once per (polarization, m, theta_c, branch).  Each root is
+radial makes is recorded, once per (kind, nu, n), and each cone root below its cap that a
+cone sweep hands its caller (angular._below, behind cone_roots, cone_nus and the
+enumerations' eigenvalue lists), once per (polarization, m, theta_c, branch).  Each root is
 then refined in 40-digit mpmath (tests/oracles.py's mp_wall_root_near, a continued
 fraction that holds at every order, and mp_cone_root_near, on mp_cone_function)
 and printed with its distance |x - x_exact| / ulp(x_exact): first the radial roots,
@@ -38,27 +39,25 @@ def main(argv=None) -> int:
     from sphcav import angular, radial
 
     made, real = {}, radial.RadialRoot
-    cones, scan = {}, angular.cone_scan
+    cones, below = {}, angular._below
 
     def recording(nu, n, kind, x, residual):
         made.setdefault((kind.value, nu, n), x)
         return real(nu, n, kind, x, residual)
 
-    def scanning(requests):
-        requests = list(requests)
-        found = scan(requests)
-        for request, roots in zip(requests, found):
-            m, theta_c, polarization = request[:3]
-            for branch, nu in enumerate(roots, 1):  # a request's roots start at branch 1
-                cones.setdefault((polarization.upper(), m, theta_c, branch), nu)
+    def scanning(sweeps, caps):
+        found = below(sweeps, caps)
+        for sweep, roots in zip(sweeps, found):
+            for branch, nu in enumerate(roots, 1):  # a sweep's roots start at branch 1
+                cones.setdefault((sweep.polarization, sweep.m, sweep.theta_c, branch), nu)
         return found
 
     # radial and angular look the names up at each root and each scan
-    radial.RadialRoot, angular.cone_scan = recording, scanning
+    radial.RadialRoot, angular._below = recording, scanning
     with contextlib.redirect_stdout(io.StringIO()):
         for section in snapshot.SECTIONS:
             section()
-    radial.RadialRoot, angular.cone_scan = real, scan
+    radial.RadialRoot, angular._below = real, below
 
     def report(label, roots, exact_root):
         worst, total = (0.0, None), 0.0

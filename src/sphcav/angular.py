@@ -5,7 +5,8 @@ either.  Single-valuedness in phi: the index lattice of each polarization and we
 (indices, nearest_index, admits).  Regularity at the retained poles: polar and polar_value (the
 reflection theta -> pi - theta, which the cone condition takes at theta_c alone) and
 eigenvalues, which are nu = m + k without a cone (specfun.terminates tests nu - m in N) and
-continuous families of cone roots with one.
+continuous families of cone roots with one: those of a ConeSweep per (m, polarization), which
+an enumeration keeps per call, as its radial sweeps, and specfun.advance continues per cap.
 
 Geometry conventions:
   * azimuth opening Phi in (0, 2pi]; Phi = 2pi means the full azimuth
@@ -31,14 +32,12 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ClassificationError, DomainError, RootSearchError, positive_index
-from .specfun import Lattice, lattice_roots, legendre_theta, ln_gamma, polar_solution, terminates
+from .specfun import Lattice, advance, legendre_theta, ln_gamma, polar_solution, terminates
 
 __all__ = [
     "Family",
@@ -46,8 +45,7 @@ __all__ = [
     "AngularEigenpair",
     "south_singular_coefficient",
     "classify",
-    "ConeScan",
-    "cone_scan",
+    "ConeSweep",
     "cone_roots",
     "cone_nu",
     "cone_nus",
@@ -146,15 +144,17 @@ class AngularDomain:
         """Every nu <= nu_cap of order m, ascending: m + k (k = 0, 1, ...) regular at both
         poles, without the field-free (0, 0); across a cone the roots of the polarization's
         condition (cone_roots)."""
-        return self.eigenvalue_lists([(m, polarization)], nu_cap)[0]
+        return self.eigenvalue_lists([(m, polarization)], nu_cap, {})[0]
 
-    def eigenvalue_lists(self, pairs, nu_cap: float) -> list[list[float]]:
-        """eigenvalues of each (m, polarization) pair; across a cone every scan is one
-        cone_scan call."""
-        if self.has_cone:
-            return cone_scan([(m, self.cone_half_angle_rad, pol, nu_cap) for m, pol in pairs])
+    def eigenvalue_lists(self, pairs, nu_cap: float, sweeps: dict) -> list[list[float]]:
+        """eigenvalues of each (m, polarization) pair; across a cone, of the ConeSweep that
+        ``sweeps`` keeps per pair (made if missing), all advanced to nu_cap in one call."""
         if not math.isfinite(nu_cap):
             raise DomainError(f"eigenvalue cap must be finite, got {nu_cap}")
+        if self.has_cone:
+            tc = self.cone_half_angle_rad
+            cones = [sweeps.get((m, pol)) or sweeps.setdefault((m, pol), ConeSweep(m, tc, pol)) for m, pol in pairs]
+            return _below(cones, [nu_cap] * len(cones))
 
         def lattice(m):  # m + k for k = 0, 1, ... up to nu_cap
             return itertools.takewhile(lambda nu: nu <= nu_cap, (m + k for k in itertools.count()))
@@ -234,136 +234,107 @@ def angular_ode_residual(
     return second_deriv + math.cos(theta) / s * deriv + (nu * (nu + 1.0) - m * m / (s * s)) * value
 
 
-_LATTICE = Lattice(1e-4, 0.02)  # the cone scan's nu_i = 1e-4 + i 0.02, well below the root spacing
+class ConeSweep:
+    """The cone roots of order m at half-angle theta_c of the polarization's condition (TM or
+    TE, any case), found in increasing order and kept, the first max_branches of them (all if
+    None); the constructor checks all four (DomainError), so a batch is checked before a scan.
 
-
-class ConeScan(NamedTuple):
-    """One request of cone_scan: the cone roots of order m at half-angle theta_c of the
-    polarization's condition below nu_max, the first max_branches of them (all if None)."""
-
-    m: float
-    theta_c: float
-    polarization: str
-    nu_max: float
-    max_branches: int | None = None
-
-
-def _checked(request: ConeScan) -> ConeScan:
-    """The request with its polarization in capitals, or DomainError for an order, half-angle,
-    polarization, nu_max or max_branches outside the scan's domain."""
-    m, theta_c, polarization, nu_max, max_branches = request
-    if not 0.0 <= m < math.inf:
-        raise DomainError(f"order m must be finite and >= 0, got m={m}")
-    if not (0.0 < theta_c < 0.5 * math.pi):
-        raise DomainError("cone half-angle must lie strictly inside (0, pi/2)")
-    pol = polarization.upper()
-    if pol not in ("TM", "TE"):
-        raise DomainError(f"polarization must be TM or TE, got {polarization!r}")
-    if not math.isfinite(nu_max):
-        raise DomainError(f"cone scan needs a finite nu_max, got {nu_max}")
-    if max_branches is not None:
-        positive_index(max_branches, "max_branches")
-    return request._replace(polarization=pol)
-
-
-def _condition(polarization: str, m, t, nu):
-    """The cone condition at t = pi - theta_c, the cone seen from the retained pole: the
-    regular polar solution there (TM) or its derivative (TE)."""
-    return legendre_theta(nu, m, t) if polarization == "TM" else polar_solution(nu, m, t)[1]
-
-
-def cone_scan(requests) -> list[list[float]]:
-    """cone_roots of each ConeScan request (or tuple of its fields), smallest first.
-
-    Each request scans the lattice nu_i = 1e-4 + i 0.02 up to the first point at or past its
-    nu_max: all TM points in one legendre_theta call and all TE points in one polar_solution
-    call, each point stopping its series at its own last term, so that its value does not
-    depend on the points beside it.  specfun.lattice_roots refines each sign change by Brent's
-    method on the scalar condition, fed the scan's values at the bracket ends, so each root is
-    fixed by its lattice interval alone: a batch gives each request its lone cone_roots, and a
-    scan to a higher nu_max gives the same roots below nu_max, to the bit.  A request refines
-    no root past max_branches and at most one past nu_max, and keeps those below nu_max.
-    Every request is checked (DomainError) before any scan; a scan value that is not finite
-    raises RootSearchError naming its request and window.
+    specfun.advance scans the lattice nu_i = 1e-4 + i 0.02, well below the root spacing, at
+    every point from i = 0, each pass continuing the last, with all TM points of a pass in one
+    legendre_theta call and all TE points in one polar_solution call, each point stopping its
+    series at its own last term.  Brent refines each sign change to |delta nu| <= 1e-10, so a
+    root is fixed by its lattice interval alone: a batch, a lone scan and a sweep continued
+    from cap to cap give the same roots, to the bit.
     """
-    requests = [_checked(ConeScan(*request)) for request in requests]
-    tm = np.array([r.polarization == "TM" for r in requests], dtype=bool)
-    m = np.array([r.m for r in requests])
-    t = np.pi - np.array([r.theta_c for r in requests])  # as math.pi - theta_c
-    names = [f"{r.polarization} cone condition for m={r.m}, theta_c={r.theta_c:g} rad" for r in requests]
 
-    def conditions(rows, nu):
-        values = np.empty(nu.shape)
-        for pol, pick in (("TM", tm[rows]), ("TE", ~tm[rows])):
-            if pick.any():
-                values[pick] = _condition(pol, m[rows[pick]], t[rows[pick]], nu[pick])
-        if not np.isfinite(values).all():
-            i = rows[~np.isfinite(values)][0]
-            window = (_LATTICE.origin, requests[i].nu_max)
-            raise RootSearchError(f"{names[i]} is not finite on the scan", window=window)
-        return values
+    LATTICE, STRIDE = Lattice(1e-4, 0.02), 1
+    TOL = dict(xtol=1e-10, rtol=1e-14)
+    # Brent's method: this module's brentq as it stands, so that a wrapper around it sees each refinement
+    brent = staticmethod(lambda: brentq)
+    root = staticmethod(float)  # a root is kept as its nu
 
-    sizes = np.array([max(0, _LATTICE.index(r.nu_max)) + 1 for r in requests], dtype=int)
-    index = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    scalar = [(partial(_condition, r.polarization, r.m, math.pi - r.theta_c), n) for r, n in zip(requests, names)]
-    # this module's brentq, so that a wrapper around angular.brentq sees each refinement
-    found = lattice_roots(_LATTICE, sizes, index, conditions, scalar, brentq, xtol=1e-10, rtol=1e-14)
-    kept = (itertools.islice(roots, r.max_branches) for r, roots in zip(requests, found))  # refined lazily
-    return [[nu for nu in roots if nu < r.nu_max] for r, roots in zip(requests, kept)]
+    def __init__(self, m: float, theta_c: float, polarization: str, max_branches: int | None = None):
+        if not 0.0 <= m < math.inf:
+            raise DomainError(f"order m must be finite and >= 0, got m={m}")
+        if not (0.0 < theta_c < 0.5 * math.pi):
+            raise DomainError("cone half-angle must lie strictly inside (0, pi/2)")
+        pol = polarization.upper()
+        if pol not in ("TM", "TE"):
+            raise DomainError(f"polarization must be TM or TE, got {polarization!r}")
+        if max_branches is not None:
+            max_branches = positive_index(max_branches, "max_branches")
+        self.m, self.theta_c, self.polarization, self.max_roots = m, theta_c, pol, max_branches
+        self.args = (pol == "TM", m, math.pi - theta_c)
+        self.name = f"{pol} cone condition for m={m}, theta_c={theta_c:g} rad"
+        self._i = 0  # the lattice index of the last scanned point
+        self.roots: list[float] = []
+
+    @staticmethod
+    def batched(nu, tm, m, t):
+        """The cone condition at t = pi - theta_c, the cone seen from the retained pole: the
+        regular polar solution there (TM) or its derivative (TE), looked up at each call."""
+        return legendre_theta(nu, m, t) if tm else polar_solution(nu, m, t)[1]
+
+    def value(self, nu: float) -> float:  # the scalar condition, for Brent's method
+        return self.batched(nu, *self.args)
+
+
+def _below(sweeps, caps) -> list[list[float]]:
+    """The roots of each cone sweep below its cap, the sweeps advanced together to their caps."""
+    advance(sweeps, caps)
+    return [[nu for nu in s.roots if nu < cap] for s, cap in zip(sweeps, caps)]
 
 
 def cone_roots(
     m: float, theta_c: float, polarization: str, nu_max: float, max_branches: int | None = None
 ) -> list[float]:
-    """All cone eigenvalues below nu_max, smallest first, at most max_branches of them:
-    cone_scan of this one request.
+    """All cone eigenvalues below nu_max, smallest first, at most max_branches of them: a fresh
+    ConeSweep advanced to nu_max, which refines at most one root past nu_max.
 
     The cone condition is the south-regular polar solution (TM) or its derivative (TE) at the
     cone, legendre_theta or polar_solution at pi - theta_c, which the connection formulas give
     in closed form: DLMF 15.8.4 for non-integer m, its logarithmic case 15.8.10 for integer m,
-    and interpolation in m between the two within 4e-3 of an integer.  The lattice step 0.02
-    lies well below the root spacing, and Brent's method stops at |delta nu| <= 1e-10.  A scan
-    value that overflows raises RootSearchError rather than losing roots; an m or nu_max that
-    is not finite, or a max_branches that is not an integer >= 1, raises DomainError.
+    and interpolation in m between the two within 4e-3 of an integer.  A scan value that
+    overflows raises RootSearchError rather than losing roots; an m or nu_max that is not
+    finite, or a max_branches that is not an integer >= 1, raises DomainError.
     """
-    return cone_scan([ConeScan(m, theta_c, polarization, nu_max, max_branches)])[0]
+    sweep = ConeSweep(m, theta_c, polarization, max_branches)
+    if not math.isfinite(nu_max):
+        raise DomainError(f"cone scan needs a finite nu_max, got {nu_max}")
+    return _below([sweep], [nu_max])[0]
 
 
-def _branch_scan(m: float, theta_c: float, polarization: str, branch) -> ConeScan:
-    """The scan that holds cone branch ``branch``: consecutive branches lie about
-    pi/(pi - theta_c) apart (the polar interval's length), so it ends at
-    m + (branch + 1) pi/(pi - theta_c) and stops at the branch."""
+def _branch_scan(m: float, theta_c: float, polarization: str, branch) -> tuple:
+    """The cone_roots arguments of cone branch ``branch``: a scan that ends at
+    m + (branch + 1) pi/(pi - theta_c) and stops at the branch (cone_nu)."""
     branch = positive_index(branch, "branch index")
-    return ConeScan(m, theta_c, polarization, m + (branch + 1) * math.pi / (math.pi - theta_c), branch)
+    return m, theta_c, polarization, m + (branch + 1) * math.pi / (math.pi - theta_c), branch
 
 
-def _branch_root(scan: ConeScan, roots: list[float]) -> float:
+def _branch_root(scan: tuple, roots: list[float]) -> float:
     """The branch of ``scan`` among its ``roots``, or RootSearchError without it."""
     m, theta_c, polarization, hi, branch = scan
     if len(roots) < branch:
-        raise RootSearchError(
-            f"no {polarization} cone root (branch {branch}) for m={m}, "
-            f"theta_c={theta_c:g} rad",
-            window=(_LATTICE.origin, hi),
-        )
+        what = f"no {polarization} cone root (branch {branch}) for m={m}, theta_c={theta_c:g} rad"
+        raise RootSearchError(what, window=(ConeSweep.LATTICE.origin, hi))
     return roots[branch - 1]
 
 
 def cone_nu(m: float, theta_c: float, polarization: str, branch: int = 1) -> float:
     """The branch-th smallest nu > 0 satisfying the cone condition.
 
-    TM imposes a Dirichlet condition on the polar function at the cone
-    surface, TE a Neumann one; both act on the solution regular at the
-    retained pole theta = pi (AngularDomain.polar).  Consecutive branches lie
-    about pi/(pi - theta_c) apart (the polar interval's length), so the scan stops at
-    m + (branch + 1) pi/(pi - theta_c) and raises RootSearchError without
-    the branch there.
+    TM imposes a Dirichlet condition on the polar function at the cone surface, TE a Neumann
+    one; both act on the solution regular at the retained pole theta = pi (AngularDomain.polar).
+    Consecutive branches lie about pi/(pi - theta_c) apart (the polar interval's length), so the
+    scan stops at m + (branch + 1) pi/(pi - theta_c) and raises RootSearchError without the
+    branch there.
     """
     scan = _branch_scan(m, theta_c, polarization, branch)
     return _branch_root(scan, cone_roots(*scan))
 
 
 def cone_nus(queries) -> list[float]:
-    """cone_nu of each (m, theta_c, polarization, branch), every scan in one cone_scan call."""
+    """cone_nu of each (m, theta_c, polarization, branch), every sweep advanced in one call."""
     scans = [_branch_scan(*query) for query in queries]
-    return [_branch_root(scan, roots) for scan, roots in zip(scans, cone_scan(scans))]
+    sweeps = [ConeSweep(m, theta_c, pol, branch) for m, theta_c, pol, _, branch in scans]
+    return [_branch_root(scan, roots) for scan, roots in zip(scans, _below(sweeps, [s[3] for s in scans]))]

@@ -12,19 +12,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, RootSearchError, positive_index
-from .specfun import Lattice, lattice_roots, riccati_deriv, spherical_j
+from .specfun import Lattice, advance, riccati_deriv, spherical_j
 
 __all__ = [
     "RootKind",
     "RadialRoot",
     "RadialSweep",
-    "advance",
     "nth",
     "SPEED_OF_LIGHT",
     "j_zero",
@@ -46,6 +44,10 @@ AIRY_PRIME_ZEROS = (1.01879297164747, 3.24819758217984, 4.82009921117874, 6.1633
 class RootKind(enum.Enum):
     TE_JZERO = "TE"
     TM_RICCATI_DERIV_ZERO = "TM"
+
+    @classmethod
+    def _missing_(cls, value):  # RootKind(value) for anything but a member or its value
+        raise DomainError(f"radial kind must be a RootKind, 'TE' or 'TM', got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ def mcmahon_seed(nu: float, n: int, kind: RootKind) -> float:
     if nu < 0.5:
         raise DomainError("mcmahon_seed is calibrated for nu >= 0.5; use a scan below that")
     n = positive_index(n, "n")
-    te = kind is RootKind.TE_JZERO
+    te = RootKind(kind) is RootKind.TE_JZERO
     zeros = AIRY_ZEROS if te else AIRY_PRIME_ZEROS
     if n > len(zeros):
         raise DomainError(f"no stored Airy{'' if te else '-derivative'} zero for n={n}")
@@ -95,100 +97,58 @@ def mcmahon_seed(nu: float, n: int, kind: RootKind) -> float:
 # measured there is 3.02, as nu -> -1/2.  A coarse interval of x-width 1.0 thus holds at
 # most one root and shows it as a sign change.
 _STEP = 0.05  # the lattice x_i = i * _STEP; the first root exceeds nu, so a scan from below nu skips none
-_LATTICE = Lattice(0.0, _STEP)
-_COARSE = 20  # lattice steps per coarse interval (x-width 1.0)
 _BLOCK = 64  # lattice steps from one cap of nth to the next, about one root spacing
-# Brent to scipy's relative floor, 4 eps: a root is then fixed by its bracket's lattice
-# interval, within a few ulp of the root of the evaluated condition
-_TOL = dict(xtol=1e-300, rtol=4.0 * float(np.finfo(float).eps))
 
 
 class RadialSweep:
-    """Every root of one radial condition, found in increasing order and kept.
-
-    The scan runs over the lattice x_i = i * 0.05 that every nu shares, from the
-    last lattice point at or below max(nu, 1e-3) (i >= 1: x = 0 is no scan point,
-    and the first root of either kind lies above 0.9 for every nu > -1/2).  Brent's
-    method refines each sign change to scipy's relative floor, 4 eps, so each
-    root is fixed by the lattice interval that brackets it alone, whatever the caps
-    and sweeps it was scanned with.  The scan is advanced by ``advance``, alone or
-    together with other sweeps; later requests continue it, so no root is bracketed
-    or refined twice.  ``below`` is ``advance`` on this sweep alone.
+    """Every root of one radial condition (``kind`` a RootKind or "TE" or "TM"), found in
+    increasing order and kept.  specfun.advance scans the lattice x_i = i * 0.05 that every nu
+    shares from the last point at or below max(nu, 1e-3) (i >= 1: x = 0 is no scan point, and
+    the first root lies above 0.9 for every nu > -1/2), at every 20th point (an x-stride of 1.0
+    holds at most one root), each pass continuing the last, so no root is found twice.  Brent
+    refines each sign change to 4 eps, so a root is fixed by its lattice interval alone,
+    whatever the caps and sweeps it was scanned with.
     """
+
+    LATTICE, STRIDE = Lattice(0.0, _STEP), 20
+    # Brent to scipy's relative floor, 4 eps: a root is then fixed by its bracket's lattice
+    # interval, within a few ulp of the root of the evaluated condition
+    TOL = dict(xtol=1e-300, rtol=4.0 * float(np.finfo(float).eps))
+    max_roots = None
+    # Brent's method: this module's brentq as it stands, so that a wrapper around it sees each refinement
+    brent = staticmethod(lambda: brentq)
 
     def __init__(self, nu: float, kind: RootKind):
         if not -0.5 < nu < math.inf:
             raise DomainError(f"radial roots require a finite nu > -1/2, got nu={nu}")
-        self.nu, self.kind = nu, kind
-        self._te = kind is RootKind.TE_JZERO  # read once: an enum member lookup costs 0.1 us a call
-        self._what = f"{kind.value} radial condition for nu={nu}"
+        self.nu, self.kind = nu, kind if isinstance(kind, RootKind) else RootKind(kind)  # a member costs no call
+        self.args = (self.kind is RootKind.TE_JZERO, nu)  # TE read once: an enum lookup costs 0.1 us a call
+        self.name = f"{self.kind.value} radial condition for nu={nu}"
         self.lo = max(nu, 1e-3)
         self._i = max(1, int(self.lo / _STEP))  # the lattice index of the last scanned point
         self.roots: list[RadialRoot] = []
 
     @property
     def _x(self) -> float:
-        return _LATTICE.point(self._i)
+        return self.LATTICE.point(self._i)
+
+    @staticmethod
+    def batched(x, te, nu):
+        """spherical_j (TE) or riccati_deriv (TM) of order nu[j] at x[j], looked up at each call."""
+        return (spherical_j if te else riccati_deriv)(nu, x)
 
     def value(self, x):
-        """The wall condition at x, a float or an array: spherical_j (TE) or riccati_deriv (TM),
-        looked up at each call, as the scan and Brent's method evaluate it."""
-        return (spherical_j if self._te else riccati_deriv)(self.nu, x)
+        """The wall condition at x, a float or an array, as the scan and Brent's method evaluate it."""
+        te, nu = self.args
+        return (spherical_j if te else riccati_deriv)(nu, x)
+
+    def root(self, x: float) -> RadialRoot:
+        return RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, self.value(x))
 
     def below(self, x_cap: float) -> list[RadialRoot]:
         """The roots found so far, once they hold every root <= x_cap (the last may exceed it)."""
         advance([self], [x_cap])
         return list(self.roots)
-
-
-def advance(sweeps, caps) -> None:
-    """Scan each sweep ``sweeps[i]`` to the first lattice point at or past its cap ``caps[i]``
-    (a sweep listed twice to the larger of its caps), keeping each root it brackets.
-
-    All pending sweeps advance in one pass.  Each is evaluated at its last point, at
-    every lattice index past it that is a multiple of 20 (an x-stride of 1.0), and at
-    its cap's index: all rows in one spherical_j and one riccati_deriv call.  Roots are
-    more than 1.0 apart (above _STEP), so a coarse interval that changes sign holds one
-    root and one lattice interval that changes sign.  specfun.lattice_roots finds them,
-    bisecting in lockstep over lattice indices (one call per kind and step), and refines
-    each by Brent's method fed the scan's values at its ends.  A lattice zero is a root
-    unless it is the scan's last point (the next scan starts there).  A sweep takes its
-    roots and its new end only once every root of the pass is refined.
-    """
-    if len(caps) != len(sweeps):
-        raise DomainError(f"advance takes one cap per sweep, got {len(caps)} for {len(sweeps)} sweeps")
-    if not all(map(math.isfinite, caps)):
-        raise DomainError(f"root cap must be finite, got {next(c for c in caps if not math.isfinite(c))}")
-    end_of = {cap: _LATTICE.index(cap) for cap in set(caps)}  # enumerate_modes gives all its sweeps one cap
-    # each pending sweep's end; sorted by end, a sweep listed twice keeps the larger
-    ends = {s: end for s, end in sorted(zip(sweeps, map(end_of.get, caps)), key=itemgetter(1)) if s._i < end}
-    if not (sweeps := list(ends)):
-        return
-    points = [[s._i, *range((s._i // _COARSE + 1) * _COARSE, end, _COARSE), end] for s, end in ends.items()]
-    te, nu = np.array([s._te for s in sweeps]), np.array([s.nu for s in sweeps])
-
-    def conditions(rows, x):
-        """The wall condition of sweep ``sweeps[rows[j]]`` at ``x[j]``, one call per kind present;
-        RootSearchError for a value not finite."""
-        t, v = te[rows], nu[rows]
-        if t.all() or not t.any():
-            values = (spherical_j if t[0] else riccati_deriv)(v, x)
-        else:
-            values = np.empty(x.shape)
-            values[t], values[~t] = spherical_j(v[t], x[t]), riccati_deriv(v[~t], x[~t])
-        if not np.isfinite(values).all():
-            s = sweeps[rows[~np.isfinite(values)][0]]
-            raise RootSearchError(f"{s._what} is not finite on the scan", window=(s._x, _LATTICE.point(ends[s])))
-        return values
-
-    index = np.array([i for p in points for i in p])
-    scalar = [(s.value, s._what) for s in sweeps]
-    # this module's brentq, so that a wrapper around radial.brentq sees each refinement
-    found = lattice_roots(_LATTICE, [len(p) for p in points], index, conditions, scalar, brentq, **_TOL)
-    for s, roots in zip(sweeps, [list(roots) for roots in found]):  # every root refined before any is kept
-        for x in roots:
-            s.roots.append(RadialRoot(s.nu, len(s.roots) + 1, s.kind, x, s.value(x)))
-        s._i = ends[s]
 
 
 def nth(sweeps, n: int) -> list[RadialRoot]:
@@ -221,8 +181,8 @@ def riccati_deriv_zero(nu: float, n: int) -> RadialRoot:
 
 
 def radial_root(nu: float, n: int, kind: RootKind) -> RadialRoot:
-    """Root of the requested kind; dispatch helper for mode construction."""
-    return (j_zero if kind is RootKind.TE_JZERO else riccati_deriv_zero)(nu, n)
+    """Root of the requested kind, a RootKind or its value; dispatch helper for mode construction."""
+    return (j_zero if RootKind(kind) is RootKind.TE_JZERO else riccati_deriv_zero)(nu, n)
 
 
 def frequency_from_root(x: float, radius_m: float) -> float:

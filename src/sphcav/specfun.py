@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "riccati_deriv",
     "Lattice",
     "lattice_roots",
+    "advance",
     "polar_solution",
     "legendre_theta",
     "legendre_theta_deriv",
@@ -200,6 +202,76 @@ def _refined(brackets, f, what: str, refine, tol):
 def _fed(f, lo: float, f_lo: float, hi: float, f_hi: float, x: float) -> float:
     """f at x, with the values the scan holds at the bracket ends lo and hi."""
     return f_lo if x == lo else f_hi if x == hi else f(x)
+
+
+def advance(sweeps, caps) -> None:
+    """Scan each sweep ``sweeps[i]`` to the first lattice point at or past its cap ``caps[i]``
+    (a sweep listed twice to the larger of its caps), keeping each root it brackets: the one
+    driver of radial.RadialSweep and angular.ConeSweep, one class a call.
+
+    The class supplies LATTICE, STRIDE, Brent's tolerance TOL and ``brent()`` (its module's
+    brentq), and ``batched(x, flag, *args)``, the condition of rows of one flag; each sweep its
+    ``args`` (flag first), scalar ``value`` and ``name``, ``_i`` (its last scanned lattice index),
+    ``max_roots`` (None: all), ``roots`` and ``root(x)``, what it keeps of a root at x.  All
+    pending sweeps advance in one pass: their last points, every lattice index past them that
+    is a multiple of STRIDE and their caps' indices, in one batched call per flag, then
+    lattice_roots.  A pass's last point only ends a bracket (the next pass starts there).  No
+    root past max_roots is refined, and a sweep takes its roots and its new end once every root
+    of the pass is.  A value not finite raises RootSearchError naming the sweep and its pass.
+    """
+    if len(caps) != len(sweeps):
+        raise DomainError(f"advance takes one cap per sweep, got {len(caps)} for {len(sweeps)} sweeps")
+    if not all(map(math.isfinite, caps)):
+        raise DomainError(f"root cap must be finite, got {next(c for c in caps if not math.isfinite(c))}")
+    if len(kinds := set(map(type, sweeps))) != 1:
+        if kinds:
+            raise DomainError(f"advance takes sweeps of one class, got {sorted(k.__name__ for k in kinds)}")
+        return
+    (kind,) = kinds
+    lattice, stride = kind.LATTICE, kind.STRIDE
+    end_of = {cap: lattice.index(cap) for cap in set(caps)}  # enumerate_modes gives all its sweeps one cap
+    # each pending sweep's end; sorted by end, a sweep listed twice keeps the larger
+    ends = {s: end for s, end in sorted(zip(sweeps, map(end_of.get, caps)), key=itemgetter(1)) if s._i < end}
+    if not (sweeps := list(ends)):
+        return
+    # each row: the sweep's last point, every multiple of STRIDE past it and below its end, its end
+    start, end = [s._i for s in sweeps], list(ends.values())
+    if len(sweeps) == 1:  # one row's few points in Python, cheaper than the array arithmetic below
+        index = np.array([start[0], *range((start[0] // stride + 1) * stride, end[0], stride), end[0]])
+        sizes = [len(index)]
+    else:
+        start, end = np.array(start), np.array(end)
+        first = (start // stride + 1) * stride
+        sizes = np.maximum(0, (end - first + stride - 1) // stride) + 2
+        last = np.cumsum(sizes) - 1
+        place = np.arange(last[-1] + 1) - np.repeat(last - sizes + 1, sizes)  # each point's place in its row
+        index = np.repeat(first - stride, sizes) + stride * place
+        index[last - sizes + 1], index[last] = start, end
+    flags, *args = zip(*(s.args for s in sweeps))
+    one = flags[0] if len(set(flags)) == 1 else None  # the flag of every sweep, if they share one
+    flags, args = np.array(flags), [np.array(a) for a in args]
+
+    def scan(rows, x):
+        if one is not None:
+            values = kind.batched(x, one, *(a[rows] for a in args))
+        else:
+            pick, values = flags[rows], np.empty(x.shape)
+            for flag, side in ((True, pick), (False, ~pick)):
+                if side.any():
+                    values[side] = kind.batched(x[side], flag, *(a[rows[side]] for a in args))
+        if not np.isfinite(values).all():
+            s = sweeps[rows[~np.isfinite(values)][0]]
+            window = (lattice.point(s._i), lattice.point(ends[s]))
+            raise RootSearchError(f"{s.name} is not finite on the scan", window=window)
+        return values
+
+    found = lattice_roots(lattice, sizes, index, scan, [(s.value, s.name) for s in sweeps], kind.brent(), **kind.TOL)
+    limits = [s.max_roots and s.max_roots - len(s.roots) for s in sweeps]  # None: every root
+    kept = [list(roots if n is None else itertools.islice(roots, n)) for roots, n in zip(found, limits)]
+    for s, roots in zip(sweeps, kept):
+        for x in roots:
+            s.roots.append(s.root(x))
+        s._i = ends[s]
 
 
 # --- polar angular solution -------------------------------------------------
@@ -461,7 +533,7 @@ def polar_solution(nu, m, theta):
 
     ``nu``, ``m`` and ``theta`` broadcast against each other, every order
     >= 0.  Scalar arguments give floats, array arguments arrays of the
-    broadcast shape.  An array of orders (one per point, as angular.cone_scan
+    broadcast shape.  An array of orders (one per point, as a batched cone scan
     passes) evaluates each point as if alone: its branch and the length of its
     series are its own, so it agrees with its scalar call to rounding.
     Frobenius normalization: Theta / sin(theta)^m -> 1 as theta -> 0+.

@@ -18,15 +18,8 @@ from importlib import resources
 
 from .angular import AngularDomain, classify, cone_nus
 from .errors import DomainError, FixtureLookupError, positive_index
-from .radial import (
-    SPEED_OF_LIGHT,
-    RadialSweep,
-    RootKind,
-    advance,
-    frequency_from_root,
-    nth,
-    radial_root,
-)
+from .radial import SPEED_OF_LIGHT, RadialSweep, RootKind, frequency_from_root, nth, radial_root
+from .specfun import advance
 
 __all__ = [
     "CavityConfig",
@@ -86,13 +79,14 @@ def _sort_key(rec: ModeRecord):
     return (rec.frequency_hz, 0 if rec.polarization == "TM" else 1, rec.m, rec.nu, rec.n)
 
 
-def _angular_candidates(domain: AngularDomain, nu_cap: float):
+def _angular_candidates(domain: AngularDomain, nu_cap: float, sweeps: dict):
     """Yield (m, nu, k, kind) admissible up to nu_cap, kind the radial condition of the
     polarization; k is the offset nu - m without a cone, None with one.  Every (m, kind)
-    takes its eigenvalues from one AngularDomain.eigenvalue_lists call."""
+    takes its eigenvalues from one AngularDomain.eigenvalue_lists call, across a cone from
+    the cone sweeps that ``sweeps`` keeps."""
     kinds = (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO)
     pairs = [(m, kind) for m in domain.indices(nu_cap) for kind in kinds if domain.admits(m, kind.value)]
-    spectra = domain.eigenvalue_lists([(m, kind.value) for m, kind in pairs], nu_cap)
+    spectra = domain.eigenvalue_lists([(m, kind.value) for m, kind in pairs], nu_cap, sweeps)
     for (m, kind), nus in zip(pairs, spectra):
         for nu in nus:
             yield m, nu, None if domain.has_cone else round(nu - m), kind
@@ -100,18 +94,19 @@ def _angular_candidates(domain: AngularDomain, nu_cap: float):
 
 def _swept_candidates(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[tuple]:
     """Every (m, nu, k, kind, sweep) admissible up to f_max_hz, its sweep scanned past the cap;
-    ``sweeps`` holds one RadialSweep per (nu, kind).
+    ``sweeps`` keeps one RadialSweep per (nu, kind) and, across a cone, one ConeSweep per
+    (m, polarization), which each cap of max_count's loop continues where they stand.
 
     nu = m + k is formed in floating point, so one eigenvalue can arrive as floats an
     ulp apart (13/3 = 4/3 + 3 = 10/3 + 1); keyed to 12 decimals they share one sweep,
     and each candidate keeps its own nu.  A cone root is keyed by its exact nu, which its
     lattice interval alone fixes, so every cap of max_count's loop finds the same sweep.
-    Every sweep advances in one radial.advance call.
+    Every radial sweep advances in one specfun.advance call.
     """
     x_cap = 2.0 * math.pi * config.radius_m * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
     domain = config.domain()
     candidates = []
-    for m, nu, k, kind in _angular_candidates(domain, x_cap):
+    for m, nu, k, kind in _angular_candidates(domain, x_cap, sweeps):
         key = (nu if domain.has_cone else round(nu, 12), kind)
         sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
         candidates.append((m, nu, k, kind, sweep))
@@ -150,8 +145,9 @@ def enumerate_modes(
     """All modes up to f_max_hz (inclusive with 1e-6 slack), sorted by frequency.
 
     With ``max_count`` alone the cap starts at x = 4 and grows 1.5x until the sweeps
-    hold that many roots below it; each (nu, kind) is swept for radial roots once per
-    call, for every cap, and the records are built once, at the last.
+    hold that many roots below it; each (nu, kind) is swept for radial roots, and across a
+    cone each (m, polarization) for cone roots, once per call, every cap continuing the
+    sweeps where the last left them, and the records are built once, at the last.
     """
     if f_max_hz is None and max_count is None:
         raise DomainError("provide f_max_hz or max_count")

@@ -12,18 +12,17 @@ from sphcav import angular
 from sphcav.angular import (
     AngularDomain,
     AngularEigenpair,
-    ConeScan,
+    ConeSweep,
     Family,
     angular_ode_residual,
     classify,
     cone_nu,
     cone_nus,
     cone_roots,
-    cone_scan,
     south_singular_coefficient,
 )
 from sphcav.errors import ClassificationError, DomainError, RootSearchError
-from sphcav.specfun import Lattice, legendre_theta, legendre_theta_deriv, polar_solution, terminates
+from sphcav.specfun import Lattice, advance, legendre_theta, legendre_theta_deriv, polar_solution, terminates
 
 from oracles import mp_cone_root, mp_cone_root_tm, mp_cone_sign_changes
 
@@ -578,47 +577,63 @@ BATCHES = st.lists(REQUESTS, max_size=12).flatmap(
 @example([(1.0001, math.radians(20.0), "TE", 4.0, 3), (3.998, math.radians(0.3), "TM", 25.0, None)])
 def test_a_cone_scan_batch_is_each_lone_scan_to_the_bit(batch):
     # every element of the batched evaluation stops its series at its own last term, and
-    # Brent refines each request's brackets on the scalar condition, so a batch of any
-    # composition gives each request its lone cone_roots, bit for bit
-    got = cone_scan(batch)
+    # Brent refines each sweep's brackets on the scalar condition, so cone sweeps of any
+    # composition advanced together give each request its lone cone_roots, bit for bit
+    sweeps = [ConeSweep(m, theta_c, pol, max_branches) for m, theta_c, pol, _, max_branches in batch]
+    caps = [nu_max for *_, nu_max, _ in batch]
+    advance(sweeps, caps)
+    got = [[nu for nu in s.roots if nu < cap] for s, cap in zip(sweeps, caps)]
     want = [cone_roots(*request) for request in batch]
     assert [[x.hex() for x in roots] for roots in got] == [[x.hex() for x in roots] for roots in want]
 
 
 def test_lone_cone_calls_are_one_request_scans(monkeypatch):
     calls = []
-    real = angular.cone_scan
-    monkeypatch.setattr(angular, "cone_scan", lambda requests: calls.append(list(requests)) or real(requests))
+    real = angular.advance
+
+    def recording(sweeps, caps):
+        calls.append([(s.m, s.theta_c, s.polarization, cap, s.max_roots) for s, cap in zip(sweeps, caps)])
+        return real(sweeps, caps)
+
+    monkeypatch.setattr(angular, "advance", recording)
     tc = math.radians(20.0)
     roots = cone_roots(1.0, tc, "TM", 6.0)
-    assert calls[-1] == [ConeScan(1.0, tc, "TM", 6.0)]
+    assert calls == [[(1.0, tc, "TM", 6.0, None)]]
     assert AngularDomain(cone_half_angle_rad=tc).eigenvalues(1.0, "TM", 6.0) == roots
-    assert len(calls) == 2 and calls[-1] == [(1.0, tc, "TM", 6.0)]
+    assert len(calls) == 2 and calls[-1] == [(1.0, tc, "TM", 6.0, None)]
     assert cone_nu(1.0, tc, "TM", 2) == roots[1]
-    assert len(calls) == 3 and len(calls[-1]) == 1
+    assert len(calls) == 3 and len(calls[-1]) == 1 and calls[-1][0][4] == 2
     assert cone_nus([(1.0, tc, "TM", 2), (0.0, tc, "TE", 1)]) == [roots[1], cone_nu(0.0, tc, "TE", 1)]
     assert [len(c) for c in calls[3:]] == [2, 1]
 
 
 def test_a_batch_names_the_request_whose_scan_is_not_finite():
     # m = 200 overflows the singular weight of the connection formula on the scan
-    bad = (200.0, 0.35, "TM", 205.0)
+    bad = (200.0, 0.35, "TM")
+    batch = [ConeSweep(0.0, 0.35, "TM"), ConeSweep(1.0, 0.35, "TE"), ConeSweep(*bad), ConeSweep(2.0, 0.35, "TM")]
     with np.errstate(all="ignore"):
         with pytest.raises(RootSearchError, match="not finite") as lone:
-            cone_roots(*bad)
-        with pytest.raises(RootSearchError, match="not finite") as batch:
-            cone_scan([(0.0, 0.35, "TM", 5.0), (1.0, 0.35, "TE", 5.0), bad, (2.0, 0.35, "TM", 5.0)])
-    assert str(batch.value) == str(lone.value)
-    assert "TM cone condition for m=200.0, theta_c=0.35 rad" in str(batch.value)
-    assert batch.value.window == lone.value.window == (1e-4, 205.0)
+            cone_roots(*bad, 205.0)
+        with pytest.raises(RootSearchError, match="not finite") as batched:
+            advance(batch, [5.0, 5.0, 205.0, 5.0])
+    assert str(batched.value) == str(lone.value)
+    assert "TM cone condition for m=200.0, theta_c=0.35 rad" in str(batched.value)
+    # the window scanned: from the first lattice point to the first at or past the cap
+    lattice = ConeSweep.LATTICE
+    assert batched.value.window == lone.value.window == (1e-4, lattice.point(lattice.index(205.0)))
+    assert all(not s.roots and s._i == 0 for s in batch)  # a sweep keeps nothing of a failed pass
 
 
 def test_a_batch_checks_every_request_before_scanning(monkeypatch):
     monkeypatch.setattr(angular, "legendre_theta", lambda *a: pytest.fail("scanned"))
-    with pytest.raises(DomainError, match="finite nu_max"):
-        cone_scan([(0.0, 0.3, "TM", 5.0), (1.0, 0.3, "TM", math.inf)])
+    with pytest.raises(DomainError, match="cap"):
+        advance([ConeSweep(0.0, 0.3, "TM"), ConeSweep(1.0, 0.3, "TM")], [5.0, math.inf])
     with pytest.raises(DomainError, match="polarization"):
-        cone_scan([(0.0, 0.3, "TM", 5.0), (1.0, 0.3, "TEM", 5.0)])
+        cone_nus([(0.0, 0.3, "TM", 1), (1.0, 0.3, "TEM", 1)])
+    from sphcav.radial import RadialSweep
+
+    with pytest.raises(DomainError, match="one class"):
+        advance([ConeSweep(0.0, 0.3, "TM"), RadialSweep(1.0, "TE")], [5.0, 5.0])
 
 
 @pytest.mark.parametrize("max_branches", [-1, 0, 1.5, 2.0])
@@ -629,7 +644,7 @@ def test_a_max_branches_that_is_not_a_positive_integer_is_refused(monkeypatch, m
     with pytest.raises(DomainError, match="max_branches"):
         cone_roots(0.0, tc, "TM", 5.0, max_branches=max_branches)
     with pytest.raises(DomainError, match="max_branches"):
-        cone_scan([(0.0, tc, "TM", 5.0), (1.0, tc, "TM", 5.0, max_branches)])
+        ConeSweep(1.0, tc, "TM", max_branches)
 
 
 @settings(max_examples=40, deadline=None)
@@ -647,6 +662,34 @@ def test_cone_roots_do_not_depend_on_their_cap(m, theta_c, pol, caps):
     low, high = caps
     want = [nu.hex() for nu in cone_roots(m, theta_c, pol, high) if nu < low]
     assert [nu.hex() for nu in cone_roots(m, theta_c, pol, low)] == want
+
+
+CONE_CAPS = st.lists(
+    st.one_of(st.floats(-1.0, 15.0), st.integers(0, 750).map(ConeSweep.LATTICE.point)), min_size=1, max_size=30
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=ORDERS,
+    theta_c=st.floats(0.4, 85.0).map(math.radians),
+    pol=st.sampled_from(["TM", "TE"]),
+    max_branches=st.one_of(st.none(), st.integers(1, 6)),
+    caps=CONE_CAPS.map(sorted),
+)
+@example(m=0.0, theta_c=math.radians(20.0), pol="TM", max_branches=None, caps=[2.0, 2.0, 5.3001, 9.5, 15.0])
+@example(m=2.0 / 3.0, theta_c=math.radians(85.0), pol="TE", max_branches=2, caps=[0.5, 1.0, 3.0, 15.0])
+@example(m=1.002, theta_c=math.radians(0.4), pol="TE", max_branches=None, caps=[1e-4, 0.5, 1.0041, 15.0])
+def test_a_cone_sweep_continued_across_caps_is_one_advance_to_the_last(m, theta_c, pol, max_branches, caps):
+    # a root is fixed by its lattice interval alone and a pass's last point only ends a
+    # bracket, so a sweep advanced through many caps, each pass starting where the last
+    # ended, holds the roots of one advance to the last cap, bit for bit, and stands there
+    sweep, want = ConeSweep(m, theta_c, pol, max_branches), ConeSweep(m, theta_c, pol, max_branches)
+    for cap in caps:
+        advance([sweep], [cap])
+    advance([want], caps[-1:])
+    assert [nu.hex() for nu in sweep.roots] == [nu.hex() for nu in want.roots]
+    assert sweep._i == want._i == max(0, ConeSweep.LATTICE.index(caps[-1]))
 
 
 def test_a_request_refines_no_root_past_its_branches_and_one_past_its_cap(monkeypatch):
@@ -696,6 +739,7 @@ def test_cone_brent_evaluates_the_condition_only_inside_its_bracket(monkeypatch)
     monkeypatch.setattr(angular, "legendre_theta", watch(legendre_theta))
     monkeypatch.setattr(angular, "polar_solution", watch(polar_solution))
     tc = math.radians(20.0)
-    roots = cone_scan([(m, tc, pol, 12.0) for m in (0.0, 2.0 / 3.0, 1.0, 2.5) for pol in ("TM", "TE")])
-    assert sum(map(len, roots)) == len(calls) >= 30
+    sweeps = [ConeSweep(m, tc, pol) for m in (0.0, 2.0 / 3.0, 1.0, 2.5) for pol in ("TM", "TE")]
+    advance(sweeps, [12.0] * len(sweeps))
+    assert sum(len(s.roots) for s in sweeps) == len(calls) >= 30
     assert all(calls) and not outside

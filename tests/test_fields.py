@@ -38,6 +38,16 @@ def te_mode(m=1.0, n=1, domain=FULL_SPHERE):
     return make_mode(RootKind.TE_JZERO, sectoral(m), n, A_RADIUS, domain=domain)
 
 
+@pytest.mark.parametrize("kind", list(RootKind))
+def test_make_mode_takes_a_kind_or_its_value(kind):
+    # make_mode("TE", ...) used to build the mode on the TM root
+    got = make_mode(kind.value, sectoral(2.0), 1, A_RADIUS)
+    assert got == make_mode(kind, sectoral(2.0), 1, A_RADIUS) and got.polarization is kind
+    for bad in ("te", "TEM", None):
+        with pytest.raises(DomainError, match="radial kind"):
+            make_mode(bad, sectoral(2.0), 1, A_RADIUS)
+
+
 # --- structural zeros and the null mode ---------------------------------------
 
 

@@ -136,6 +136,19 @@ def test_mcmahon_domain():
         mcmahon_seed(5.0, 9, RootKind.TE_JZERO)
 
 
+BAD_KINDS = ["te", "TEM", "", None, 1, RootKind.TE_JZERO.name]
+
+
+@pytest.mark.parametrize("kind", list(RootKind))
+def test_mcmahon_seed_takes_a_kind_or_its_value(kind):
+    # "TE" used to give the TM seed: 12.445 for 15.035 at nu = 10
+    assert mcmahon_seed(10.0, 1, kind.value) == mcmahon_seed(10.0, 1, kind)
+    assert mcmahon_seed(10.0, 1, "TE") == pytest.approx(15.035, abs=1e-3)
+    for bad in BAD_KINDS:
+        with pytest.raises(DomainError, match="radial kind"):
+            mcmahon_seed(10.0, 1, bad)
+
+
 def test_frequency_from_root():
     f = frequency_from_root(math.pi, 0.015)
     assert f == pytest.approx(9.993e9, rel=1e-3)
@@ -199,6 +212,27 @@ def test_a_radial_index_may_be_any_integer_type():
 def test_sweep_rejects_an_order_that_is_not_finite_above_minus_half(nu, kind):
     with pytest.raises(DomainError, match="nu"):
         RadialSweep(nu, kind)
+
+
+@pytest.mark.parametrize("kind", list(RootKind))
+def test_radial_root_takes_a_kind_or_its_value(kind):
+    # "TE" used to give the TM root: x = 3.8702 for 5.7635 at nu = 2
+    solver = j_zero if kind is RootKind.TE_JZERO else riccati_deriv_zero
+    assert radial_root(2.0, 1, kind.value) == radial_root(2.0, 1, kind) == solver(2.0, 1)
+    assert radial_root(2.0, 1, "TE").x == pytest.approx(5.7635, abs=1e-4)
+    for bad in BAD_KINDS:
+        with pytest.raises(DomainError, match="radial kind"):
+            radial_root(2.0, 1, bad)
+
+
+@pytest.mark.parametrize("kind", list(RootKind))
+def test_sweep_takes_a_kind_or_its_value(kind):
+    # RadialSweep(2.0, "TE") used to raise a bare AttributeError
+    sweep = RadialSweep(2.0, kind.value)
+    assert sweep.kind is kind and sweep.below(12.0) == RadialSweep(2.0, kind).below(12.0)
+    for bad in BAD_KINDS:
+        with pytest.raises(DomainError, match="radial kind"):
+            RadialSweep(2.0, bad)
 
 
 TE, TM = RootKind.TE_JZERO, RootKind.TM_RICCATI_DERIV_ZERO

@@ -1,3 +1,4 @@
+import collections
 import math
 from dataclasses import replace
 
@@ -248,7 +249,7 @@ def test_angular_candidates_with_wedge_and_cone():
 
     cfg = CavityConfig(radius_m=0.015, wedge_opening_deg=270.0, cone_half_angle_deg=0.38)
     m = 2.0 / 3.0
-    cands = [c[1:] for c in _angular_candidates(cfg.domain(), 0.9) if c[0] > 0.0]
+    cands = [c[1:] for c in _angular_candidates(cfg.domain(), 0.9, {}) if c[0] > 0.0]
     assert all(k is None for _, k, _ in cands)
     by_kind = {kind.value: nu for nu, _, kind in cands}
     assert set(by_kind) == {"TM", "TE"}
@@ -366,8 +367,9 @@ def test_sweeps_of_no_rows_are_empty():
 
 
 def test_cone_max_count_records_carry_the_roots_of_their_own_nu():
-    # between two caps of the growing loop a cone root may move in its last bits; each
-    # record's radial root is still the lone root of its own nu, to the bit
+    # a cone root is fixed by its lattice interval alone, so every cap of the growing loop
+    # has it to the bit and continues the radial sweep keyed by it; a radial root is fixed
+    # by its lattice interval too, so each record's radial root is the lone root of its nu
     got = enumerate_modes(CavityConfig(0.015, 360.0, 20.0), max_count=200)
     assert len(got) == 200
     for rec in got:
@@ -375,32 +377,67 @@ def test_cone_max_count_records_carry_the_roots_of_their_own_nu():
         assert rec.root_x.hex() == lone.x.hex(), rec
 
 
-def test_cone_max_count_is_the_enumeration_at_its_last_frequency(monkeypatch):
-    # each cap of the growing loop scans every (m, polarization) of the cone in one call
+def _watch_cone_conditions(monkeypatch, seen):
+    """Call seen(polarization, nu, m) on each array evaluation of a cone condition."""
     from sphcav import angular
 
-    scans, caps = [], []
-    real_scan, real_swept = angular.cone_scan, spectrum._swept_candidates
-    monkeypatch.setattr(angular, "cone_scan", lambda requests: scans.append(len(requests)) or real_scan(requests))
+    def watch(real, pol):
+        def condition(nu, m, theta):
+            if isinstance(nu, np.ndarray):
+                seen(pol, nu, m)
+            return real(nu, m, theta)
+
+        return condition
+
+    monkeypatch.setattr(angular, "legendre_theta", watch(angular.legendre_theta, "TM"))
+    monkeypatch.setattr(angular, "polar_solution", watch(angular.polar_solution, "TE"))
+
+
+def test_cone_max_count_is_the_enumeration_at_its_last_frequency(monkeypatch):
+    # each cap of the growing loop continues the cone sweep of every (m, polarization) where
+    # the last cap left it: each lattice point of a sweep is evaluated once, apart from the
+    # end of one cap, which the next cap evaluates again
+    from sphcav import angular
+
+    points, caps = [], []
+    _watch_cone_conditions(monkeypatch, lambda pol, nu, m: points.extend((pol, *p) for p in zip(m, nu)))
+    real_swept = spectrum._swept_candidates
     monkeypatch.setattr(spectrum, "_swept_candidates", lambda *a: caps.append(a[1]) or real_swept(*a))
     config = CavityConfig(0.015, 360.0, 20.0)
     got = enumerate_modes(config, max_count=200)
-    assert len(got) == 200
-    assert len(scans) == len(caps) >= 2 and all(n > 1 for n in scans)
+    assert len(got) == 200 and len(caps) >= 2
+    lattice, rows = angular.ConeSweep.LATTICE, collections.defaultdict(collections.Counter)
+    for pol, m, nu in points:
+        i = round((nu - lattice.origin) / lattice.step)
+        assert nu == lattice.point(i)
+        rows[pol, m][i] += 1
+    assert len(rows) > 10
+    for counts in rows.values():
+        assert sorted(counts) == list(range(len(counts)))  # every point from the first on
+        assert set(counts.values()) <= {1, 2} and sum(n == 2 for n in counts.values()) < len(caps)
     assert got == enumerate_modes(config, f_max_hz=got[-1].frequency_hz)[:200]
 
 
 def test_sweeps_and_cone_fixtures_scan_their_cones_once(monkeypatch):
+    # each call advances all its cone sweeps in one specfun.advance call, with one array
+    # evaluation of each polarization's condition
     from sphcav import angular
 
-    scans = []
-    real_scan = angular.cone_scan
-    monkeypatch.setattr(angular, "cone_scan", lambda requests: scans.append(len(requests)) or real_scan(requests))
+    scans = []  # per advance call: its number of sweeps and its array evaluations per polarization
+    real_advance = angular.advance
+
+    def advance(sweeps, caps):
+        scans.append((len(sweeps), collections.Counter()))
+        return real_advance(sweeps, caps)
+
+    monkeypatch.setattr(angular, "advance", advance)
+    _watch_cone_conditions(monkeypatch, lambda pol, nu, m: scans[-1][1].update([pol]))
     assert len(cone_sweep(A15, [0.38, 7.59, 14.93, 21.80])) == 4
     assert len(validate("table3_cone").rows) == len(load_fixture("table3_cone")["rows"])
     assert len(validate("table4_combined").rows) == len(load_fixture("table4_combined")["rows"])
     assert len(enumerate_modes(CavityConfig(0.015, 270.0, 20.0), f_max_hz=15e9)) > 0
-    assert scans[0] == 4 and len(scans) == 4 and min(scans) > 1
+    assert scans[0][0] == 4 and len(scans) == 4 and min(n for n, _ in scans) > 1
+    assert [dict(c) for _, c in scans] == [{"TM": 1}] * 3 + [{"TM": 1, "TE": 1}]
 
 
 def test_determinism_byte_identical():
