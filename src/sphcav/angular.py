@@ -323,11 +323,12 @@ def _branch_root(scan: tuple, roots: list[float]) -> float:
 def cone_nu(m: float, theta_c: float, polarization: str, branch: int = 1) -> float:
     """The branch-th smallest nu > 0 satisfying the cone condition.
 
-    TM imposes a Dirichlet condition on the polar function at the cone surface, TE a Neumann
-    one; both act on the solution regular at the retained pole theta = pi (AngularDomain.polar).
-    Consecutive branches lie about pi/(pi - theta_c) apart (the polar interval's length), so the
-    scan stops at m + (branch + 1) pi/(pi - theta_c) and raises RootSearchError without the
-    branch there.
+    TM imposes a Dirichlet condition on the polar function at the cone
+    surface, TE a Neumann one; both act on the solution regular at the
+    retained pole theta = pi (AngularDomain.polar).  Consecutive branches lie
+    about pi/(pi - theta_c) apart (the polar interval's length), so the scan stops at
+    m + (branch + 1) pi/(pi - theta_c) and raises RootSearchError without
+    the branch there.
     """
     scan = _branch_scan(m, theta_c, polarization, branch)
     return _branch_root(scan, cone_roots(*scan))

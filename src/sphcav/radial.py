@@ -139,8 +139,7 @@ class RadialSweep:
 
     def value(self, x):
         """The wall condition at x, a float or an array, as the scan and Brent's method evaluate it."""
-        te, nu = self.args
-        return (spherical_j if te else riccati_deriv)(nu, x)
+        return self.batched(x, *self.args)
 
     def root(self, x: float) -> RadialRoot:
         return RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, self.value(x))
