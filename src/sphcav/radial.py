@@ -139,7 +139,8 @@ class RadialSweep:
 
     def value(self, x):
         """The wall condition at x, a float or an array, as the scan and Brent's method evaluate it."""
-        return self.batched(x, *self.args)
+        te, nu = self.args  # not through batched: a float call costs about 2 us, a frame more 0.2 us
+        return (spherical_j if te else riccati_deriv)(nu, x)
 
     def root(self, x: float) -> RadialRoot:
         return RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, self.value(x))
