@@ -235,7 +235,7 @@ def advance(sweeps, caps) -> None:
     if not (sweeps := list(ends)):
         return
     start, end = [s._i for s in sweeps], list(ends.values())
-    if sum(end) - sum(start) < 256 * stride:  # a few hundred points: Python lists cost less than the arrays
+    if len(sweeps) == 1:  # a lone sweep's points in Python: the arrays below cost a lone search 10-15 us
         points = [[i, *range((i // stride + 1) * stride, e, stride), e] for i, e in zip(start, end)]
         index, sizes = np.array([i for p in points for i in p]), [len(p) for p in points]
     else:

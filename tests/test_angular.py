@@ -22,6 +22,7 @@ from sphcav.angular import (
     south_singular_coefficient,
 )
 from sphcav.errors import ClassificationError, DomainError, RootSearchError
+from sphcav.radial import RadialSweep
 from sphcav.specfun import Lattice, advance, legendre_theta, legendre_theta_deriv, polar_solution, terminates
 
 from oracles import mp_cone_root, mp_cone_root_tm, mp_cone_sign_changes
@@ -630,8 +631,6 @@ def test_a_batch_checks_every_request_before_scanning(monkeypatch):
         advance([ConeSweep(0.0, 0.3, "TM"), ConeSweep(1.0, 0.3, "TM")], [5.0, math.inf])
     with pytest.raises(DomainError, match="polarization"):
         cone_nus([(0.0, 0.3, "TM", 1), (1.0, 0.3, "TEM", 1)])
-    from sphcav.radial import RadialSweep
-
     with pytest.raises(DomainError, match="one class"):
         advance([ConeSweep(0.0, 0.3, "TM"), RadialSweep(1.0, "TE")], [5.0, 5.0])
 
