@@ -207,7 +207,7 @@ def _fed(f, lo: float, f_lo: float, hi: float, f_hi: float, x: float) -> float:
 def advance(sweeps, caps) -> None:
     """Scan each sweep ``sweeps[i]`` to the first lattice point at or past its cap ``caps[i]``
     (a sweep listed twice to the larger of its caps), keeping each root it brackets: the one
-    driver of radial.RadialSweep and angular.ConeSweep, one class a call.
+    scan loop of radial.RadialSweep and angular.ConeSweep, one class a call.
 
     The class supplies LATTICE, STRIDE, Brent's tolerance TOL and ``brent()`` (its module's
     brentq), and ``batched(x, flag, *args)``, the condition of rows of one flag; each sweep its
