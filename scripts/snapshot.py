@@ -19,7 +19,9 @@ five orders, the fields, impedances and energies of seventeen modes, a
 wave's impedance after each sample, the reachability test of nu - m in N just
 off the integer (classify, make_mode and evaluate at (5 + delta, 3), and
 legendre_theta at two such points), the energy of a high-order cone mode, the
-stdout and exit code of the README's command-line examples, and spherical_j and
+stdout, stderr and exit code of command lines (the README's examples, every --help
+text, each row command in every format, all four fixtures, a computational error
+and an argument error), and spherical_j and
 riccati_deriv at small arguments (seven orders up to 500, five x from 1e-310 to
 0.49, each also as one array), hyp2f1 at a parameter 5e-12 off an integer, and
 two field samples with k r < 0.5.  A call that raises prints the
@@ -39,7 +41,7 @@ from sphcav.angular import AngularEigenpair, Family, classify, cone_nu
 from sphcav.energy import mode_energy
 from sphcav.fields import evaluate, make_mode, wave_impedances
 from sphcav.radial import RadialSweep, RootKind, j_zero, riccati_deriv_zero
-from sphcav.specfun import hyp2f1, legendre_theta, riccati_deriv, spherical_j
+from sphcav.specfun import advance, hyp2f1, legendre_theta, riccati_deriv, spherical_j
 from sphcav.spectrum import (
     CavityConfig,
     cone_sweep,
@@ -81,6 +83,21 @@ README_CLI = [
     " --at 0.008,1.1,4.71238898038469",
     "energy --mode TM,0.6666666666666666,0.6666666666666666,1 --wedge-deg 270",
     "validate --fixture table2_wedge90",
+]
+ROW_COMMANDS = [
+    "dispersion --nu-list 0,1.5,7.3 --radius-mm 12",
+    "cone-sweep --thetas 7.59,33.69 --wedge-deg 270",
+    "wedge-sweep --openings 90,355 --cone-deg 10",
+]
+SUBCOMMANDS = ("modes", "dispersion", "cone-sweep", "wedge-sweep", "field", "validate", "energy")
+COMMANDS = [
+    *README_CLI,
+    "--help",
+    *(f"{name} --help" for name in SUBCOMMANDS),
+    *(f"{line} --format {fmt}" for line in ROW_COMMANDS for fmt in ("csv", "json", "table")),
+    *(f"validate --fixture {name}" for name in list_fixtures()),
+    "modes --count 0",  # a typed error: exit 1
+    "field --mode TM,1,1,1 --at 0.01,1",  # an argument error: exit 2
 ]
 
 
@@ -139,13 +156,18 @@ def sweeps() -> None:
         show(f"validate.{name}", lambda: validate(name))
 
 
+def _advanced(sweep: RadialSweep, cap: float) -> list:
+    advance([sweep], [cap])
+    return sweep.roots
+
+
 def roots() -> None:
     for nu in (0.0, 1e-9, 1 / 3, 0.5, 2 / 3, 7.3, 40.0, 120.0):
         for name, nth in (("j_zero", j_zero), ("riccati_deriv_zero", riccati_deriv_zero)):
             for n in (1, 2, 5, 6, 7, 20):
                 show(f"{name}({nu!r}, {n})", lambda: nth(nu, n))
         for kind in (TE, TM):
-            show(f"RadialSweep({nu!r}, {kind.value}).below", lambda: RadialSweep(nu, kind).below(nu + 60.0))
+            show(f"RadialSweep({nu!r}, {kind.value}) to nu + 60", lambda: _advanced(RadialSweep(nu, kind), nu + 60.0))
     for nu, n in ((900.0, 12), (17000.0, 1), (1e5, 12), (1e6, 1)):  # roots above nu + 40 + 4n
         for name, nth in (("j_zero", j_zero), ("riccati_deriv_zero", riccati_deriv_zero)):
             show(f"{name}({nu!r}, {n})", lambda: nth(nu, n))
@@ -247,13 +269,17 @@ def small_arguments() -> None:
 
 
 def commands() -> None:
-    for line in README_CLI:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(line.split())
+    for line in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(line.split())
+            except SystemExit as exc:  # --help and argument errors exit from argparse
+                code = exc.code
         print(f"sphcav {line}: exit {code}")
-        for text in out.getvalue().splitlines():
-            print(f"  {text}")
+        for stream, text in (("out", out), ("err", err)):
+            for row in text.getvalue().splitlines():
+                print(f"  {stream}| {row}")
 
 
 SECTIONS = (geometries, sweeps, roots, cones, modes, field_rows, reachability, commands, small_arguments)

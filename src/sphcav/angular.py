@@ -248,14 +248,19 @@ class ConeSweep:
     """
 
     LATTICE, STRIDE = Lattice(1e-4, 0.02), 1
+    # A scan takes every lattice point from the origin, and the first root of order m lies within
+    # about 1 of m, so one pass to it holds m / 0.02 points (cone_nu(1e10, ...) would hold 5e11).
+    # An m past the point of index 2^18, about 5243, raises before any scan; the condition is not
+    # finite there either (nan at m = 5000 for cones of 0.05 to 1.5 rad).
+    MAX_M = LATTICE.point(2**18)
     TOL = dict(xtol=1e-10, rtol=1e-14)
     # Brent's method: this module's brentq as it stands, so that a wrapper around it sees each refinement
     brent = staticmethod(lambda: brentq)
     root = staticmethod(float)  # a root is kept as its nu
 
     def __init__(self, m: float, theta_c: float, polarization: str, max_branches: int | None = None):
-        if not 0.0 <= m < math.inf:
-            raise DomainError(f"order m must be finite and >= 0, got m={m}")
+        if not 0.0 <= m <= self.MAX_M:
+            raise DomainError(f"order m of a cone sweep must satisfy 0 <= m <= {self.MAX_M:.6g}, got m={m}")
         if not (0.0 < theta_c < 0.5 * math.pi):
             raise DomainError("cone half-angle must lie strictly inside (0, pi/2)")
         pol = polarization.upper()

@@ -115,12 +115,16 @@ class RadialSweep:
     # interval, within a few ulp of the root of the evaluated condition
     TOL = dict(xtol=1e-300, rtol=4.0 * float(np.finfo(float).eps))
     max_roots = None
+    # Past step / eps, about 2.3e14, neighbouring lattice points lie less than an ulp apart, so a
+    # scan could neither bracket a root nor move past its cap (at 1e302 nth never ends); with a
+    # factor 2 to spare, every point of a scan from nu <= MAX_NU is a float of its own.
+    MAX_NU = 0.5 * _STEP / float(np.finfo(float).eps)
     # Brent's method: this module's brentq as it stands, so that a wrapper around it sees each refinement
     brent = staticmethod(lambda: brentq)
 
     def __init__(self, nu: float, kind: RootKind):
-        if not -0.5 < nu < math.inf:
-            raise DomainError(f"radial roots require a finite nu > -1/2, got nu={nu}")
+        if not -0.5 < nu <= self.MAX_NU:
+            raise DomainError(f"radial roots require -1/2 < nu <= {self.MAX_NU:.4g}, got nu={nu}")
         self.nu, self.kind = nu, kind if isinstance(kind, RootKind) else RootKind(kind)  # a member costs no call
         self.args = (self.kind is RootKind.TE_JZERO, nu)  # TE read once: an enum lookup costs 0.1 us a call
         self.name = f"{self.kind.value} radial condition for nu={nu}"
@@ -145,10 +149,6 @@ class RadialSweep:
     def root(self, x: float) -> RadialRoot:
         return RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, self.value(x))
 
-    def below(self, x_cap: float) -> list[RadialRoot]:
-        """The roots found so far, once they hold every root <= x_cap (the last may exceed it)."""
-        advance([self], [x_cap])
-        return list(self.roots)
 
 
 def nth(sweeps, n: int) -> list[RadialRoot]:

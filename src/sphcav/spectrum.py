@@ -18,7 +18,7 @@ from importlib import resources
 
 from .angular import AngularDomain, classify, cone_nus
 from .errors import DomainError, FixtureLookupError, positive_index
-from .radial import SPEED_OF_LIGHT, RadialSweep, RootKind, frequency_from_root, nth, radial_root
+from .radial import SPEED_OF_LIGHT, RadialSweep, RootKind, frequency_from_root, nth
 from .specfun import advance
 
 __all__ = [
@@ -334,33 +334,32 @@ def _combined_row(fx: dict, row: dict, radius: float, rec: ModeRecord):
     return _frequency_row(fx, row, radius, head, rec.root_x)
 
 
-def _each_row(fx: dict, radius: float) -> list:
-    """What each row of a fixture is checked against, the rows of a kind found in one call
-    (dispersion_table, or _fundamentals with every cone scan in one) or one by one (modes)."""
-    rows, kind = fx["rows"], fx["kind"]
-    if kind == "dispersion":
-        return dispersion_table([row["nu"] for row in rows], radius)
-    if kind == "modes":
-        return [radial_root(row["nu"], 1, RootKind(row["pol"])) for row in rows]
-    if kind == "cone":
-        return _fundamentals([CavityConfig(radius, 360.0, row["theta_c_deg"]) for row in rows])
-    return _fundamentals([CavityConfig(radius, row["opening_deg"], fx["cone_half_angle_deg"]) for row in rows])
-
-
-# per fixture kind: (fixture, row, radius, what _each_row found for the row) ->
-# (report row, theory deviations, reference deviations)
-_RECOMPUTE = dict(dispersion=_dispersion_row, modes=_modes_row, cone=_cone_row, combined=_combined_row)
+# per fixture kind: (every row's result in one call, from the fixture and the radius: dispersion_table,
+# one nth batch, or _fundamentals with every cone scan in one; the report row of one fixture row:
+# (fixture, row, radius, its result) -> (report row, theory deviations, reference deviations))
+_KINDS = dict(
+    dispersion=(lambda fx, a: dispersion_table([row["nu"] for row in fx["rows"]], a), _dispersion_row),
+    modes=(lambda fx, a: nth([RadialSweep(row["nu"], row["pol"]) for row in fx["rows"]], 1), _modes_row),
+    cone=(lambda fx, a: _fundamentals([CavityConfig(a, 360.0, row["theta_c_deg"]) for row in fx["rows"]]), _cone_row),
+    combined=(
+        lambda fx, a: _fundamentals(
+            [CavityConfig(a, row["opening_deg"], fx["cone_half_angle_deg"]) for row in fx["rows"]]
+        ),
+        _combined_row,
+    ),
+)
 
 
 def validate(fixture_name: str) -> ValidationReport:
-    """Recompute a fixture's theory column from scratch and compare both columns."""
+    """Recompute a fixture's theory column from scratch and compare both columns: every row of
+    the fixture found in one call of its kind (_KINDS), then one report row per fixture row."""
     fx = load_fixture(fixture_name)
-    recompute = _RECOMPUTE.get(fx["kind"])
-    if recompute is None:
+    if fx["kind"] not in _KINDS:
         raise FixtureLookupError(f"fixture kind {fx['kind']!r} has no validator")
+    find, recompute = _KINDS[fx["kind"]]
     radius = fx["radius_mm"] / 1000.0
-    found = _each_row(fx, radius)
-    rows, theory, reference = zip(*(recompute(fx, row, radius, got) for row, got in zip(fx["rows"], found)))
+    found = zip(fx["rows"], find(fx, radius))
+    rows, theory, reference = zip(*(recompute(fx, row, radius, got) for row, got in found))
     theory_devs = sum(theory, [])
     return ValidationReport(
         fixture=fixture_name,

@@ -351,6 +351,16 @@ def test_cone_scan_rejects_an_order_that_is_not_finite(m):
         cone_roots(m, 0.3, "TM", 5.0)
 
 
+def test_cone_sweep_rejects_an_order_past_its_lattice_reach(monkeypatch):
+    # cone_nu(1e10, ...) would have scanned about 5e11 lattice points in one pass
+    monkeypatch.setattr(angular, "advance", lambda *args: pytest.fail("scanned"))
+    for m in (1e10, math.nextafter(ConeSweep.MAX_M, math.inf)):
+        with pytest.raises(DomainError, match="order m"):
+            cone_nu(m, 0.35, "TM")
+    assert ConeSweep.LATTICE.index(ConeSweep.MAX_M) == 2**18
+    ConeSweep(ConeSweep.MAX_M, 0.35, "TE")
+
+
 @pytest.mark.parametrize("theta_deg", [0.38, 5.0, 20.0, 33.69, 45.0, 60.0, 80.0, 89.0, 89.9])
 @pytest.mark.parametrize("pol", ["TM", "TE"])
 def test_cone_nu_is_the_branch_of_cone_roots(theta_deg, pol):

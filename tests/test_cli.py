@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from sphcav import spectrum
 from sphcav.cli import main
 from sphcav.spectrum import validate
 
@@ -172,6 +173,47 @@ def test_non_finite_mode_index_exits_with_a_typed_error(capsys, command, wedge, 
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "outside the physical quadrant" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dispersion", "--nu-list", "1e308"),
+        ("wedge-sweep", "--openings", "1e-300"),
+        ("wedge-sweep", "--openings", "1e-300", "--cone-deg", "20"),
+    ],
+)
+def test_an_order_past_the_scan_lattice_exits_with_a_typed_error(capsys, argv):
+    # nu = 1e308 ended in an OverflowError traceback, and m = pi/Phi = 1.8e302 never returned
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "<=" in err
+
+
+def test_main_repeats_in_one_process(capsys, monkeypatch):
+    # one parser serves every call of a process: a success, an argument error, a typed error
+    # and the success again print and exit alike each round, and a wrapper put on
+    # spectrum.validate after the first call is what the next validate call runs
+    def outcome(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    ok = ("dispersion", "--nu-list", "0,1.5", "--format", "csv")
+    calls = [ok, ("dispersion", "--nu-list", "x"), ("modes", "--count", "0"), ok]
+    first = [outcome(*argv) for argv in calls]
+    assert [code for code, *_ in first] == [0, 2, 1, 0] and first[0] == first[3]
+    assert "invalid" in first[1][2] and first[2][2].startswith("error:")
+    seen = []
+    real = spectrum.validate
+    monkeypatch.setattr(spectrum, "validate", lambda name: seen.append(name) or real(name))
+    code, out, _ = outcome("validate", "--fixture", "table1_dispersion")
+    assert seen == ["table1_dispersion"] and code == 0 and "PASS" in out
+    assert [outcome(*argv) for argv in calls] == first
 
 
 @pytest.mark.parametrize("wedge", [(), ("--wedge-deg", "270")])

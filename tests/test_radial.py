@@ -215,6 +215,17 @@ def test_sweep_rejects_an_order_that_is_not_finite_above_minus_half(nu, kind):
 
 
 @pytest.mark.parametrize("kind", list(RootKind))
+def test_sweep_rejects_an_order_past_its_lattice(kind):
+    # nu = 1e308 ended in an OverflowError from the lattice index, and nth at nu = 1.8e302 never
+    # returned, its caps below the ulp of nu; up to MAX_NU neighbouring lattice points stay apart
+    for nu in (1e308, 1.8e302, math.nextafter(RadialSweep.MAX_NU, math.inf)):
+        with pytest.raises(DomainError, match="nu <="):
+            RadialSweep(nu, kind)
+    sweep = RadialSweep(RadialSweep.MAX_NU, kind)
+    assert np.all(np.diff(sweep.LATTICE.point(sweep._i + np.arange(-2, 100))) > 0.0)
+
+
+@pytest.mark.parametrize("kind", list(RootKind))
 def test_radial_root_takes_a_kind_or_its_value(kind):
     # "TE" used to give the TM root: x = 3.8702 for 5.7635 at nu = 2
     solver = j_zero if kind is RootKind.TE_JZERO else riccati_deriv_zero
@@ -225,11 +236,17 @@ def test_radial_root_takes_a_kind_or_its_value(kind):
             radial_root(2.0, 1, bad)
 
 
+def _advanced(sweep, x_cap):
+    """The roots of ``sweep`` once they hold every root <= x_cap (the last may exceed it)."""
+    advance([sweep], [x_cap])
+    return list(sweep.roots)
+
+
 @pytest.mark.parametrize("kind", list(RootKind))
 def test_sweep_takes_a_kind_or_its_value(kind):
     # RadialSweep(2.0, "TE") used to raise a bare AttributeError
     sweep = RadialSweep(2.0, kind.value)
-    assert sweep.kind is kind and sweep.below(12.0) == RadialSweep(2.0, kind).below(12.0)
+    assert sweep.kind is kind and _advanced(sweep, 12.0) == _advanced(RadialSweep(2.0, kind), 12.0)
     for bad in BAD_KINDS:
         with pytest.raises(DomainError, match="radial kind"):
             RadialSweep(2.0, bad)
@@ -274,7 +291,7 @@ def test_sweep_matches_the_scalar_scan(nu):
     for kind in (TE, TM):
         sweep, want = RadialSweep(nu, kind), DenseSweep(nu, kind)
         for cap in caps:
-            sweep.below(cap)
+            advance([sweep], [cap])
         assert len(want.below(caps[-1])) >= 5
         assert _sweep_state([sweep]) == _sweep_state([want])
 
@@ -288,11 +305,11 @@ def test_sweep_continues_without_refining_twice(monkeypatch):
 
     monkeypatch.setattr(radial, "brentq", counting)
     sweep = RadialSweep(2.0, TM)
-    first = list(sweep.below(10.0))
+    first = _advanced(sweep, 10.0)
     assert [r.x for r in first if r.x <= 10.0] == [riccati_deriv_zero(2.0, n).x for n in (1, 2)]
     refined.clear()
-    assert sweep.below(9.0) == first and not refined
-    more = sweep.below(30.0)
+    assert _advanced(sweep, 9.0) == first and not refined
+    more = _advanced(sweep, 30.0)
     assert more[: len(first)] == first and more[-1].x > 28.0
     assert len(refined) == len(set(refined)) == len(more) - len(first)
 
@@ -301,7 +318,7 @@ def _assert_scan_matches_the_dense_scan(nu):
     for kind in (TE, TM):
         want = DenseSweep(nu, kind).below(nu + 120.0)
         assert len(want) >= 21
-        assert _bits(RadialSweep(nu, kind).below(nu + 120.0)) == _bits(want)
+        assert _bits(_advanced(RadialSweep(nu, kind), nu + 120.0)) == _bits(want)
         for n in (1, 2, 7, 20):
             assert _bits([radial_root(nu, n, kind)]) == _bits(want[n - 1 : n])
 
@@ -330,7 +347,7 @@ def test_an_exact_zero_on_the_grid_is_the_root(monkeypatch, at):
     monkeypatch.setattr(specfun, "jv", lambda v, x: np.asarray(x) - zero)
     want = DenseSweep(1.0, TE).below(5.0)
     assert [r.x for r in want] == [zero]
-    assert _bits(RadialSweep(1.0, TE).below(5.0)) == _bits(want)
+    assert _bits(_advanced(RadialSweep(1.0, TE), 5.0)) == _bits(want)
 
 
 @pytest.mark.parametrize("at", [20, 23, 25, 39])  # a coarse point, points bisection reaches
@@ -383,15 +400,18 @@ def test_sweeps_advanced_together_match_each_alone_and_the_dense_scan(specs):
             orders.append((math.nextafter(nu, math.inf), kind, head, twin_cap))
     caps = [cap for *_, cap in orders]
 
-    def made(cls):
+    def made(cls, scan):
         sweeps = [cls(nu, kind) for nu, kind, *_ in orders]
         for sweep, (nu, _, head, _) in zip(sweeps, orders):
-            sweep.below(nu + head)
+            scan(sweep, nu + head)
         return sweeps
 
-    together, alone, dense = made(RadialSweep), made(RadialSweep), made(DenseSweep)
+    together, alone = made(RadialSweep, _advanced), made(RadialSweep, _advanced)
+    dense = made(DenseSweep, DenseSweep.below)
     advance(together, caps)
-    for sweep, cap in zip(alone + dense, caps + caps):
+    for sweep, cap in zip(alone, caps):
+        _advanced(sweep, cap)
+    for sweep, cap in zip(dense, caps):
         sweep.below(cap)
     assert _sweep_state(together) == _sweep_state(alone) == _sweep_state(dense)
     for sweep, cap in zip(together, caps):
@@ -401,7 +421,7 @@ def test_sweeps_advanced_together_match_each_alone_and_the_dense_scan(specs):
 def test_advance_takes_a_sweep_listed_twice_once():
     # once, to the larger of its two caps, listed first or last
     want = [RadialSweep(2.0, TM), RadialSweep(3.0, TE)]
-    want[0].below(30.0), want[1].below(10.0)
+    _advanced(want[0], 30.0), _advanced(want[1], 10.0)
     for caps in ([30.0, 10.0, 12.0], [12.0, 10.0, 30.0]):
         sweep, other = RadialSweep(2.0, TM), RadialSweep(3.0, TE)
         advance([sweep, other, sweep], caps)
@@ -423,7 +443,7 @@ def test_advance_rejects_a_cap_that_is_not_finite(x_cap):
 @given(nu=st.floats(min_value=-0.5, max_value=200.0, exclude_min=True), kind=st.sampled_from([TE, TM]))
 def test_consecutive_roots_are_far_apart(nu, kind):
     # at least pi apart for nu >= 0 (see radial.py); 3.02 at the least as nu -> -1/2
-    xs = [r.x for r in RadialSweep(nu, kind).below(nu + 60.0)]
+    xs = [r.x for r in _advanced(RadialSweep(nu, kind), nu + 60.0)]
     assert len(xs) >= 5
     assert min(b - a for a, b in zip(xs, xs[1:])) > 2.5
 
@@ -432,8 +452,8 @@ def test_consecutive_roots_are_far_apart(nu, kind):
 @given(nu=st.floats(min_value=0.0, max_value=60.0))
 def test_te_and_tm_roots_interlace(nu):
     # x'_1 < x_1 < x'_2 < x_2 < ...: [x j_nu]' vanishes once between zeros of x j_nu
-    te = [r.x for r in RadialSweep(nu, TE).below(nu + 30.0)]
-    tm = [r.x for r in RadialSweep(nu, TM).below(nu + 30.0)]
+    te = [r.x for r in _advanced(RadialSweep(nu, TE), nu + 30.0)]
+    tm = [r.x for r in _advanced(RadialSweep(nu, TM), nu + 30.0)]
     count = min(len(te), len(tm))
     assert count >= 3
     merged = [x for pair in zip(tm[:count], te[:count]) for x in pair]
@@ -444,26 +464,26 @@ def test_te_and_tm_roots_interlace(nu):
 @pytest.mark.parametrize("kind", list(RootKind))
 def test_below_rejects_a_cap_that_is_not_finite(kind, x_cap):
     with pytest.raises(DomainError, match="cap"):
-        RadialSweep(1.0, kind).below(x_cap)
+        _advanced(RadialSweep(1.0, kind), x_cap)
 
 
 @pytest.mark.parametrize("nu", [0.0, 1.0 / 3.0, 7.3, 120.0])
 @pytest.mark.parametrize("kind", list(RootKind))
 def test_below_and_nth_share_one_sweep(nu, kind):
-    # nth is below with a rising cap: on one sweep, in either order, the bits of a fresh one;
+    # nth is advance with a rising cap: on one sweep, in either order, the bits of a fresh one;
     # n = 6 and 20 lie beyond the stored Airy zeros
     fresh = {n: _bits(nth([RadialSweep(nu, kind)], n)) for n in (1, 2, 6, 20)}
-    want = RadialSweep(nu, kind).below(nu + 120.0)
+    want = _advanced(RadialSweep(nu, kind), nu + 120.0)
     assert len(want) >= 21
     assert [_bits([r]) for r in want[:20]] == [_bits(nth([RadialSweep(nu, kind)], n)) for n in range(1, 21)]
     sweep = RadialSweep(nu, kind)
-    assert 6 < len(sweep.below(nu + 50.0)) < 20
+    assert 6 < len(_advanced(sweep, nu + 50.0)) < 20
     assert _bits(nth([sweep], 2)) == fresh[2] and _bits(nth([sweep], 6)) == fresh[6]
     assert _bits(nth([sweep], 20)) == fresh[20] and _bits(nth([sweep], 1)) == fresh[1]
-    assert _bits(sweep.below(nu + 120.0)) == _bits(want)
+    assert _bits(_advanced(sweep, nu + 120.0)) == _bits(want)
     sweep = RadialSweep(nu, kind)
     assert _bits(nth([sweep], 6)) == fresh[6]
-    assert _bits(sweep.below(nu + 120.0)) == _bits(want)
+    assert _bits(_advanced(sweep, nu + 120.0)) == _bits(want)
 
 
 NTH_SPEC = st.tuples(
@@ -495,7 +515,7 @@ def test_nth_over_many_sweeps_is_each_lone_search(specs, n):
         sweeps = [RadialSweep(nu, kind) for nu, kind, _ in orders]
         for sweep, (nu, _, head) in zip(sweeps, orders):
             if head is not None:
-                sweep.below(nu + head)
+                _advanced(sweep, nu + head)
         return sweeps
 
     together, alone = made(), made()
@@ -561,7 +581,7 @@ def test_non_finite_scan_raises(monkeypatch):
     with pytest.raises(RootSearchError):
         j_zero(0.0, 3)
     with pytest.raises(RootSearchError):
-        RadialSweep(0.0, TM).below(20.0)
+        _advanced(RadialSweep(0.0, TM), 20.0)
 
 
 def test_root_search_window_when_no_root_is_found(monkeypatch):
@@ -599,11 +619,11 @@ def test_root_search_stop_scales_with_the_cube_root_of_the_order(monkeypatch, nu
 @pytest.mark.parametrize("nu", [900.0, 5000.0, 17000.0, 1e5, 1e6])
 @pytest.mark.parametrize("kind", list(RootKind))
 def test_nth_is_below_at_large_orders(nu, kind):
-    # the stop grows with nu^(1/3), so no root that below finds is given up on; the
+    # the stop grows with nu^(1/3), so no root that advance finds is given up on; the
     # fixed stop lo + 40 + 4n used to give up on j_zero(900, 12) and j_zero(17000, 1)
     ns = (1, 2, 5, 6, 12, 20)
     got = [nth([RadialSweep(nu, kind)], n)[0] for n in ns]
-    want = RadialSweep(nu, kind).below(got[-1].x)
+    want = _advanced(RadialSweep(nu, kind), got[-1].x)
     assert [_bits([r]) for r in got] == [_bits([want[n - 1]]) for n in ns]
 
 
