@@ -7,8 +7,9 @@
 SRC is the src/ directory of the sphcav tree to measure.  Every section of
 snapshot.py runs against it, its output discarded, while each RadialRoot that
 radial makes is recorded, once per (kind, nu, n), and each cone root below its cap that a
-cone sweep hands its caller (angular._below, behind cone_roots, cone_nus and the
-enumerations' eigenvalue lists), once per (polarization, m, theta_c, branch).  Each root is
+cone sweep hands its caller (angular._below, which every cone query reaches: cone_roots,
+cone_nus, cone_nu as a one-query cone_nus, and AngularDomain.eigenvalue_lists behind the
+enumerations), once per (polarization, m, theta_c, branch).  Each root is
 then refined in 40-digit mpmath (tests/oracles.py's mp_wall_root_near, a continued
 fraction that holds at every order, and mp_cone_root_near, on mp_cone_function)
 and printed with its distance |x - x_exact| / ulp(x_exact): first the radial roots,

@@ -24,8 +24,11 @@ text, each row command in every format, all four fixtures, a computational error
 and an argument error), and spherical_j and
 riccati_deriv at small arguments (seven orders up to 500, five x from 1e-310 to
 0.49, each also as one array), hyp2f1 at a parameter 5e-12 off an integer, and
-two field samples with k r < 0.5.  A call that raises prints the
-error's type and message instead of a value.
+two field samples with k r < 0.5, and the refusals of the cone queries and of advance
+(cone_nu with a branch of 0 or 1.5 or the polarization "TEM", cone_nus with one bad
+query of a batch, cone_roots with nu_max = inf, advance with sweeps of two classes).  A
+call that raises prints the error's type and message instead of a value, and the scan
+window it names, if any.
 """
 
 import contextlib
@@ -37,7 +40,7 @@ import math
 import numpy as np
 
 from sphcav import cli, radial
-from sphcav.angular import AngularEigenpair, Family, classify, cone_nu
+from sphcav.angular import AngularEigenpair, ConeSweep, Family, classify, cone_nu, cone_nus, cone_roots
 from sphcav.energy import mode_energy
 from sphcav.fields import evaluate, make_mode, wave_impedances
 from sphcav.radial import RadialSweep, RootKind, j_zero, riccati_deriv_zero
@@ -125,6 +128,8 @@ def show(label: str, compute) -> None:
         text = fmt(compute())
     except Exception as exc:
         text = f"raises {type(exc).__name__}: {exc}"
+        if getattr(exc, "window", None) is not None:
+            text += f" window={fmt(exc.window)}"
     print(f"{label}: {text}")
 
 
@@ -268,6 +273,17 @@ def small_arguments() -> None:
         show(f"evaluate(TM, {nu!r}, {nu!r}, r={r!r})", lambda: evaluate(make_mode(TM, pair, 1, A), (r, 1.5, 0.3)))
 
 
+def refusals() -> None:
+    tc = math.radians(20.0)
+    for pol, branch in (("TM", 0), ("TM", 1.5), ("TEM", 1)):
+        show(f"cone_nu(0.0, 20 deg, {pol}, {branch!r})", lambda: cone_nu(0.0, tc, pol, branch))
+    for bad in ((1.0, tc, "TEM", 1), (1.0, tc, "TM", 0), (1.0, tc, "TE", 2.5), (200.0, 0.35, "TM", 1)):
+        # the bad query second of three; 200.0 is not finite on its scan
+        show(f"cone_nus(..., {bad!r}, ...)", lambda: cone_nus([(0.0, tc, "TM", 1), bad, (2.0, tc, "TE", 2)]))
+    show("cone_roots(1.0, 20 deg, TM, inf)", lambda: cone_roots(1.0, tc, "TM", math.inf))
+    show("advance([ConeSweep, RadialSweep])", lambda: advance([ConeSweep(0.0, tc, "TM"), RadialSweep(1.0, TE)], [5.0, 5.0]))
+
+
 def commands() -> None:
     for line in COMMANDS:
         out, err = io.StringIO(), io.StringIO()
@@ -282,7 +298,7 @@ def commands() -> None:
                 print(f"  {stream}| {row}")
 
 
-SECTIONS = (geometries, sweeps, roots, cones, modes, field_rows, reachability, commands, small_arguments)
+SECTIONS = (geometries, sweeps, roots, cones, modes, field_rows, reachability, commands, small_arguments, refusals)
 
 if __name__ == "__main__":
     for section in SECTIONS:

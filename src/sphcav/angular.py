@@ -5,8 +5,9 @@ either.  Single-valuedness in phi: the index lattice of each polarization and we
 (indices, nearest_index, admits).  Regularity at the retained poles: polar and polar_value (the
 reflection theta -> pi - theta, which the cone condition takes at theta_c alone) and
 eigenvalues, which are nu = m + k without a cone (specfun.terminates tests nu - m in N) and
-continuous families of cone roots with one: those of a ConeSweep per (m, polarization), which
-an enumeration keeps per call, as its radial sweeps, and specfun.advance continues per cap.
+continuous families of cone roots with one: those of a ConeSweep (a specfun.Sweep) per (m,
+polarization), which an enumeration keeps per call, as its radial sweeps, and specfun.advance
+continues per cap.  cone_roots, cone_nu and cone_nus are queries of fresh ConeSweeps.
 
 Geometry conventions:
   * azimuth opening Phi in (0, 2pi]; Phi = 2pi means the full azimuth
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ClassificationError, DomainError, RootSearchError, positive_index
-from .specfun import Lattice, advance, legendre_theta, ln_gamma, polar_solution, terminates
+from .specfun import Lattice, Sweep, advance, legendre_theta, ln_gamma, polar_solution, terminates
 
 __all__ = [
     "Family",
@@ -234,10 +235,11 @@ def angular_ode_residual(
     return second_deriv + math.cos(theta) / s * deriv + (nu * (nu + 1.0) - m * m / (s * s)) * value
 
 
-class ConeSweep:
+class ConeSweep(Sweep):
     """The cone roots of order m at half-angle theta_c of the polarization's condition (TM or
-    TE, any case), found in increasing order and kept, the first max_branches of them (all if
-    None); the constructor checks all four (DomainError), so a batch is checked before a scan.
+    TE, any case), found in increasing order and kept as floats, the first max_branches of them
+    (all if None); the constructor checks all four (DomainError), so a batch is checked before a
+    scan.
 
     specfun.advance scans the lattice nu_i = 1e-4 + i 0.02, well below the root spacing, at
     every point from i = 0, each pass continuing the last, with all TM points of a pass in one
@@ -256,32 +258,26 @@ class ConeSweep:
     TOL = dict(xtol=1e-10, rtol=1e-14)
     # Brent's method: this module's brentq as it stands, so that a wrapper around it sees each refinement
     brent = staticmethod(lambda: brentq)
-    root = staticmethod(float)  # a root is kept as its nu
 
     def __init__(self, m: float, theta_c: float, polarization: str, max_branches: int | None = None):
         if not 0.0 <= m <= self.MAX_M:
             raise DomainError(f"order m of a cone sweep must satisfy 0 <= m <= {self.MAX_M:.6g}, got m={m}")
         if not (0.0 < theta_c < 0.5 * math.pi):
             raise DomainError("cone half-angle must lie strictly inside (0, pi/2)")
-        pol = polarization.upper()
+        pol = polarization.upper() if isinstance(polarization, str) else None
         if pol not in ("TM", "TE"):
             raise DomainError(f"polarization must be TM or TE, got {polarization!r}")
         if max_branches is not None:
             max_branches = positive_index(max_branches, "max_branches")
         self.m, self.theta_c, self.polarization, self.max_roots = m, theta_c, pol, max_branches
-        self.args = (pol == "TM", m, math.pi - theta_c)
-        self.name = f"{pol} cone condition for m={m}, theta_c={theta_c:g} rad"
-        self._i = 0  # the lattice index of the last scanned point
-        self.roots: list[float] = []
+        name = f"{pol} cone condition for m={m}, theta_c={theta_c:g} rad"
+        super().__init__((pol == "TM", m, math.pi - theta_c), name, 0)
 
     @staticmethod
     def batched(nu, tm, m, t):
         """The cone condition at t = pi - theta_c, the cone seen from the retained pole: the
         regular polar solution there (TM) or its derivative (TE), looked up at each call."""
         return legendre_theta(nu, m, t) if tm else polar_solution(nu, m, t)[1]
-
-    def value(self, nu: float) -> float:  # the scalar condition, for Brent's method
-        return self.batched(nu, *self.args)
 
 
 def _below(sweeps, caps) -> list[list[float]]:
@@ -309,22 +305,6 @@ def cone_roots(
     return _below([sweep], [nu_max])[0]
 
 
-def _branch_scan(m: float, theta_c: float, polarization: str, branch) -> tuple:
-    """The cone_roots arguments of cone branch ``branch``: a scan that ends at
-    m + (branch + 1) pi/(pi - theta_c) and stops at the branch (cone_nu)."""
-    branch = positive_index(branch, "branch index")
-    return m, theta_c, polarization, m + (branch + 1) * math.pi / (math.pi - theta_c), branch
-
-
-def _branch_root(scan: tuple, roots: list[float]) -> float:
-    """The branch of ``scan`` among its ``roots``, or RootSearchError without it."""
-    m, theta_c, polarization, hi, branch = scan
-    if len(roots) < branch:
-        what = f"no {polarization} cone root (branch {branch}) for m={m}, theta_c={theta_c:g} rad"
-        raise RootSearchError(what, window=(ConeSweep.LATTICE.origin, hi))
-    return roots[branch - 1]
-
-
 def cone_nu(m: float, theta_c: float, polarization: str, branch: int = 1) -> float:
     """The branch-th smallest nu > 0 satisfying the cone condition.
 
@@ -335,12 +315,19 @@ def cone_nu(m: float, theta_c: float, polarization: str, branch: int = 1) -> flo
     m + (branch + 1) pi/(pi - theta_c) and raises RootSearchError without
     the branch there.
     """
-    scan = _branch_scan(m, theta_c, polarization, branch)
-    return _branch_root(scan, cone_roots(*scan))
+    return cone_nus([(m, theta_c, polarization, branch)])[0]
 
 
 def cone_nus(queries) -> list[float]:
-    """cone_nu of each (m, theta_c, polarization, branch), every sweep advanced in one call."""
-    scans = [_branch_scan(*query) for query in queries]
-    sweeps = [ConeSweep(m, theta_c, pol, branch) for m, theta_c, pol, _, branch in scans]
-    return [_branch_root(scan, roots) for scan, roots in zip(scans, _below(sweeps, [s[3] for s in scans]))]
+    """cone_nu of each (m, theta_c, polarization, branch), every sweep advanced in one call: each
+    branch is checked, then each sweep made, before any scan."""
+    queries = [(m, theta_c, pol, positive_index(branch, "branch index")) for m, theta_c, pol, branch in queries]
+    caps = [m + (branch + 1) * math.pi / (math.pi - theta_c) for m, theta_c, _, branch in queries]
+    sweeps = [ConeSweep(*query) for query in queries]
+    nus = []
+    for (m, theta_c, pol, branch), cap, roots in zip(queries, caps, _below(sweeps, caps)):
+        if len(roots) < branch:
+            what = f"no {pol} cone root (branch {branch}) for m={m}, theta_c={theta_c:g} rad"
+            raise RootSearchError(what, window=(ConeSweep.LATTICE.origin, cap))
+        nus.append(roots[branch - 1])
+    return nus

@@ -1,9 +1,9 @@
 """Radial quantization: certified roots of j_nu and of d/dx [x j_nu(x)].
 
-TE resonances sit at zeros of j_nu (x_{nu,n}); TM resonances at zeros of the
-Riccati derivative d/dx [x j_nu(x)] (x'_{nu,n}).  Both conditions are
-specfun.spherical_j and specfun.riccati_deriv, called on arrays for the scan
-(over one lattice of x that every nu shares) and on floats for Brent's method.
+TE resonances sit at zeros of j_nu (x_{nu,n}); TM resonances at zeros of the Riccati derivative
+d/dx [x j_nu(x)] (x'_{nu,n}).  Either is the condition of a RadialSweep, a specfun.Sweep that
+specfun.advance scans on arrays (one lattice of x that every nu shares) and refines on floats
+by Brent's method, both through specfun.spherical_j and specfun.riccati_deriv.
 Frequencies follow from f = c * x / (2 pi a).
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, RootSearchError, positive_index
-from .specfun import Lattice, advance, riccati_deriv, spherical_j
+from .specfun import Lattice, Sweep, advance, riccati_deriv, spherical_j
 
 __all__ = [
     "RootKind",
@@ -100,21 +100,20 @@ _STEP = 0.05  # the lattice x_i = i * _STEP; the first root exceeds nu, so a sca
 _BLOCK = 64  # lattice steps from one cap of nth to the next, about one root spacing
 
 
-class RadialSweep:
+class RadialSweep(Sweep):
     """Every root of one radial condition (``kind`` a RootKind or "TE" or "TM"), found in
-    increasing order and kept.  specfun.advance scans the lattice x_i = i * 0.05 that every nu
-    shares from the last point at or below max(nu, 1e-3) (i >= 1: x = 0 is no scan point, and
-    the first root lies above 0.9 for every nu > -1/2), at every 20th point (an x-stride of 1.0
-    holds at most one root), each pass continuing the last, so no root is found twice.  Brent
-    refines each sign change to 4 eps, so a root is fixed by its lattice interval alone,
-    whatever the caps and sweeps it was scanned with.
+    increasing order and kept as a RadialRoot with its residual.  specfun.advance scans the
+    lattice x_i = i * 0.05 that every nu shares from the last point at or below max(nu, 1e-3)
+    (i >= 1: x = 0 is no scan point, and the first root lies above 0.9 for every nu > -1/2), at
+    every 20th point (an x-stride of 1.0 holds at most one root), each pass continuing the last,
+    so no root is found twice.  Brent refines each sign change to 4 eps, so a root is fixed by
+    its lattice interval alone, whatever the caps and sweeps it was scanned with.
     """
 
     LATTICE, STRIDE = Lattice(0.0, _STEP), 20
     # Brent to scipy's relative floor, 4 eps: a root is then fixed by its bracket's lattice
     # interval, within a few ulp of the root of the evaluated condition
     TOL = dict(xtol=1e-300, rtol=4.0 * float(np.finfo(float).eps))
-    max_roots = None
     # Past step / eps, about 2.3e14, neighbouring lattice points lie less than an ulp apart, so a
     # scan could neither bracket a root nor move past its cap (at 1e302 nth never ends); with a
     # factor 2 to spare, every point of a scan from nu <= MAX_NU is a float of its own.
@@ -126,29 +125,17 @@ class RadialSweep:
         if not -0.5 < nu <= self.MAX_NU:
             raise DomainError(f"radial roots require -1/2 < nu <= {self.MAX_NU:.4g}, got nu={nu}")
         self.nu, self.kind = nu, kind if isinstance(kind, RootKind) else RootKind(kind)  # a member costs no call
-        self.args = (self.kind is RootKind.TE_JZERO, nu)  # TE read once: an enum lookup costs 0.1 us a call
-        self.name = f"{self.kind.value} radial condition for nu={nu}"
         self.lo = max(nu, 1e-3)
-        self._i = max(1, int(self.lo / _STEP))  # the lattice index of the last scanned point
-        self.roots: list[RadialRoot] = []
-
-    @property
-    def _x(self) -> float:
-        return self.LATTICE.point(self._i)
+        args = (self.kind is RootKind.TE_JZERO, nu)  # TE read once: an enum lookup costs 0.1 us a call
+        super().__init__(args, f"{self.kind.value} radial condition for nu={nu}", max(1, int(self.lo / _STEP)))
 
     @staticmethod
     def batched(x, te, nu):
         """spherical_j (TE) or riccati_deriv (TM) of order nu[j] at x[j], looked up at each call."""
         return (spherical_j if te else riccati_deriv)(nu, x)
 
-    def value(self, x):
-        """The wall condition at x, a float or an array, as the scan and Brent's method evaluate it."""
-        te, nu = self.args  # not through batched: a float call costs about 2 us, a frame more 0.2 us
-        return (spherical_j if te else riccati_deriv)(nu, x)
-
     def root(self, x: float) -> RadialRoot:
         return RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, self.value(x))
-
 
 
 def nth(sweeps, n: int) -> list[RadialRoot]:
@@ -164,9 +151,9 @@ def nth(sweeps, n: int) -> list[RadialRoot]:
     while pending := [s for s in caps if len(s.roots) < n]:
         advance(pending, [caps[s] for s in pending])
         for s in pending:  # a sweep that holds root n leaves the next round whatever its cap
-            if len(s.roots) < n and s._x > s.lo + (40.0 + 4.0 * n) * max(1.0, s.nu) ** (1.0 / 3.0):
-                raise RootSearchError(f"failed to bracket root n={n} for nu={s.nu}", window=(s.lo, s._x))
-            caps[s] = s._x + _BLOCK * _STEP
+            if len(s.roots) < n and s.end > s.lo + (40.0 + 4.0 * n) * max(1.0, s.nu) ** (1.0 / 3.0):
+                raise RootSearchError(f"failed to bracket root n={n} for nu={s.nu}", window=(s.lo, s.end))
+            caps[s] = s.end + _BLOCK * _STEP
     return [s.roots[n - 1] for s in sweeps]
 
 

@@ -9,13 +9,14 @@ Conventions:
     round passes one nu per sweep), every array element the bits of a float call
   * Theta(theta) is the polar solution regular at theta = 0, normalized so
     Theta / sin(theta)^m -> 1 as theta -> 0+
+  * Sweep is the one root-sweep type (radial.RadialSweep, angular.ConeSweep), and advance
+    the one routine that scans sweeps, refines their roots and moves them along their lattice
 
 All functions are pure; no module-level mutable state.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from operator import itemgetter
@@ -34,7 +35,7 @@ __all__ = [
     "spherical_j",
     "riccati_deriv",
     "Lattice",
-    "lattice_roots",
+    "Sweep",
     "advance",
     "polar_solution",
     "legendre_theta",
@@ -154,70 +155,46 @@ class Lattice(NamedTuple):
         return i + (self.point(i) < x)
 
 
-def lattice_roots(lattice: Lattice, sizes, index, evaluate, conditions, refine, **tol) -> list:
-    """The roots of each row's condition, smallest first, as one lazy iterator per row: the one
-    bracket-and-refine routine of the radial and cone scans.
+class Sweep:
+    """The roots of one condition, found in increasing order on its class's lattice and kept:
+    the one sweep type of radial.RadialSweep and angular.ConeSweep, which advance alone moves.
 
-    Row r is the next ``sizes[r]`` lattice indices of ``index``, ascending; ``evaluate(rows, x)``
-    is the condition of row rows[j] at x[j] in one array call, raising for a value not finite;
-    ``conditions[r]`` is row r's scalar condition and its name.  Neighbouring points of a row
-    bracket a root where the first is 0 or the sign changes; a row's last point only ends a
-    bracket (a continued scan starts there).  Brackets are bisected in lockstep over lattice
-    indices, one evaluate call a step.  A lattice zero is its root; any other root is ``refine(f,
-    lo, hi, **tol)`` (Brent's method) on its lattice interval, run as the iterator reaches it,
-    with f taking its values at lo and hi from the scan, so each root is fixed by its lattice
-    interval alone.  A refinement that fails raises RootSearchError naming the row and the
-    interval; a SphcavError from the condition or ``refine`` passes unchanged.
+    A subclass supplies LATTICE, STRIDE, Brent's tolerance TOL, ``brent()`` (its module's brentq,
+    looked up at each call) and ``batched(x, flag, *args)``, the condition of rows of one flag;
+    an instance its ``args`` (flag first), ``name`` and, if it keeps only its first roots,
+    ``max_roots``.  ``root(x)`` is what a sweep keeps of a root at x.
     """
-    rows = np.repeat(np.arange(len(sizes)), sizes)
-    values = evaluate(rows, lattice.point(index))
-    at = ((rows[:-1] == rows[1:]) & ((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))).nonzero()[0]
-    # each bracket's lattice indices (ends[0]: lo, ends[1]: hi) and the condition there
-    rows, ends, ends_f = rows[at], np.array([index[at], index[at + 1]]), np.array([values[at], values[at + 1]])
-    while len(j := (ends[1] - ends[0] > 1).nonzero()[0]):  # nonzero, not flatnonzero: 1 us less a call
-        mid = (ends[0, j] + ends[1, j]) // 2
-        f_mid = evaluate(rows[j], lattice.point(mid))
-        side = (ends_f[0, j] * f_mid <= 0.0).astype(np.intp)  # 1: the sign changes at or below mid
-        ends[side, j], ends_f[side, j] = mid, f_mid
-    brackets: list[list] = [[] for _ in sizes]
-    for r, *bracket in zip(rows.tolist(), *lattice.point(ends).tolist(), *ends_f.tolist()):
-        brackets[r].append(bracket)
-    return [_refined(row, *condition, refine, tol) for row, condition in zip(brackets, conditions)]
 
+    max_roots: int | None = None  # None: every root
+    index = property(lambda self: self._index)  # the lattice index of the last scanned point
+    end = property(lambda self: self.LATTICE.point(self._index))  # the last scanned point
 
-def _refined(brackets, f, what: str, refine, tol):
-    """The root of each bracket (lo, hi, f at lo, f at hi) of one row of lattice_roots."""
-    for lo, hi, f_lo, f_hi in brackets:
-        try:
-            if f_lo == 0.0 or f_hi == 0.0:
-                yield lo if f_lo == 0.0 else hi
-            else:
-                yield float(refine(functools.partial(_fed, f, lo, f_lo, hi, f_hi), lo, hi, **tol))
-        except SphcavError:
-            raise
-        except (ValueError, RuntimeError) as exc:
-            raise RootSearchError(f"{what} could not be refined: {exc}", window=(lo, hi)) from exc
+    def __init__(self, args: tuple, name: str, index: int):
+        self.args, self.name, self._index = args, name, index
+        self.roots: list = []
 
+    def value(self, x):
+        """The condition at x, a float or an array, as the scan and Brent's method evaluate it."""
+        return self.batched(x, *self.args)
 
-def _fed(f, lo: float, f_lo: float, hi: float, f_hi: float, x: float) -> float:
-    """f at x, with the values the scan holds at the bracket ends lo and hi."""
-    return f_lo if x == lo else f_hi if x == hi else f(x)
+    def root(self, x: float):
+        return x
 
 
 def advance(sweeps, caps) -> None:
-    """Scan each sweep ``sweeps[i]`` to the first lattice point at or past its cap ``caps[i]``
+    """Scan each Sweep ``sweeps[i]`` to the first lattice point at or past its cap ``caps[i]``
     (a sweep listed twice to the larger of its caps), keeping each root it brackets: the one
-    scan loop of radial.RadialSweep and angular.ConeSweep, one class a call.
+    bracket-and-refine routine of the radial and cone scans, one Sweep class a call.
 
-    The class supplies LATTICE, STRIDE, Brent's tolerance TOL and ``brent()`` (its module's
-    brentq), and ``batched(x, flag, *args)``, the condition of rows of one flag; each sweep its
-    ``args`` (flag first), scalar ``value`` and ``name``, ``_i`` (its last scanned lattice index),
-    ``max_roots`` (None: all), ``roots`` and ``root(x)``, what it keeps of a root at x.  All
-    pending sweeps advance in one pass: their last points, every lattice index past them that
-    is a multiple of STRIDE and their caps' indices, in one batched call per flag, then
-    lattice_roots.  A pass's last point only ends a bracket (the next pass starts there).  No
-    root past max_roots is refined, and a sweep takes its roots and its new end once every root
-    of the pass is.  A value not finite raises RootSearchError naming the sweep and its pass.
+    All pending sweeps advance in one pass: their last points, every lattice index past them that
+    is a multiple of STRIDE and their caps' indices, in one batched call per flag.  Neighbouring
+    points bracket a root where the first is 0 or their signs differ; a pass's last point only
+    ends a bracket (the next pass starts there).  Brackets are bisected in lockstep over lattice
+    indices, then cut to the roots each sweep still keeps.  A lattice zero is its root; any other
+    is Brent's method on its lattice interval, fed the scan's values at its ends, so each root is
+    fixed by its lattice interval alone.  Sweeps take their roots and ends once every root of the
+    pass is refined.  A value not finite raises RootSearchError naming the sweep and its pass, a
+    failed refinement one naming its interval; a SphcavError from the condition or Brent passes.
     """
     if len(caps) != len(sweeps):
         raise DomainError(f"advance takes one cap per sweep, got {len(caps)} for {len(sweeps)} sweeps")
@@ -231,10 +208,10 @@ def advance(sweeps, caps) -> None:
     lattice, stride = kind.LATTICE, kind.STRIDE
     end_of = {cap: lattice.index(cap) for cap in set(caps)}  # enumerate_modes gives all its sweeps one cap
     # each pending sweep's end; sorted by end, a sweep listed twice keeps the larger
-    ends = {s: end for s, end in sorted(zip(sweeps, map(end_of.get, caps)), key=itemgetter(1)) if s._i < end}
+    ends = {s: end for s, end in sorted(zip(sweeps, map(end_of.get, caps)), key=itemgetter(1)) if s._index < end}
     if not (sweeps := list(ends)):
         return
-    start, end = [s._i for s in sweeps], list(ends.values())
+    start, end = [s._index for s in sweeps], list(ends.values())
     if len(sweeps) == 1:  # a lone sweep's points in Python: the arrays below cost a lone search 10-15 us
         points = [[i, *range((i // stride + 1) * stride, e, stride), e] for i, e in zip(start, end)]
         index, sizes = np.array([i for p in points for i in p]), [len(p) for p in points]
@@ -250,7 +227,7 @@ def advance(sweeps, caps) -> None:
     one = flags[0] if len(set(flags)) == 1 else None  # the flag of every sweep, if they share one
     flags, args = np.array(flags), [np.array(a) for a in args]
 
-    def scan(rows, x):
+    def scan(rows, x):  # the condition of sweep rows[j] at x[j]
         if one is not None:
             values = kind.batched(x, one, *(a[rows] for a in args))
         else:
@@ -260,17 +237,44 @@ def advance(sweeps, caps) -> None:
                     values[side] = kind.batched(x[side], flag, *(a[rows[side]] for a in args))
         if not np.isfinite(values).all():
             s = sweeps[rows[~np.isfinite(values)][0]]
-            window = (lattice.point(s._i), lattice.point(ends[s]))
+            window = (lattice.point(s._index), lattice.point(ends[s]))
             raise RootSearchError(f"{s.name} is not finite on the scan", window=window)
         return values
 
-    found = lattice_roots(lattice, sizes, index, scan, [(s.value, s.name) for s in sweeps], kind.brent(), **kind.TOL)
-    limits = [s.max_roots and s.max_roots - len(s.roots) for s in sweeps]  # None: every root
-    kept = [list(roots if n is None else itertools.islice(roots, n)) for roots, n in zip(found, limits)]
-    for s, roots in zip(sweeps, kept):
+    rows = np.repeat(np.arange(len(sweeps)), sizes)
+    values = scan(rows, lattice.point(index))
+    sign = np.sign(values)  # signs, not values, are multiplied: a product of values may overflow
+    at = ((rows[:-1] == rows[1:]) & ((values[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))).nonzero()[0]
+    # each bracket's lattice indices (bounds[0]: lo, bounds[1]: hi) and the condition there
+    rows, bounds, bounds_f = rows[at], np.array([index[at], index[at + 1]]), np.array([values[at], values[at + 1]])
+    while len(j := (bounds[1] - bounds[0] > 1).nonzero()[0]):  # nonzero, not flatnonzero: 1 us less a call
+        mid = (bounds[0, j] + bounds[1, j]) // 2
+        f_mid = scan(rows[j], lattice.point(mid))
+        side = (np.sign(bounds_f[0, j]) * np.sign(f_mid) <= 0.0).astype(np.intp)  # 1: a sign change at or below mid
+        bounds[side, j], bounds_f[side, j] = mid, f_mid
+    brackets: list[list] = [[] for _ in sweeps]
+    for r, *bracket in zip(rows.tolist(), *lattice.point(bounds).tolist(), *bounds_f.tolist()):
+        brackets[r].append(bracket)
+    brent, found = kind.brent(), [[] for _ in sweeps]
+    for s, row, roots in zip(sweeps, brackets, found):
+        for lo, hi, f_lo, f_hi in row[: s.max_roots and s.max_roots - len(s.roots)]:  # [:None]: every root
+            if f_lo == 0.0 or f_hi == 0.0:
+                roots.append(lo if f_lo == 0.0 else hi)
+                continue
+
+            def fed(x):  # the condition, with the values the scan holds at the bracket ends
+                return f_lo if x == lo else f_hi if x == hi else s.value(x)
+
+            try:
+                roots.append(float(brent(fed, lo, hi, **kind.TOL)))
+            except SphcavError:
+                raise
+            except (ValueError, RuntimeError) as exc:
+                raise RootSearchError(f"{s.name} could not be refined: {exc}", window=(lo, hi)) from exc
+    for s, roots in zip(sweeps, found):
         for x in roots:
             s.roots.append(s.root(x))
-        s._i = ends[s]
+        s._index = ends[s]
 
 
 # --- polar angular solution -------------------------------------------------

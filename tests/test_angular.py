@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -310,7 +311,7 @@ def test_cone_nu_te_branch():
 @pytest.mark.parametrize("branch", [1.5, 2.0, math.nan, math.inf, "1", 0, -1])
 def test_cone_nu_rejects_a_branch_that_is_not_a_positive_integer(monkeypatch, branch):
     # a branch of 1.5 used to raise a bare ValueError from islice
-    monkeypatch.setattr(angular, "cone_roots", lambda *args, **kw: pytest.fail("scanned"))
+    monkeypatch.setattr(angular, "advance", lambda *args, **kw: pytest.fail("scanned"))
     with pytest.raises(DomainError, match="branch index"):
         cone_nu(0.0, 0.3, "TM", branch)
 
@@ -333,9 +334,28 @@ def test_cone_nu_errors(monkeypatch):
         cone_nu(0.0, 0.0, "TM", 1)
     with pytest.raises(DomainError):
         cone_nu(0.0, 0.3, "TEM", 1)
-    monkeypatch.setattr(angular, "cone_roots", lambda m, theta_c, pol, nu_max, max_branches: [])
-    with pytest.raises(RootSearchError):
-        cone_nu(0.0, math.radians(0.38), "TM", 1)
+    monkeypatch.setattr(angular, "advance", lambda sweeps, caps: None)  # a scan that finds no root
+    tc = math.radians(0.38)
+    with pytest.raises(RootSearchError, match="no TM cone root") as err:
+        cone_nu(0.0, tc, "TM", 1)
+    assert err.value.window == (ConeSweep.LATTICE.origin, 2.0 * math.pi / (math.pi - tc))
+
+
+@pytest.mark.parametrize("polarization", [5, None, b"TM", ("TM",)])
+def test_cone_nu_refuses_a_polarization_that_is_not_a_string(monkeypatch, polarization):
+    # 5 used to raise a bare AttributeError from polarization.upper()
+    monkeypatch.setattr(angular, "advance", lambda *args, **kw: pytest.fail("scanned"))
+    with pytest.raises(DomainError, match="polarization must be TM or TE"):
+        cone_nu(0.0, 0.3, polarization, 1)
+
+
+@pytest.mark.parametrize("polarization", ["TM", "TE"])
+def test_a_scan_whose_values_overflow_a_product_warns_of_nothing(polarization):
+    # the bracket test multiplied neighbouring values, which overflowed here and printed
+    # "RuntimeWarning: overflow encountered in multiply" from a plain call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cone_nu(100.0, 0.1, polarization, 1) == 100.00000000000007
 
 
 @pytest.mark.parametrize("nu_max", [math.nan, math.inf])
@@ -632,7 +652,7 @@ def test_a_batch_names_the_request_whose_scan_is_not_finite():
     # the window scanned: from the first lattice point to the first at or past the cap
     lattice = ConeSweep.LATTICE
     assert batched.value.window == lone.value.window == (1e-4, lattice.point(lattice.index(205.0)))
-    assert all(not s.roots and s._i == 0 for s in batch)  # a sweep keeps nothing of a failed pass
+    assert all(not s.roots and s.index == 0 for s in batch)  # a sweep keeps nothing of a failed pass
 
 
 def test_a_batch_checks_every_request_before_scanning(monkeypatch):
@@ -698,7 +718,7 @@ def test_a_cone_sweep_continued_across_caps_is_one_advance_to_the_last(m, theta_
         advance([sweep], [cap])
     advance([want], caps[-1:])
     assert [nu.hex() for nu in sweep.roots] == [nu.hex() for nu in want.roots]
-    assert sweep._i == want._i == max(0, ConeSweep.LATTICE.index(caps[-1]))
+    assert sweep.index == want.index == max(0, ConeSweep.LATTICE.index(caps[-1]))
 
 
 def test_a_request_refines_no_root_past_its_branches_and_one_past_its_cap(monkeypatch):

@@ -222,7 +222,7 @@ def test_sweep_rejects_an_order_past_its_lattice(kind):
         with pytest.raises(DomainError, match="nu <="):
             RadialSweep(nu, kind)
     sweep = RadialSweep(RadialSweep.MAX_NU, kind)
-    assert np.all(np.diff(sweep.LATTICE.point(sweep._i + np.arange(-2, 100))) > 0.0)
+    assert np.all(np.diff(sweep.LATTICE.point(sweep.index + np.arange(-2, 100))) > 0.0)
 
 
 @pytest.mark.parametrize("kind", list(RootKind))
@@ -256,18 +256,19 @@ TE, TM = RootKind.TE_JZERO, RootKind.TM_RICCATI_DERIV_ZERO
 EPS = float(np.finfo(float).eps)
 
 
-class DenseSweep(RadialSweep):
-    """The reference scan, scalar and independent of radial.advance: the wall condition at
+class DenseSweep:
+    """The reference scan, scalar and independent of specfun.advance: the wall condition at
     every lattice point k * 0.05 in turn, from the last at or below max(nu, 1e-3) (k >= 1),
-    one float call each, and scipy's Brent at the sweep's tolerance."""
+    one float call each, and scipy's Brent at the sweep's tolerance.  ``index`` is the
+    lattice index of its last scanned point, as a RadialSweep's."""
 
     def __init__(self, nu, kind):
-        super().__init__(nu, kind)
-        self._i = max(1, math.floor(max(nu, 1e-3) / 0.05))
+        self.nu, self.kind, self.roots = nu, RadialSweep(nu, kind).kind, []
+        self.index = max(1, math.floor(max(nu, 1e-3) / 0.05))
 
     def below(self, x_cap):
         f = spherical_j if self.kind is TE else riccati_deriv
-        k, fk = self._i, f(self.nu, self._i * 0.05)
+        k, fk = self.index, f(self.nu, self.index * 0.05)
         while k * 0.05 < x_cap:
             f_next = f(self.nu, (k + 1) * 0.05)
             if fk == 0.0 or fk * f_next < 0.0:
@@ -275,7 +276,7 @@ class DenseSweep(RadialSweep):
                 x = a if fk == 0.0 else brentq(lambda t: f(self.nu, t), a, b, xtol=1e-300, rtol=4 * EPS)
                 self.roots.append(radial.RadialRoot(self.nu, len(self.roots) + 1, self.kind, x, f(self.nu, x)))
             k, fk = k + 1, f_next
-        self._i = k
+        self.index = k
         return list(self.roots)
 
 
@@ -372,7 +373,7 @@ def test_an_exact_zero_on_the_grid_is_the_root_in_a_shared_round(monkeypatch, at
 
 
 def _sweep_state(sweeps):
-    return [(_bits(s.roots), s._i) for s in sweeps]
+    return [(_bits(s.roots), s.index) for s in sweeps]
 
 
 CAP = st.floats(min_value=0.0, max_value=70.0)
@@ -415,7 +416,7 @@ def test_sweeps_advanced_together_match_each_alone_and_the_dense_scan(specs):
         sweep.below(cap)
     assert _sweep_state(together) == _sweep_state(alone) == _sweep_state(dense)
     for sweep, cap in zip(together, caps):
-        assert sweep._x >= cap and (not sweep.roots or sweep.roots[-1].n == len(sweep.roots))
+        assert sweep.end >= cap and (not sweep.roots or sweep.roots[-1].n == len(sweep.roots))
 
 
 def test_advance_takes_a_sweep_listed_twice_once():

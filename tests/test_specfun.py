@@ -11,8 +11,9 @@ from sphcav.errors import ConvergenceError, DomainError, RootSearchError
 from sphcav.radial import AIRY_PRIME_ZEROS, AIRY_ZEROS
 from sphcav.specfun import (
     Lattice,
+    Sweep,
+    advance,
     hyp2f1,
-    lattice_roots,
     legendre_theta,
     legendre_theta_deriv,
     ln_gamma,
@@ -478,57 +479,67 @@ def test_airy_table_matches_scipy():
 HALF = Lattice(0.0, 0.5)
 
 
-def _scan(f, values=None):
-    """An ``evaluate`` of f for lattice_roots, with ``values`` in place of f on the first call."""
-    calls = []
+def _half(f, stride=1, refine=brentq, tol=None, first=None):
+    """A Sweep class of the condition f on HALF, scanned at every ``stride``-th point and refined
+    by ``refine`` at ``tol``.  Its ``calls`` hold the points of each scan call (an array; Brent's
+    method calls with a float), and ``first``, if given, stands in for f's values on the first."""
 
-    def evaluate(rows, x):
-        calls.append(x.tolist())
-        if values is not None and len(calls) == 1:
-            return values
-        out = np.array([f(v) for v in x.tolist()])
-        if not np.isfinite(out).all():
-            raise RootSearchError("f is not finite on the scan")
-        return out
+    class Half(Sweep):
+        LATTICE, STRIDE, TOL, calls = HALF, stride, tol or {}, []
+        brent = staticmethod(lambda: refine)
 
-    return evaluate, calls
+        def __init__(self):
+            super().__init__((True,), "f", 0)
+
+        @staticmethod
+        def batched(x, flag):
+            if isinstance(x, float):
+                return f(x)
+            Half.calls.append(x.tolist())
+            return first if first is not None and len(Half.calls) == 1 else np.array([f(v) for v in x.tolist()])
+
+    return Half
 
 
-def test_lattice_roots_takes_lattice_zeros_once_and_refines_sign_changes():
+def test_advance_takes_lattice_zeros_once_and_refines_sign_changes():
     def f(x):
         return (x - 1.0) * (x - 2.3)
 
-    # two rows: 0.0-3.0 by single steps, and 0.0, 2.0, 4.0, whose bracket [0, 2] is bisected
-    # to the lattice zero at 1.0 and whose last point is only a bracket end
-    evaluate, calls = _scan(f)
-    index = np.array([0, 1, 2, 3, 4, 5, 6, 0, 4, 8])
-    got = lattice_roots(HALF, [7, 3], index, evaluate, [(f, "f"), (f, "f")], brentq, xtol=1e-14)
-    assert [list(roots) for roots in got] == [[1.0, pytest.approx(2.3, abs=1e-13)], [1.0, pytest.approx(2.3, abs=1e-13)]]
-    # lockstep bisection of both brackets of row 2; the zero at 1.0 ends its bracket from above
-    assert calls[1:] == [[1.0, 3.0], [0.5, 2.5]]
-    with pytest.raises(RootSearchError, match="f is not finite"):
-        lattice_roots(HALF, [2], np.array([0, 1]), _scan(lambda x: math.inf)[0], [(f, "f")], brentq)
+    # every point from 0.0 to 3.0: the lattice zero at 1.0 opens a bracket and ends none
+    dense = _half(f, tol=dict(xtol=1e-14))()
+    advance([dense], [3.0])
+    # 0.0, 2.0 and 4.0, whose bracket [0, 2] is bisected to the lattice zero at 1.0 and whose
+    # last point is only a bracket end
+    coarse = _half(f, stride=4, tol=dict(xtol=1e-14))()
+    advance([coarse], [4.0])
+    assert dense.roots == coarse.roots == [1.0, pytest.approx(2.3, abs=1e-13)]
+    assert coarse.index == 8 and coarse.end == 4.0
+    # lockstep bisection of both brackets; the zero at 1.0 ends its bracket from above
+    assert coarse.calls[1:] == [[1.0, 3.0], [0.5, 2.5]]
+    flat = _half(lambda x: math.inf)()
+    with pytest.raises(RootSearchError, match="f is not finite") as err:
+        advance([flat], [0.5])
+    assert err.value.window == (0.0, 0.5) and not flat.roots and flat.index == 0
 
 
-def test_lattice_roots_names_a_bracket_that_refinement_rejects():
+def test_advance_names_a_bracket_that_refinement_rejects():
     def f(x):
         return x - 0.8
 
     def diverge(f, lo, hi, **tol):
         raise RuntimeError("failed to converge")
 
-    index = np.arange(4)
-    (roots,) = lattice_roots(HALF, [4], index, _scan(f)[0], [(f, "f")], diverge)
+    sweep = _half(f, refine=diverge)()
     with pytest.raises(RootSearchError, match="f could not be refined") as err:
-        list(roots)
+        advance([sweep], [1.5])
     assert err.value.window == (0.5, 1.0)
+    assert not sweep.roots and sweep.index == 0  # a sweep keeps nothing of a failed pass
 
     def refuse(f, lo, hi):
         raise DomainError("f is undefined here")
 
-    (roots,) = lattice_roots(HALF, [4], index, _scan(f)[0], [(f, "f")], refuse)
     with pytest.raises(DomainError, match="undefined"):  # passes unchanged
-        list(roots)
+        advance([_half(f, refine=refuse)()], [1.5])
 
 
 def test_brent_takes_the_bracket_ends_from_the_scan():
@@ -542,8 +553,9 @@ def test_brent_takes_the_bracket_ends_from_the_scan():
         return x - 1.0
 
     values = np.array([-1.0, 1.0, 1.0, 1.0])  # a sign change on [0, 0.5], where f has none
-    (roots,) = lattice_roots(HALF, [4], np.arange(4), _scan(f, values)[0], [(f, "f")], brentq)
-    (root,) = list(roots)
+    sweep = _half(f, first=values)()
+    advance([sweep], [1.5])
+    (root,) = sweep.roots
     assert 0.0 < root <= 0.5 and inside and all(0.0 < x < 0.5 for x in inside)
 
 

@@ -11,7 +11,7 @@ from scipy.special import jv
 
 from sphcav import radial, spectrum
 from sphcav.errors import DomainError, FixtureLookupError
-from sphcav.radial import j_zero, riccati_deriv_zero
+from sphcav.radial import RadialSweep, j_zero, riccati_deriv_zero
 from sphcav.spectrum import (
     CavityConfig,
     cone_sweep,
@@ -89,17 +89,33 @@ def test_enumerate_modes_max_count():
     assert [r.polarization for r in records] == ["TM", "TM", "TM", "TM"]
 
 
-@pytest.mark.parametrize("config", [A15, WEDGE90], ids=["sphere", "wedge270"])
-def test_max_count_is_a_prefix_and_refines_each_root_once(config, monkeypatch):
-    refined = []
+def _refinements(monkeypatch) -> list:
+    """(sweep, a, b, x) of each refinement by radial's brentq, as it is made: the sweep is the
+    one whose condition Brent's method evaluates inside the bracket [a, b], and only that one."""
+    refined, inside = [], []
+    value = RadialSweep.value
+
+    def recording(sweep, x):
+        inside.append(sweep)
+        return value(sweep, x)
 
     def counting(f, a, b, **tol):
-        sweep = f.args[0].__self__  # f is RadialSweep.value fed the scan's end values
-        refined.append((sweep.nu, sweep.kind, a, b))
-        return brentq(f, a, b, **tol)
+        inside.clear()
+        x = brentq(f, a, b, **tol)
+        assert inside and all(sweep is inside[0] for sweep in inside)
+        refined.append((inside[0], a, b, x))
+        return x
 
+    monkeypatch.setattr(RadialSweep, "value", recording)
     monkeypatch.setattr(radial, "brentq", counting)
+    return refined
+
+
+@pytest.mark.parametrize("config", [A15, WEDGE90], ids=["sphere", "wedge270"])
+def test_max_count_is_a_prefix_and_refines_each_root_once(config, monkeypatch):
+    made = _refinements(monkeypatch)
     got = enumerate_modes(config, max_count=150)
+    refined = [(sweep.nu, sweep.kind, a, b) for sweep, a, b, _ in made]
     assert len(got) == 150
     assert len(refined) == len(set(refined)) >= len({(r.polarization, r.nu, r.n) for r in got})
     assert got == enumerate_modes(config, f_max_hz=got[-1].frequency_hz)[:150]
@@ -109,15 +125,9 @@ def test_one_radial_sweep_per_eigenvalue(monkeypatch):
     # nu = m + k is formed in floating point, so on the 270 deg wedge one
     # eigenvalue arrives as floats an ulp apart (13/3 = 4/3 + 3 = 10/3 + 1);
     # its radial roots are refined once and shared, and each record keeps its nu
-    refined = []
-
-    def counting(f, a, b, **tol):
-        x, sweep = brentq(f, a, b, **tol), f.args[0].__self__  # RadialSweep.value, fed
-        refined.append((round(sweep.nu, 9), sweep.kind, round(x, 9)))
-        return x
-
-    monkeypatch.setattr(radial, "brentq", counting)
+    made = _refinements(monkeypatch)
     got = enumerate_modes(WEDGE90, max_count=150)
+    refined = [(round(sweep.nu, 9), sweep.kind, round(x, 9)) for sweep, _, _, x in made]
     assert len(refined) == len(set(refined))
     twins: dict = {}
     for r in got:
