@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the results of a fixed set of sphcav cases, one line each, every float as float.hex().
 
-  PYTHONPATH=src python3 scripts/snapshot.py > snapshot.txt
+  PYTHONPATH=src python3 scripts/snapshot.py > snapshot.txt 2> snapshot.err
 
 Run it on two source trees and diff the outputs: an empty diff means every
 covered result is identical to the last bit.  The cases cover mode records and
@@ -20,15 +20,16 @@ wave's impedance after each sample, the reachability test of nu - m in N just
 off the integer (classify, make_mode and evaluate at (5 + delta, 3), and
 legendre_theta at two such points), the energy of a high-order cone mode, the
 stdout, stderr and exit code of command lines (the README's examples, every --help
-text, each row command in every format, all four fixtures, a computational error
-and an argument error), and spherical_j and
+text, each row command in every format, cone mode records in every format and wedge
+mode records in JSON, all four fixtures, a computational error and an argument error), and spherical_j and
 riccati_deriv at small arguments (seven orders up to 500, five x from 1e-310 to
 0.49, each also as one array), hyp2f1 at a parameter 5e-12 off an integer, and
 two field samples with k r < 0.5, and the refusals of the cone queries and of advance
 (cone_nu with a branch of 0 or 1.5 or the polarization "TEM", cone_nus with one bad
-query of a batch, cone_roots with nu_max = inf, advance with sweeps of two classes).  A
-call that raises prints the error's type and message instead of a value, and the scan
-window it names, if any.
+query of a batch, cone_roots with nu_max = inf, advance with sweeps of two classes,
+cone_nu at theta_c = pi, a wedge's admits with the polarization "banana").  A call that
+raises prints the error's type and message instead of a value, and the scan window it
+names, if any.  Compare the stderr of two runs too: a library call should not warn.
 """
 
 import contextlib
@@ -40,7 +41,7 @@ import math
 import numpy as np
 
 from sphcav import cli, radial
-from sphcav.angular import AngularEigenpair, ConeSweep, Family, classify, cone_nu, cone_nus, cone_roots
+from sphcav.angular import AngularDomain, AngularEigenpair, ConeSweep, Family, classify, cone_nu, cone_nus, cone_roots
 from sphcav.energy import mode_energy
 from sphcav.fields import evaluate, make_mode, wave_impedances
 from sphcav.radial import RadialSweep, RootKind, j_zero, riccati_deriv_zero
@@ -88,6 +89,7 @@ README_CLI = [
     "validate --fixture table2_wedge90",
 ]
 ROW_COMMANDS = [
+    "modes --cone-deg 20 --fmax-ghz 16",  # k blank in csv, null in json, - in the table
     "dispersion --nu-list 0,1.5,7.3 --radius-mm 12",
     "cone-sweep --thetas 7.59,33.69 --wedge-deg 270",
     "wedge-sweep --openings 90,355 --cone-deg 10",
@@ -98,6 +100,7 @@ COMMANDS = [
     "--help",
     *(f"{name} --help" for name in SUBCOMMANDS),
     *(f"{line} --format {fmt}" for line in ROW_COMMANDS for fmt in ("csv", "json", "table")),
+    "modes --wedge-deg 270 --fmax-ghz 13.7 --format json",
     *(f"validate --fixture {name}" for name in list_fixtures()),
     "modes --count 0",  # a typed error: exit 1
     "field --mode TM,1,1,1 --at 0.01,1",  # an argument error: exit 2
@@ -282,6 +285,8 @@ def refusals() -> None:
         show(f"cone_nus(..., {bad!r}, ...)", lambda: cone_nus([(0.0, tc, "TM", 1), bad, (2.0, tc, "TE", 2)]))
     show("cone_roots(1.0, 20 deg, TM, inf)", lambda: cone_roots(1.0, tc, "TM", math.inf))
     show("advance([ConeSweep, RadialSweep])", lambda: advance([ConeSweep(0.0, tc, "TM"), RadialSweep(1.0, TE)], [5.0, 5.0]))
+    show("cone_nu(0.0, pi, TM, 1)", lambda: cone_nu(0.0, math.pi, "TM", 1))
+    show("AngularDomain(1.5 pi).admits(0.0, banana)", lambda: AngularDomain(1.5 * math.pi).admits(0.0, "banana"))
 
 
 def commands() -> None:

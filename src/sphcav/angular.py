@@ -92,19 +92,21 @@ class AngularDomain:
         return (2 * q + 1) * math.pi / (2.0 * self.azimuth_opening_rad)
 
     def nearest_index(self, m: float, polarization: str) -> float:
-        """The index of polarization "TM" or "TE" nearest to m.
+        """The index of polarization "TM" or "TE" (any case) nearest to m.
 
         On the full azimuth that is m (the sectoral curve is continuous); on a wedge
         m = q pi/Phi, q an integer between PEC faces (q > 0 for TM: sin(0 phi) = 0) or
-        an odd half-integer between PEC and PMC faces.  A nan or infinite m raises DomainError.
+        an odd half-integer between PEC and PMC faces.  A nan or infinite m, or any other
+        polarization, raises DomainError.
         """
         if not math.isfinite(m):
             raise DomainError(f"azimuthal index must be finite, got m={m}")
+        tm = _polarization(polarization) == "TM"
         if self.full_azimuth:
             return m
         q = m * self.azimuth_opening_rad / math.pi
         if self.face_kind == "PEC_PEC":
-            return self._index(max(round(q), int(polarization == "TM")))
+            return self._index(max(round(q), int(tm)))
         return self._index(math.floor(q))
 
     def indices(self, m_cap: float) -> list[float]:
@@ -152,6 +154,7 @@ class AngularDomain:
         ``sweeps`` keeps per pair (made if missing), all advanced to nu_cap in one call."""
         if not math.isfinite(nu_cap):
             raise DomainError(f"eigenvalue cap must be finite, got {nu_cap}")
+        pairs = [(m, _polarization(pol)) for m, pol in pairs]
         if self.has_cone:
             tc = self.cone_half_angle_rad
             cones = [sweeps.get((m, pol)) or sweeps.setdefault((m, pol), ConeSweep(m, tc, pol)) for m, pol in pairs]
@@ -235,6 +238,14 @@ def angular_ode_residual(
     return second_deriv + math.cos(theta) / s * deriv + (nu * (nu + 1.0) - m * m / (s * s)) * value
 
 
+def _polarization(polarization) -> str:
+    """"TM" or "TE" from either in any case; anything else raises DomainError."""
+    pol = polarization.upper() if isinstance(polarization, str) else None
+    if pol not in ("TM", "TE"):
+        raise DomainError(f"polarization must be TM or TE, got {polarization!r}")
+    return pol
+
+
 class ConeSweep(Sweep):
     """The cone roots of order m at half-angle theta_c of the polarization's condition (TM or
     TE, any case), found in increasing order and kept as floats, the first max_branches of them
@@ -264,9 +275,7 @@ class ConeSweep(Sweep):
             raise DomainError(f"order m of a cone sweep must satisfy 0 <= m <= {self.MAX_M:.6g}, got m={m}")
         if not (0.0 < theta_c < 0.5 * math.pi):
             raise DomainError("cone half-angle must lie strictly inside (0, pi/2)")
-        pol = polarization.upper() if isinstance(polarization, str) else None
-        if pol not in ("TM", "TE"):
-            raise DomainError(f"polarization must be TM or TE, got {polarization!r}")
+        pol = _polarization(polarization)
         if max_branches is not None:
             max_branches = positive_index(max_branches, "max_branches")
         self.m, self.theta_c, self.polarization, self.max_roots = m, theta_c, pol, max_branches
@@ -320,10 +329,11 @@ def cone_nu(m: float, theta_c: float, polarization: str, branch: int = 1) -> flo
 
 def cone_nus(queries) -> list[float]:
     """cone_nu of each (m, theta_c, polarization, branch), every sweep advanced in one call: each
-    branch is checked, then each sweep made, before any scan."""
+    branch is checked, then each sweep made, then each cap taken from its checked sweep, before
+    any scan."""
     queries = [(m, theta_c, pol, positive_index(branch, "branch index")) for m, theta_c, pol, branch in queries]
-    caps = [m + (branch + 1) * math.pi / (math.pi - theta_c) for m, theta_c, _, branch in queries]
     sweeps = [ConeSweep(*query) for query in queries]
+    caps = [s.m + (s.max_roots + 1) * math.pi / (math.pi - s.theta_c) for s in sweeps]
     nus = []
     for (m, theta_c, pol, branch), cap, roots in zip(queries, caps, _below(sweeps, caps)):
         if len(roots) < branch:

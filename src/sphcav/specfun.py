@@ -227,14 +227,15 @@ def advance(sweeps, caps) -> None:
     one = flags[0] if len(set(flags)) == 1 else None  # the flag of every sweep, if they share one
     flags, args = np.array(flags), [np.array(a) for a in args]
 
-    def scan(rows, x):  # the condition of sweep rows[j] at x[j]
-        if one is not None:
-            values = kind.batched(x, one, *(a[rows] for a in args))
-        else:
-            pick, values = flags[rows], np.empty(x.shape)
-            for flag, side in ((True, pick), (False, ~pick)):
-                if side.any():
-                    values[side] = kind.batched(x[side], flag, *(a[rows[side]] for a in args))
+    def scan(rows, x):  # the condition of sweep rows[j] at x[j]; the finite check, not numpy, warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            if one is not None:
+                values = kind.batched(x, one, *(a[rows] for a in args))
+            else:
+                pick, values = flags[rows], np.empty(x.shape)
+                for flag, side in ((True, pick), (False, ~pick)):
+                    if side.any():
+                        values[side] = kind.batched(x[side], flag, *(a[rows[side]] for a in args))
         if not np.isfinite(values).all():
             s = sweeps[rows[~np.isfinite(values)][0]]
             window = (lattice.point(s._index), lattice.point(ends[s]))

@@ -1,11 +1,12 @@
 """Mode enumeration, geometry sweeps, and validation against bundled fixtures.
 
 A cavity is described by its radius, an azimuthal opening (360 deg = full
-sphere), and an optional polar cone.  Enumeration walks the admissible
-azimuthal indices, takes the angular eigenvalues of each from the domain
-(AngularDomain.eigenvalues: nu = m + k without a cone, cone branches otherwise),
-quantizes radially for both polarizations, and sorts by frequency with a
-deterministic tie-break (TM before TE, then smaller m).
+sphere), and an optional polar cone.  Enumeration is one loop of caps: each round
+walks the admissible azimuthal indices, takes the angular eigenvalues of each from
+the domain (AngularDomain.eigenvalue_lists: nu = m + k without a cone, cone branches
+otherwise) and quantizes radially for both polarizations; the last round's records
+are sorted by frequency with a deterministic tie-break (TM before TE, then smaller
+m).  The CSV, JSON and table writers take a record's cells under one column table.
 """
 
 from __future__ import annotations
@@ -79,62 +80,30 @@ def _sort_key(rec: ModeRecord):
     return (rec.frequency_hz, 0 if rec.polarization == "TM" else 1, rec.m, rec.nu, rec.n)
 
 
-def _angular_candidates(domain: AngularDomain, nu_cap: float, sweeps: dict):
-    """Yield (m, nu, k, kind) admissible up to nu_cap, kind the radial condition of the
-    polarization; k is the offset nu - m without a cone, None with one.  Every (m, kind)
-    takes its eigenvalues from one AngularDomain.eigenvalue_lists call, across a cone from
-    the cone sweeps that ``sweeps`` keeps."""
-    kinds = (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO)
-    pairs = [(m, kind) for m in domain.indices(nu_cap) for kind in kinds if domain.admits(m, kind.value)]
-    spectra = domain.eigenvalue_lists([(m, kind.value) for m, kind in pairs], nu_cap, sweeps)
-    for (m, kind), nus in zip(pairs, spectra):
-        for nu in nus:
-            yield m, nu, None if domain.has_cone else round(nu - m), kind
-
-
-def _swept_candidates(config: CavityConfig, f_max_hz: float, sweeps: dict) -> list[tuple]:
-    """Every (m, nu, k, kind, sweep) admissible up to f_max_hz, its sweep scanned past the cap;
-    ``sweeps`` keeps one RadialSweep per (nu, kind) and, across a cone, one ConeSweep per
+def _swept_candidates(domain: AngularDomain, x_cap: float, sweeps: dict) -> list[tuple]:
+    """Every (m, nu, k, kind, sweep) admissible up to x_cap, kind the radial condition of the
+    polarization and sweep its RadialSweep scanned past x_cap; k is the offset nu - m without a
+    cone, None with one.  Every (m, kind) takes its eigenvalues from one
+    AngularDomain.eigenvalue_lists call and every radial sweep advances in one specfun.advance
+    call.  ``sweeps`` keeps one RadialSweep per (nu, kind) and, across a cone, one ConeSweep per
     (m, polarization), which each cap of max_count's loop continues where they stand.
 
     nu = m + k is formed in floating point, so one eigenvalue can arrive as floats an
     ulp apart (13/3 = 4/3 + 3 = 10/3 + 1); keyed to 12 decimals they share one sweep,
     and each candidate keeps its own nu.  A cone root is keyed by its exact nu, which its
     lattice interval alone fixes, so every cap of max_count's loop finds the same sweep.
-    Every radial sweep advances in one specfun.advance call.
     """
-    x_cap = 2.0 * math.pi * config.radius_m * f_max_hz * (1.0 + _FREQ_SLACK) / SPEED_OF_LIGHT
-    domain = config.domain()
+    kinds = (RootKind.TM_RICCATI_DERIV_ZERO, RootKind.TE_JZERO)
+    pairs = [(m, kind) for m in domain.indices(x_cap) for kind in kinds if domain.admits(m, kind.value)]
+    spectra = domain.eigenvalue_lists([(m, kind.value) for m, kind in pairs], x_cap, sweeps)
     candidates = []
-    for m, nu, k, kind in _angular_candidates(domain, x_cap, sweeps):
-        key = (nu if domain.has_cone else round(nu, 12), kind)
-        sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
-        candidates.append((m, nu, k, kind, sweep))
+    for (m, kind), nus in zip(pairs, spectra):
+        for nu in nus:
+            key = (nu if domain.has_cone else round(nu, 12), kind)
+            sweep = sweeps.get(key) or sweeps.setdefault(key, RadialSweep(nu, kind))
+            candidates.append((m, nu, None if domain.has_cone else round(nu - m), kind, sweep))
     advance([sweep for *_, sweep in candidates], [x_cap] * len(candidates))
     return candidates
-
-
-def _roots_below(sweep: RadialSweep, a: float, f_max_hz: float):
-    """The roots of ``sweep`` with their frequencies, while those are at most f_max_hz plus slack."""
-    f_cap = f_max_hz * (1.0 + _FREQ_SLACK)
-    for root in sweep.roots:
-        f = frequency_from_root(root.x, a)
-        if f > f_cap:
-            return
-        yield root, f
-
-
-def _records(config: CavityConfig, candidates: list[tuple], f_max_hz: float) -> list[ModeRecord]:
-    """The sorted mode records of ``candidates`` up to f_max_hz."""
-    cone = config.domain().has_cone
-    records: list[ModeRecord] = []
-    for m, nu, k, kind, sweep in candidates:
-        family = None  # classified once per candidate with a mode below the cap
-        for root, f in _roots_below(sweep, config.radius_m, f_max_hz):
-            family = family or classify(nu, m, cone_present=cone).value
-            records.append(ModeRecord(kind.value, nu, m, k, root.n, root.x, f, family))
-    records.sort(key=_sort_key)
-    return records
 
 
 def enumerate_modes(
@@ -144,10 +113,11 @@ def enumerate_modes(
 ) -> list[ModeRecord]:
     """All modes up to f_max_hz (inclusive with 1e-6 slack), sorted by frequency.
 
-    With ``max_count`` alone the cap starts at x = 4 and grows 1.5x until the sweeps
-    hold that many roots below it; each (nu, kind) is swept for radial roots, and across a
-    cone each (m, polarization) for cone roots, once per call, every cap continuing the
-    sweeps where the last left them, and the records are built once, at the last.
+    One loop of caps: f_max_hz is a loop of one round; with ``max_count`` alone the cap starts
+    at x = 4 and grows 1.5x until the sweeps hold that many roots below it.  Each round sweeps
+    each (nu, kind) for radial roots, and across a cone each (m, polarization) for cone roots,
+    every cap continuing the sweeps where the last left them.  The records are built in one
+    walk of each sweep's roots, at the last round.
     """
     if f_max_hz is None and max_count is None:
         raise DomainError("provide f_max_hz or max_count")
@@ -155,15 +125,25 @@ def enumerate_modes(
         raise DomainError(f"f_max_hz must be positive and finite, got {f_max_hz}")
     if max_count is not None:
         max_count = positive_index(max_count, "max_count")
-    sweeps: dict = {}
-    if f_max_hz is not None:
-        return _records(config, _swept_candidates(config, f_max_hz, sweeps), f_max_hz)[:max_count]
-    f_max_hz = frequency_from_root(4.0, config.radius_m)
+    domain, a, sweeps = config.domain(), config.radius_m, {}
+    f_cap = f_max_hz or frequency_from_root(4.0, a)
     while True:
-        found = _swept_candidates(config, f_max_hz, sweeps)
-        if sum(1 for *_, s in found for _ in _roots_below(s, config.radius_m, f_max_hz)) >= max_count:
-            return _records(config, found, f_max_hz)[:max_count]
-        f_max_hz *= 1.5
+        f_top = f_cap * (1.0 + _FREQ_SLACK)
+        found = _swept_candidates(domain, 2.0 * math.pi * a * f_top / SPEED_OF_LIGHT, sweeps)
+        roots = (r for *_, s in found for r in s.roots)
+        if f_max_hz is not None or sum(frequency_from_root(r.x, a) <= f_top for r in roots) >= max_count:
+            break
+        f_cap *= 1.5
+    records = []
+    for m, nu, k, kind, sweep in found:
+        family = None  # classified once per candidate with a mode below the cap
+        for root in sweep.roots:
+            if (f := frequency_from_root(root.x, a)) > f_top:
+                break
+            family = family or classify(nu, m, cone_present=domain.has_cone).value
+            records.append(ModeRecord(kind.value, nu, m, k, root.n, root.x, f, family))
+    records.sort(key=_sort_key)
+    return records[:max_count]
 
 
 def _fundamentals(configs: list[CavityConfig]) -> list[ModeRecord]:
@@ -232,14 +212,10 @@ def list_fixtures() -> tuple[str, ...]:
 
 
 def _parse_cell(text: str):
-    if "/" in text:
-        num, den = text.split("/")
-        try:
-            return float(num) / float(den)
-        except ValueError:
-            return text
+    """A float, a fraction num/den, or else the text."""
+    num, slash, den = text.partition("/")
     try:
-        return float(text)
+        return float(num) / float(den) if slash else float(num)
     except ValueError:
         return text
 
@@ -261,8 +237,6 @@ def load_fixture(name: str) -> dict:
             key, value = key.strip(), value.strip()
             if key == "columns":
                 columns = value.split()
-            elif key in ("name", "kind"):
-                meta[key] = value
             else:
                 meta[key] = _parse_cell(value)
         else:
@@ -373,44 +347,32 @@ def validate(fixture_name: str) -> ValidationReport:
 
 # --- output formatting --------------------------------------------------------
 
-_CSV_HEADER = "pol,nu,m,k,n,x,f_GHz,family"
+# the columns of a mode record, each with its table width and precision; the table heads f_GHz "f [GHz]"
+_COLUMNS = (
+    ("pol", "<4", ""), ("nu", ">9", ".4f"), ("m", ">9", ".4f"), ("k", ">3", ""),
+    ("n", ">2", ""), ("x", ">10", ".4f"), ("f_GHz", ">8", ".2f"), ("family", "", ""),
+)
+_NAMES = [name for name, *_ in _COLUMNS]
+
+
+def _cells(r: ModeRecord) -> tuple:
+    """The record's cell of each column, in _COLUMNS order."""
+    return (r.polarization, r.nu, r.m, r.k, r.n, r.root_x, r.frequency_hz / 1e9, r.family)
 
 
 def format_csv(records: list[ModeRecord]) -> str:
-    lines = [_CSV_HEADER]
-    for r in records:
-        k = "" if r.k is None else str(r.k)
-        lines.append(
-            f"{r.polarization},{r.nu!r},{r.m!r},{k},{r.n},{r.root_x!r},"
-            f"{r.frequency_hz / 1e9!r},{r.family}"
-        )
-    return "\n".join(lines) + "\n"
+    """Floats as repr, a missing k as an empty cell."""
+    rows = [_NAMES]
+    rows += [["" if c is None else repr(c) if isinstance(c, float) else str(c) for c in _cells(r)] for r in records]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def format_json(records: list[ModeRecord]) -> str:
-    objs = [
-        {
-            "pol": r.polarization,
-            "nu": r.nu,
-            "m": r.m,
-            "k": r.k,
-            "n": r.n,
-            "x": r.root_x,
-            "f_GHz": r.frequency_hz / 1e9,
-            "family": r.family,
-        }
-        for r in records
-    ]
-    return json.dumps(objs, indent=2) + "\n"
+    return json.dumps([dict(zip(_NAMES, _cells(r))) for r in records], indent=2) + "\n"
 
 
 def format_table(records: list[ModeRecord]) -> str:
-    # human view rounds GHz to 2 decimals
-    lines = [f"{'pol':<4} {'nu':>9} {'m':>9} {'k':>3} {'n':>2} {'x':>10} {'f [GHz]':>8} family"]
-    for r in records:
-        k = "-" if r.k is None else str(r.k)
-        lines.append(
-            f"{r.polarization:<4} {r.nu:>9.4f} {r.m:>9.4f} {k:>3} {r.n:>2} "
-            f"{r.root_x:>10.4f} {r.frequency_hz / 1e9:>8.2f} {r.family}"
-        )
-    return "\n".join(lines) + "\n"
+    """The human view: each column to its width and precision, a missing k as "-"."""
+    rows = [["f [GHz]" if name == "f_GHz" else name for name in _NAMES]]
+    rows += [["-" if c is None else format(c, digits) for c, (*_, digits) in zip(_cells(r), _COLUMNS)] for r in records]
+    return "".join(" ".join(format(c, width) for c, (_, width, _) in zip(row, _COLUMNS)) + "\n" for row in rows)

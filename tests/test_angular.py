@@ -358,6 +358,36 @@ def test_a_scan_whose_values_overflow_a_product_warns_of_nothing(polarization):
         assert cone_nu(100.0, 0.1, polarization, 1) == 100.00000000000007
 
 
+@pytest.mark.parametrize("theta_c", [math.pi, 0.5 * math.pi, 4.0])
+def test_cone_nu_refuses_a_cone_past_a_hemisphere_before_its_cap(monkeypatch, theta_c):
+    # theta_c = pi used to raise a bare ZeroDivisionError from the cap m + (b + 1) pi/(pi - theta_c)
+    monkeypatch.setattr(angular, "advance", lambda *args, **kw: pytest.fail("scanned"))
+    with pytest.raises(DomainError, match="cone half-angle"):
+        cone_nu(0.0, theta_c, "TM", 1)
+    with pytest.raises(DomainError, match="cone half-angle"):
+        cone_nus([(0.0, 0.3, "TE", 1), (1.0, theta_c, "TM", 2)])
+
+
+def test_cone_nu_with_a_string_order_raises_type_error(monkeypatch):
+    # as j_zero("2", 1) and CavityConfig("0.015") do: the order is compared before any scan
+    monkeypatch.setattr(angular, "advance", lambda *args, **kw: pytest.fail("scanned"))
+    with pytest.raises(TypeError):
+        cone_nu("2", 0.3, "TM", 1)
+
+
+def test_a_batch_whose_scan_is_not_finite_raises_without_a_warning():
+    # numpy used to print "overflow encountered in exp" and "invalid value encountered in
+    # multiply" from the singular weight before the scan's finite check raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootSearchError) as err:
+            cone_nus([(1.0, 0.35, "TM", 1), (200.0, 0.35, "TM", 1)])
+    assert str(err.value) == (
+        "TM cone condition for m=200.0, theta_c=0.35 rad is not finite on the scan (scan window 0.0001..202.26)"
+    )
+    assert err.value.window == (ConeSweep.LATTICE.origin, float.fromhex("0x1.94852bd3c3611p+7"))
+
+
 @pytest.mark.parametrize("nu_max", [math.nan, math.inf])
 def test_cone_scan_rejects_a_nu_max_that_is_not_finite(nu_max):
     # nan used to return no roots and inf to grow the scan grid without bound
@@ -410,6 +440,36 @@ def test_domain_owns_the_wedge_index_rule():
     assert AngularDomain().admits(0.37, "TM")
     assert pec.nearest_index(1.0 / 3.0, "TM") == pec.indices(1.0)[1]
     assert pmc.nearest_index(0.0, "TE") == pmc.indices(1.0)[0]
+
+
+@pytest.mark.parametrize("polarization", ["banana", None, 5, "TEM", ""])
+@pytest.mark.parametrize("cone", [0.0, 0.3])
+def test_domain_refuses_a_polarization_that_is_not_tm_or_te(monkeypatch, cone, polarization):
+    # every polarization but "TM" used to read as TE: a 270 deg wedge admitted m = 0 for
+    # "tm", "banana" and None, and the domain without a cone listed m + k for "banana"
+    monkeypatch.setattr(angular, "advance", lambda *args, **kw: pytest.fail("scanned"))
+    for domain in (AngularDomain(1.5 * math.pi, cone), AngularDomain(cone_half_angle_rad=cone)):
+        for call in (
+            lambda: domain.admits(0.0, polarization),
+            lambda: domain.nearest_index(0.1, polarization),
+            lambda: domain.eigenvalues(1.0, polarization, 4.0),
+            lambda: domain.eigenvalue_lists([(1.0, "TM"), (1.0, polarization)], 4.0, {}),
+        ):
+            with pytest.raises(DomainError, match="polarization must be TM or TE"):
+                call()
+
+
+def test_domain_reads_a_polarization_in_any_case():
+    wedge = AngularDomain(1.5 * math.pi)
+    assert not wedge.admits(0.0, "tm") and wedge.admits(0.0, "te")
+    assert wedge.nearest_index(0.1, "tm") == wedge.nearest_index(0.1, "TM") == wedge.indices(1.0)[1]
+    assert wedge.nearest_index(0.1, "Te") == 0.0
+    assert AngularDomain().eigenvalues(1.0, "te", 4.0) == [1.0, 2.0, 3.0, 4.0]
+    cone, sweeps = AngularDomain(cone_half_angle_rad=0.3), {}
+    got = cone.eigenvalue_lists([(1.0, "tm"), (1.0, "TM"), (1.0, "te")], 4.0, sweeps)
+    assert got[0] == got[1] == cone_roots(1.0, 0.3, "TM", 4.0) and got[2] == cone_roots(1.0, 0.3, "TE", 4.0)
+    assert sorted(sweeps) == [(1.0, "TE"), (1.0, "TM")]  # one cone sweep per (m, polarization)
+    assert ConeSweep(1.0, 0.3, "tm").polarization == "TM"
 
 
 @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])

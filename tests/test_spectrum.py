@@ -255,11 +255,9 @@ def test_wedge_near_integer_order_with_cone():
 def test_angular_candidates_with_wedge_and_cone():
     # combined geometry, first azimuthal index m > 0 only: the TM (Dirichlet)
     # branch sits just above m, the TE (Neumann) branch just below it
-    from sphcav.spectrum import _angular_candidates
-
     cfg = CavityConfig(radius_m=0.015, wedge_opening_deg=270.0, cone_half_angle_deg=0.38)
     m = 2.0 / 3.0
-    cands = [c[1:] for c in _angular_candidates(cfg.domain(), 0.9, {}) if c[0] > 0.0]
+    cands = [c[1:4] for c in spectrum._swept_candidates(cfg.domain(), 0.9, {}) if c[0] > 0.0]
     assert all(k is None for _, k, _ in cands)
     by_kind = {kind.value: nu for nu, _, kind in cands}
     assert set(by_kind) == {"TM", "TE"}
