@@ -227,15 +227,14 @@ def advance(sweeps, caps) -> None:
     one = flags[0] if len(set(flags)) == 1 else None  # the flag of every sweep, if they share one
     flags, args = np.array(flags), [np.array(a) for a in args]
 
-    def scan(rows, x):  # the condition of sweep rows[j] at x[j]; the finite check, not numpy, warns
-        with np.errstate(over="ignore", invalid="ignore"):
-            if one is not None:
-                values = kind.batched(x, one, *(a[rows] for a in args))
-            else:
-                pick, values = flags[rows], np.empty(x.shape)
-                for flag, side in ((True, pick), (False, ~pick)):
-                    if side.any():
-                        values[side] = kind.batched(x[side], flag, *(a[rows[side]] for a in args))
+    def scan(rows, x):  # the condition of sweep rows[j] at x[j]
+        if one is not None:
+            values = kind.batched(x, one, *(a[rows] for a in args))
+        else:
+            pick, values = flags[rows], np.empty(x.shape)
+            for flag, side in ((True, pick), (False, ~pick)):
+                if side.any():
+                    values[side] = kind.batched(x[side], flag, *(a[rows[side]] for a in args))
         if not np.isfinite(values).all():
             s = sweeps[rows[~np.isfinite(values)][0]]
             window = (lattice.point(s._index), lattice.point(ends[s]))
@@ -243,16 +242,17 @@ def advance(sweeps, caps) -> None:
         return values
 
     rows = np.repeat(np.arange(len(sweeps)), sizes)
-    values = scan(rows, lattice.point(index))
-    sign = np.sign(values)  # signs, not values, are multiplied: a product of values may overflow
-    at = ((rows[:-1] == rows[1:]) & ((values[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))).nonzero()[0]
-    # each bracket's lattice indices (bounds[0]: lo, bounds[1]: hi) and the condition there
-    rows, bounds, bounds_f = rows[at], np.array([index[at], index[at + 1]]), np.array([values[at], values[at + 1]])
-    while len(j := (bounds[1] - bounds[0] > 1).nonzero()[0]):  # nonzero, not flatnonzero: 1 us less a call
-        mid = (bounds[0, j] + bounds[1, j]) // 2
-        f_mid = scan(rows[j], lattice.point(mid))
-        side = (np.sign(bounds_f[0, j]) * np.sign(f_mid) <= 0.0).astype(np.intp)  # 1: a sign change at or below mid
-        bounds[side, j], bounds_f[side, j] = mid, f_mid
+    with np.errstate(over="ignore", invalid="ignore"):  # scan's finite check, not numpy's warnings, flags an overflow
+        values = scan(rows, lattice.point(index))
+        sign = np.sign(values)  # signs, not values, are multiplied: a product of values may overflow
+        at = ((rows[:-1] == rows[1:]) & ((values[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))).nonzero()[0]
+        # each bracket's lattice indices (bounds[0]: lo, bounds[1]: hi) and the condition there
+        rows, bounds, bounds_f = rows[at], np.array([index[at], index[at + 1]]), np.array([values[at], values[at + 1]])
+        while len(j := (bounds[1] - bounds[0] > 1).nonzero()[0]):  # nonzero, not flatnonzero: 1 us less a call
+            mid = (bounds[0, j] + bounds[1, j]) // 2
+            f_mid = scan(rows[j], lattice.point(mid))
+            side = (np.sign(bounds_f[0, j]) * np.sign(f_mid) <= 0.0).astype(np.intp)  # 1: a sign change at or below mid
+            bounds[side, j], bounds_f[side, j] = mid, f_mid
     brackets: list[list] = [[] for _ in sweeps]
     for r, *bracket in zip(rows.tolist(), *lattice.point(bounds).tolist(), *bounds_f.tolist()):
         brackets[r].append(bracket)
