@@ -21,15 +21,16 @@ off the integer (classify, make_mode and evaluate at (5 + delta, 3), and
 legendre_theta at two such points), the energy of a high-order cone mode, the
 stdout, stderr and exit code of command lines (the README's examples, every --help
 text, each row command in every format, cone mode records in every format and wedge
-mode records in JSON, all four fixtures, a computational error and an argument error), and spherical_j and
-riccati_deriv at small arguments (seven orders up to 500, five x from 1e-310 to
-0.49, each also as one array), hyp2f1 at a parameter 5e-12 off an integer, and
-two field samples with k r < 0.5, and the refusals of the cone queries and of advance
-(cone_nu with a branch of 0 or 1.5 or the polarization "TEM", cone_nus with one bad
-query of a batch, cone_roots with nu_max = inf, advance with sweeps of two classes,
-cone_nu at theta_c = pi, a wedge's admits with the polarization "banana").  A call that
-raises prints the error's type and message instead of a value, and the scan window it
-names, if any.  Compare the stderr of two runs too: a library call should not warn.
+mode records in JSON, all four fixtures, a computational error and an argument
+error), and spherical_j and riccati_deriv at small arguments (seven orders up to
+500, five x from 1e-310 to 0.49, each also as one array), hyp2f1 at a parameter
+5e-12 off an integer, and two field samples with k r < 0.5, and the refusals of
+the cone queries, of advance and of the domain (cone_nu with a branch of 0 or 1.5
+or the polarization "TEM", cone_nus with one bad query of a batch, cone_roots with
+nu_max = inf, advance with sweeps of two classes, cone_nu at theta_c = pi, a
+wedge's admits with the polarization "banana").  A call that raises prints the
+error's type and message instead of a value, and the scan window it names, if any.
+Compare the stderr of two runs too: a library call should not warn.
 """
 
 import contextlib

@@ -193,8 +193,9 @@ def advance(sweeps, caps) -> None:
     indices, then cut to the roots each sweep still keeps.  A lattice zero is its root; any other
     is Brent's method on its lattice interval, fed the scan's values at its ends, so each root is
     fixed by its lattice interval alone.  Sweeps take their roots and ends once every root of the
-    pass is refined.  A value not finite raises RootSearchError naming the sweep and its pass, a
-    failed refinement one naming its interval; a SphcavError from the condition or Brent passes.
+    pass is refined.  A scan value not finite raises RootSearchError naming the sweep and its pass
+    (numpy's overflow and invalid warnings are off while the pass scans), a failed refinement one
+    naming its interval; a SphcavError from the condition or Brent passes.
     """
     if len(caps) != len(sweeps):
         raise DomainError(f"advance takes one cap per sweep, got {len(caps)} for {len(sweeps)} sweeps")
